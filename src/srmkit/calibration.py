@@ -190,7 +190,8 @@ def phi_index(curve: CitationCurve, beta_bar: float) -> SrmValue:
     if curve.p == 0:
         return SrmValue(0.0)
     ranks = np.arange(1, curve.p + 1, dtype=float)
-    return SrmValue(float(np.min(curve.values * ranks**beta_bar)))
+    with np.errstate(over="ignore"):  # x_i * i**beta may overflow to inf, never the minimum
+        return SrmValue(float(np.min(curve.values * ranks**beta_bar)))
 
 
 def calibrate_cohort(

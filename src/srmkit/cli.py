@@ -10,11 +10,12 @@ success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from . import cohort as co
@@ -221,9 +222,12 @@ def _emit(cfg: RunConfig, data: bytes) -> None:
 def _write_atomic(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".srm-tmp-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give what open() would
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -271,8 +275,6 @@ def _cmd_rank(cfg: RunConfig) -> int:
             )
         data = co._csv_bytes(rows)
     else:
-        import json
-
         doc = {
             "index": spec.label,
             "cutoffs": list(classes.cutoffs),
@@ -318,36 +320,43 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
         header.append("gap")
     else:
         header.extend(f"gap_{d:g}" for d in gap_cols)
-    rows = [header]
+    results = []  # author id; value, min margin (None without densities), gaps
     for i, rec in enumerate(records):
-        value = srm_closed_form(rec.curve, spec)
+        value = srm_closed_form(rec.curve, spec).level
         restrict = (
             rec.curve.p
             if family.policy == du.AUTHOR_SUPPORT_ONLY and rec.curve.p >= 1
             else None
         )
-        margins = []
+        margin = None
         if cfg.samples > 0:
             densities = du.random_simplex_candidates(
                 measure, cfg.samples, seed=cfg.seed * 100003 + i, upto=restrict
             )
-            margins = [
-                du.weak_duality_margin(rec.curve, family, z, measure) for z in densities
-            ]
-        row = [
-            rec.id,
-            co.format_number(value.level),
-            str(len(margins)),
-            co.format_number(min(margins)) if margins else "",
-        ]
+            margin = du.weak_duality_margin(rec.curve, family, densities, measure)
+        gaps = []
         for d in gap_cols:
             z_star = du.constructed_minimizer(spec.name, rec.curve, d, measure)
             bound = du.h_plus(
                 z_star, du.expected_value(z_star, rec.curve, measure), family, measure
             )
-            row.append(co.format_number(bound - value.level))
-        rows.append(row)
-    _emit(cfg, co._csv_bytes(rows))
+            gaps.append(bound - value)
+        results.append((rec.id, [value, margin, *gaps]))
+    if _resolve_format(cfg) == co.CSV_FORMAT:
+        rows = [header]
+        for author, (value, *rest) in results:
+            rows.append([author, co.format_number(value), str(cfg.samples),
+                         *("" if x is None else co.format_number(x) for x in rest)])
+        data = co._csv_bytes(rows)
+    else:
+        authors = [
+            dict(zip(header, [author, co._json_number(value), cfg.samples,
+                              *(None if x is None else co._json_number(x) for x in rest)]))
+            for author, (value, *rest) in results
+        ]
+        doc = {"index": spec.label, "authors": authors}
+        data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    _emit(cfg, data)
     return 0
 
 

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -39,10 +40,6 @@ def _json_number(x: float):
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return float(format_number(x))
-
-
-def _parse_number(text: str) -> float:
-    return float(text)
 
 
 def _check_format(fmt: str) -> str:
@@ -106,9 +103,6 @@ class MeritClassification:
     def labels(self) -> Tuple[str, ...]:
         return tuple(f"class-{i}" for i in range(1, len(self.cutoffs) + 2))
 
-    def members(self, label: str) -> Tuple[str, ...]:
-        return tuple(sorted(a for a, c in self.assignment.items() if c == label))
-
 
 def _decode(data: Union[bytes, str]) -> str:
     if isinstance(data, bytes):
@@ -139,7 +133,7 @@ def _ingest_csv(text: str) -> List[AuthorRecord]:
         raw = []
         for part in cell.split(";") if cell else []:
             try:
-                raw.append(_parse_number(part))
+                raw.append(float(part))
             except ValueError:
                 raise ValidationError(
                     f"line {lineno}: bad citation value {part!r} for author {author_id!r}"
@@ -353,6 +347,17 @@ def export(obj, fmt: str) -> bytes:
     raise ValidationError(f"do not know how to export {type(obj).__name__}")
 
 
+@contextmanager
+def _reading(what: str):
+    """Report a malformed re-import as ValidationError, not a raw lookup error."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
+
+
 def _level(text_or_number) -> float:
     if isinstance(text_or_number, str):
         if text_or_number == "inf":
@@ -361,6 +366,7 @@ def _level(text_or_number) -> float:
     return float(text_or_number)
 
 
+@_reading("table")
 def parse_table(data: Union[bytes, str], fmt: str) -> IndexTable:
     """Re-import an exported index table.
 
@@ -401,6 +407,7 @@ def parse_table(data: Union[bytes, str], fmt: str) -> IndexTable:
     return IndexTable(authors=authors, indices=indices, cells=cells)
 
 
+@_reading("ranking")
 def parse_ranking(data: Union[bytes, str], fmt: str) -> List[RankedAuthor]:
     _check_format(fmt)
     text = _decode(data)
@@ -421,6 +428,7 @@ def parse_ranking(data: Union[bytes, str], fmt: str) -> List[RankedAuthor]:
     ]
 
 
+@_reading("classification")
 def parse_classification(data: Union[bytes, str], fmt: str) -> MeritClassification:
     _check_format(fmt)
     text = _decode(data)

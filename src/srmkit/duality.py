@@ -28,8 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -62,57 +61,81 @@ class ReferenceMeasure:
         object.__setattr__(self, "extent", extent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualDensity:
     """Nonnegative piecewise-constant density with unit mass.
 
     ``heights[j]`` is the density value on the half-open cell
     (breakpoints[j], breakpoints[j+1]]; breakpoints run from 0 to the
     measure extent.  Unit mass means (1/N) * sum(height * length) = 1.
+
+    Both are read-only float64 arrays.  Construction also fixes, once,
+    the integrals every dual evaluation reads: ``cum_mass`` and
+    ``cum_moment``, (1/N) times the integrals of Z and x*Z up to each
+    breakpoint; ``rank_mass``, the mass of each unit rank cell (i-1, i];
+    and its prefix sums ``rank_cum_mass`` (of m_i) and
+    ``rank_cum_moment`` (of i * m_i), both starting at 0.
     """
 
-    breakpoints: Tuple[float, ...]
-    heights: Tuple[float, ...]
+    breakpoints: np.ndarray
+    heights: np.ndarray
+    cum_mass: np.ndarray = field(init=False, repr=False)
+    cum_moment: np.ndarray = field(init=False, repr=False)
+    rank_mass: np.ndarray = field(init=False, repr=False)
+    rank_cum_mass: np.ndarray = field(init=False, repr=False)
+    rank_cum_moment: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
-        hs = tuple(float(h) for h in self.heights)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "heights", hs)
-        if len(bp) < 2 or len(hs) != len(bp) - 1:
+        bp = np.array(self.breakpoints, dtype=float)
+        hs = np.array(self.heights, dtype=float)
+        if bp.ndim != 1 or bp.size < 2 or hs.shape != (bp.size - 1,):
             raise ValidationError("need k+1 breakpoints for k cells")
         if bp[0] != 0.0:
             raise ValidationError("breakpoints must start at 0")
-        if not all(math.isfinite(b) for b in bp) or any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+        # from 0, strictly increasing up to a finite end means finite throughout
+        if not (math.isfinite(bp[-1]) and (bp[1:] > bp[:-1]).all()):
             raise ValidationError("breakpoints must be finite and strictly increasing")
-        if not all(math.isfinite(h) and h >= 0 for h in hs):
+        if not ((hs >= 0).all() and np.isfinite(hs).all()):
             raise ValidationError("density heights must be finite and >= 0")
         n = bp[-1]
-        mass = sum(h * (b2 - b1) for h, b1, b2 in zip(hs, bp, bp[1:])) / n
+        cum_m = np.concatenate(([0.0], np.cumsum(hs * (bp[1:] - bp[:-1]) / n)))
+        mass = float(cum_m[-1])
         if abs(mass - 1.0) > _MASS_TOL:
             raise ValidationError(f"density mass is {mass!r}, must equal 1")
-        object.__setattr__(self, "_hash", hash((bp, hs)))
+        cum_v = np.concatenate(([0.0], np.cumsum(hs * (bp[1:] ** 2 - bp[:-1] ** 2) / (2.0 * n))))
+        # mass up to each rank-cell edge, as _mass_at computes it
+        ranks = np.arange(1, math.ceil(n) + 1, dtype=float)
+        edges = np.minimum(ranks, n)
+        j = np.searchsorted(bp, edges) - 1
+        masses = np.diff(cum_m[j] + hs[j] * (edges - bp[j]) / n, prepend=0.0)
+        rank_cum_m = np.concatenate(([0.0], np.cumsum(masses)))
+        rank_cum_im = np.concatenate(([0.0], np.cumsum(masses * ranks)))
+        for name, a in (("breakpoints", bp), ("heights", hs), ("cum_mass", cum_m),
+                        ("cum_moment", cum_v), ("rank_mass", masses),
+                        ("rank_cum_mass", rank_cum_m), ("rank_cum_moment", rank_cum_im)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
-    def __hash__(self):
-        return self._hash
+    def __eq__(self, other):
+        if not isinstance(other, DualDensity):
+            return NotImplemented
+        return bool(
+            np.array_equal(self.breakpoints, other.breakpoints)
+            and np.array_equal(self.heights, other.heights)
+        )
 
     @property
     def extent(self) -> float:
-        return self.breakpoints[-1]
+        return float(self.breakpoints[-1])
 
     @classmethod
     def indicator(cls, lo: float, hi: float, extent: float) -> "DualDensity":
         """Normalized indicator density on the cell (lo, hi]."""
         if not (0 <= lo < hi <= extent):
             raise ValidationError(f"need 0 <= lo < hi <= extent, got ({lo}, {hi}] in (0, {extent}]")
-        height = extent / (hi - lo)
-        pts = [0.0, lo, hi, extent]
-        bp, hs = [0.0], []
-        for b in pts[1:]:
-            if b > bp[-1]:
-                hs.append(height if bp[-1] >= lo and b <= hi else 0.0)
-                bp.append(b)
-        return cls(tuple(bp), tuple(hs))
+        bp = np.unique(np.array([0.0, lo, hi, extent], dtype=float))
+        inside = (bp[:-1] >= lo) & (bp[1:] <= hi)
+        return cls(bp, np.where(inside, extent / (hi - lo), 0.0))
 
     @classmethod
     def from_weights(cls, weights: Sequence[float], extent: float) -> "DualDensity":
@@ -127,68 +150,44 @@ class DualDensity:
         total = float(w.sum())
         if total <= 0:
             raise ValidationError("weights must have positive total")
-        bp = [float(i) for i in range(w.size + 1)]
-        hs = [extent * float(x) / total for x in w]
+        bp = np.arange(w.size + 1, dtype=float)
+        hs = extent * w / total
         if extent > w.size:
-            bp.append(float(extent))
-            hs.append(0.0)
-        return cls(tuple(bp), tuple(hs))
+            bp = np.append(bp, float(extent))
+            hs = np.append(hs, 0.0)
+        return cls(bp, hs)
 
     def refined(self, points: Iterable[float]) -> "DualDensity":
         """The same density with extra breakpoints inserted."""
-        bp = list(self.breakpoints)
-        hs = list(self.heights)
-        for y in sorted(set(float(p) for p in points)):
-            if y <= 0 or y >= self.extent or y in bp:
-                continue
-            j = next(i for i in range(len(bp) - 1) if bp[i] < y < bp[i + 1])
-            bp.insert(j + 1, y)
-            hs.insert(j, hs[j])
-        return DualDensity(tuple(bp), tuple(hs))
+        y = np.asarray(list(points), dtype=float)
+        bp = np.union1d(self.breakpoints, y[(y > 0) & (y < self.extent)])
+        cell = np.searchsorted(self.breakpoints, bp[:-1], side="right") - 1
+        return DualDensity(bp, self.heights[cell])
 
 
-@lru_cache(maxsize=4096)
-def _cums(z: DualDensity):
-    """Knot grid with cumulative mass and first-moment integrals."""
-    bp = np.array(z.breakpoints)
-    hs = np.array(z.heights)
-    n = z.extent
-    dm = hs * np.diff(bp) / n
-    dv = hs * (bp[1:] ** 2 - bp[:-1] ** 2) / (2.0 * n)
-    cum_m = np.concatenate([[0.0], np.cumsum(dm)])
-    cum_v = np.concatenate([[0.0], np.cumsum(dv)])
-    for a in (bp, hs, cum_m, cum_v):
-        a.setflags(write=False)
-    return bp, hs, cum_m, cum_v
+def _cell(z: DualDensity, ys):
+    """Each y clipped to [0, N], and the index j of its cell (b_j, b_j+1]."""
+    y = np.clip(np.asarray(ys, dtype=float), 0.0, z.extent)
+    return y, np.clip(np.searchsorted(z.breakpoints, y, side="left"), 1, len(z.heights)) - 1
 
 
 def _mass_at(z: DualDensity, ys) -> np.ndarray:
     """(1/N) * integral of Z over (0, y] for each y (exact)."""
-    bp, hs, cum_m, _ = _cums(z)
-    y = np.clip(np.asarray(ys, dtype=float), 0.0, z.extent)
-    idx = np.clip(np.searchsorted(bp, y, side="left"), 1, len(bp) - 1)
-    return cum_m[idx - 1] + hs[idx - 1] * (y - bp[idx - 1]) / z.extent
+    y, j = _cell(z, ys)
+    return z.cum_mass[j] + z.heights[j] * (y - z.breakpoints[j]) / z.extent
 
 
 def _moment_at(z: DualDensity, ys) -> np.ndarray:
     """(1/N) * integral of x*Z(x) over (0, y] for each y (exact)."""
-    bp, hs, _, cum_v = _cums(z)
-    y = np.clip(np.asarray(ys, dtype=float), 0.0, z.extent)
-    idx = np.clip(np.searchsorted(bp, y, side="left"), 1, len(bp) - 1)
-    j = idx - 1
-    return cum_v[j] + hs[j] * (y * y - bp[j] ** 2) / (2.0 * z.extent)
-
-
-def _total_mass(z: DualDensity) -> float:
-    return float(_cums(z)[2][-1])
+    y, j = _cell(z, ys)
+    return z.cum_moment[j] + z.heights[j] * (y * y - z.breakpoints[j] ** 2) / (2.0 * z.extent)
 
 
 def _power_coeff(z: DualDensity, beta: float) -> float:
     """(1/N) * integral of x**(-beta) * Z(x) over (0, N]; inf if divergent."""
-    bp, hs, _, _ = _cums(z)
     n = z.extent
     total = 0.0
-    for a, b, h in zip(bp[:-1], bp[1:], hs):
+    for a, b, h in zip(z.breakpoints[:-1], z.breakpoints[1:], z.heights):
         if h == 0.0:
             continue
         if a == 0.0 and beta >= 1.0:
@@ -198,21 +197,6 @@ def _power_coeff(z: DualDensity, beta: float) -> float:
         else:
             total += h * (b ** (1.0 - beta) - a ** (1.0 - beta)) / ((1.0 - beta) * n)
     return total
-
-
-@lru_cache(maxsize=4096)
-def _rank_cums(z: DualDensity):
-    """Cumulative Z-mass and rank-weighted mass over unit rank cells."""
-    k = int(math.ceil(z.extent))
-    edges = np.minimum(np.arange(0, k + 1, dtype=float), z.extent)
-    cum = np.asarray(_mass_at(z, edges[1:]))
-    masses = np.diff(np.concatenate([[0.0], cum]))
-    cum_m = np.concatenate([[0.0], np.cumsum(masses)])
-    cum_im = np.concatenate([[0.0], np.cumsum(masses * np.arange(1, k + 1))])
-    cum_m.setflags(write=False)
-    cum_im.setflags(write=False)
-    masses.setflags(write=False)
-    return masses, cum_m, cum_im
 
 
 def _check_measure(z: DualDensity, measure: ReferenceMeasure) -> None:
@@ -234,7 +218,7 @@ def expected_value(z: DualDensity, curve: CitationCurve, measure: ReferenceMeasu
         raise ValidationError(
             f"curve has {curve.p} publications but the measure extends only to {measure.extent}"
         )
-    masses, cum_m, _ = _rank_cums(z)
+    masses, cum_m = z.rank_mass, z.rank_cum_mass
     if curve.p == 0:
         return curve.tail * float(cum_m[-1])
     out = float(np.dot(curve.values, masses[: curve.p]))
@@ -264,7 +248,7 @@ def gamma(
         return 0.0
     n = measure.extent
     if rank_step:
-        masses, cum_m, cum_im = _rank_cums(z)
+        masses, cum_m, cum_im = z.rank_mass, z.rank_cum_mass, z.rank_cum_moment
         k = len(masses)
         if family.shape == RECTANGLE:
             kk = min(int(math.floor(family.width.value(q))), k)
@@ -287,11 +271,11 @@ def _mass_inverse_sup(z: DualDensity, tau: float) -> float:
     """sup{y in [0, N] : mass(y) <= tau}; inf when mass never exceeds tau."""
     if tau < 0:
         return 0.0
-    bp, hs, cum_m, _ = _cums(z)
+    cum_m = z.cum_mass
     if cum_m[-1] <= tau:
         return math.inf
     j = int(np.searchsorted(cum_m, tau, side="right")) - 1
-    return float(bp[j] + (tau - cum_m[j]) * z.extent / hs[j])
+    return float(z.breakpoints[j] + (tau - cum_m[j]) * z.extent / z.heights[j])
 
 
 def _solve_increasing(fn, lo: float, hi: float) -> float:
@@ -312,7 +296,7 @@ def _solve_increasing(fn, lo: float, hi: float) -> float:
 
 
 def _h_plus_true(z: DualDensity, t: float, family: PerformanceFamily, n: float) -> float:
-    bp, hs, cum_m, cum_v = _cums(z)
+    bp, hs, cum_m, cum_v = z.breakpoints, z.heights, z.cum_mass, z.cum_moment
     total = cum_m[-1]
     if family.shape == POWER:
         coeff = _power_coeff(z, family.beta)
@@ -382,7 +366,7 @@ def _h_plus_true(z: DualDensity, t: float, family: PerformanceFamily, n: float) 
 
 
 def _h_plus_rank(z: DualDensity, t: float, family: PerformanceFamily) -> float:
-    masses, cum_m, cum_im = _rank_cums(z)
+    masses, cum_m, cum_im = z.rank_mass, z.rank_cum_mass, z.rank_cum_moment
     k = len(masses)
     if family.shape == POWER:
         coeff = float(np.dot(masses, np.arange(1, k + 1, dtype=float) ** (-family.beta)))
@@ -479,21 +463,14 @@ def dual_value(
     )
 
 
-@lru_cache(maxsize=65536)
-def _primal_level(
-    curve: CitationCurve, family: PerformanceFamily, policy: Optional[DominancePolicy]
-) -> float:
-    return srm_generic(curve, family, policy).level
-
-
 def weak_duality_margin(
     curve: CitationCurve,
     family: PerformanceFamily,
-    z: DualDensity,
+    densities: Sequence[DualDensity],
     measure: ReferenceMeasure,
     policy: Optional[DominancePolicy] = None,
 ) -> float:
-    """H+(Z, E[ZX]) - srm_generic(X), in the rank-step dual semantics.
+    """min over densities of H+(Z, E[ZX]) - srm_generic(X), rank-step semantics.
 
     Nonnegative for every density supported on the dominance domain of
     the family's policy: rank dominance at the engine's level means the
@@ -501,9 +478,13 @@ def weak_duality_margin(
     mass, so E[ZX] >= gamma(Z, q) there.  Both sides +inf count as a
     zero margin.
     """
-    t = expected_value(z, curve, measure)
-    hp = h_plus(z, t, family, measure, rank_step=True)
-    phi = _primal_level(curve, family, policy)
+    if not densities:
+        raise ValidationError("need at least one density")
+    hp = min(
+        h_plus(z, expected_value(z, curve, measure), family, measure, rank_step=True)
+        for z in densities
+    )
+    phi = srm_generic(curve, family, policy).level
     if math.isinf(hp) and math.isinf(phi):
         return 0.0
     return hp - phi
@@ -562,26 +543,6 @@ def random_simplex_candidates(
     out = []
     for _ in range(count):
         out.append(DualDensity.from_weights(rng.dirichlet(np.ones(k)), measure.extent))
-    return out
-
-
-def default_candidates(
-    curve: CitationCurve,
-    measure: ReferenceMeasure,
-    deltas: Sequence[float] = (0.5,),
-    samples: int = 20,
-    seed: int = 0,
-) -> list:
-    """Unit-cell indicators, the constructed minimizers, random draws."""
-    out = unit_cell_candidates(measure)
-    out.append(constructed_minimizer("c_max", curve, 0.0, measure))
-    for d in deltas:
-        for name in ("pubs", "h"):
-            anchor = curve.p if name == "pubs" else srm_closed_form(curve, "h").level
-            if anchor + d <= measure.extent:
-                out.append(constructed_minimizer(name, curve, d, measure))
-    if samples > 0:
-        out.extend(random_simplex_candidates(measure, samples, seed))
     return out
 
 

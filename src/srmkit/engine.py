@@ -43,23 +43,19 @@ from .errors import UnknownIndexError, UnsupportedOperationError, ValidationErro
 
 @dataclass(frozen=True)
 class DominancePolicy:
-    """Where dominance is checked and how finely real levels are resolved.
+    """Where dominance is checked.
 
     ``all-positive-ranks`` checks every rank in the support of f_q (the
     tail standing in beyond the author's own publications);
     ``author-support-only`` checks ranks 1..p and is mandatory for
-    families with unbounded support.  The bisection resolves real
-    levels at least as finely as ``tolerance``.
+    families with unbounded support.
     """
 
     mode: str = ALL_POSITIVE_RANKS
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.mode not in (ALL_POSITIVE_RANKS, AUTHOR_SUPPORT_ONLY):
             raise ValidationError(f"unknown dominance mode {self.mode!r}")
-        if not (self.tolerance > 0):
-            raise ValidationError("dominance tolerance must be positive")
 
 
 def _policy_for(family: PerformanceFamily, policy: Optional[DominancePolicy]) -> DominancePolicy:
@@ -159,9 +155,9 @@ def srm_generic(
 
     Feasible levels form a down-set (the family rises in q), so integer
     levels are found by binary search and real levels by bisection run
-    to floating-point resolution (never coarser than the policy
-    tolerance).  The supremum is approached from the feasible side; an
-    unbounded feasible set yields level +inf, attained False.
+    to floating-point resolution.  The supremum is approached from the
+    feasible side; an unbounded feasible set yields level +inf, attained
+    False.
     """
     pol = _policy_for(family, policy)
     ceiling = level_ceiling(curve, family)
@@ -321,4 +317,5 @@ def srm_closed_form(curve: CitationCurve, index: Union[str, IndexSpec]) -> SrmVa
         raise UnknownIndexError("index 'phi' needs a beta, e.g. phi:1.62")
     if p == 0:
         return SrmValue(0.0)
-    return SrmValue(float(np.min(vals * ranks ** spec.param)))
+    with np.errstate(over="ignore"):  # x_i * i**beta may overflow to inf, never the minimum
+        return SrmValue(float(np.min(vals * ranks ** spec.param)))

@@ -199,17 +199,18 @@ def test_criterion_7_weak_duality():
                 DualDensity.from_weights(rng.dirichlet(np.ones(52)), 52.0)
                 for _ in range(1000)
             ]
-            for z in densities:
-                for curve in curves:
-                    assert weak_duality_margin(curve, fam, z, measure) >= -1e-9
+            for curve in curves:
+                assert weak_duality_margin(curve, fam, densities, measure) >= -1e-9
         for label in SUPPORT_RESTRICTED:
             # densities live on the dominance domain (0, p]
             fam = family_for(label)
             curves = [random_curve(rng, min_p=1, max_p=50, max_c=1000) for _ in range(100)]
             for curve in curves:
-                for _ in range(1000):
-                    z = DualDensity.from_weights(rng.dirichlet(np.ones(curve.p)), 52.0)
-                    assert weak_duality_margin(curve, fam, z, measure) >= -1e-9
+                densities = [
+                    DualDensity.from_weights(rng.dirichlet(np.ones(curve.p)), 52.0)
+                    for _ in range(1000)
+                ]
+                assert weak_duality_margin(curve, fam, densities, measure) >= -1e-9
 
 
 def test_criterion_8_strong_duality_at_minimizers():

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -152,6 +154,58 @@ class TestDualCheck:
 
     def test_seed_is_mandatory(self, cohort_csv):
         assert run(["dual-check", "--input", str(cohort_csv), "--index", "h"]) == 2
+
+    @pytest.mark.parametrize("index", ["c_max", "h", "phi:1.62"])
+    def test_json_output_matches_csv_cells(self, cohort_csv, tmp_path, index):
+        base = ["dual-check", "--input", str(cohort_csv), "--index", index,
+                "--deltas", "1,0.1", "--samples", "5", "--seed", "3"]
+        csv_out, by_flag, by_suffix = (tmp_path / n for n in ("d.csv", "flag.out", "d.json"))
+        assert run([*base, "--output", str(csv_out)]) == 0
+        assert run([*base, "--format", "json", "--output", str(by_flag)]) == 0
+        assert run([*base, "--output", str(by_suffix)]) == 0
+        assert by_flag.read_bytes() == by_suffix.read_bytes()
+        doc = json.loads(by_suffix.read_text())
+        lines = csv_out.read_text().splitlines()
+        header = lines[0].split(",")
+        assert doc["index"] == index
+        assert len(doc["authors"]) == len(lines) - 1
+        for entry, line in zip(doc["authors"], lines[1:]):
+            cells = dict(zip(header, line.split(",")))
+            assert set(entry) == set(header)
+            assert entry["author_id"] == cells["author_id"]
+            assert entry["n_densities"] == int(cells["n_densities"])
+            for key in header[1:]:
+                if key != "n_densities":
+                    assert entry[key] == float(cells[key])
+
+    def test_json_without_samples_has_null_margin(self, cohort_csv, tmp_path):
+        out = tmp_path / "d.json"
+        assert run(["dual-check", "--input", str(cohort_csv), "--index", "h",
+                    "--samples", "0", "--seed", "3", "--output", str(out)]) == 0
+        for entry in json.loads(out.read_text())["authors"]:
+            assert entry["n_densities"] == 0 and entry["min_margin"] is None
+
+
+class TestOutputFiles:
+    def test_output_mode_follows_the_umask(self, cohort_csv, tmp_path):
+        out = tmp_path / "table.csv"
+        old = os.umask(0o022)
+        try:
+            assert run(["compute", "--input", str(cohort_csv), "--indices", "h",
+                        "--output", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o644
+            os.umask(0o077)
+            assert run(["compute", "--input", str(cohort_csv), "--indices", "h",
+                        "--output", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        finally:
+            os.umask(old)
+
+    def test_boolean_citation_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "cohort.json"
+        path.write_text(json.dumps({"authors": [{"id": "a", "citations": [True, 3, False]}]}))
+        assert run(["compute", "--input", str(path), "--indices", "pubs"]) == 1
+        assert "not a number" in capsys.readouterr().err
 
 
 class TestDeterminismAndConfig:

@@ -66,6 +66,11 @@ class TestIngest:
         records = ingest("author_id,citations\nnone,\n", "csv")
         assert records[0].curve.p == 0
 
+    def test_json_boolean_citations_rejected(self):
+        doc = json.dumps({"authors": [{"id": "a", "citations": [True, 3, False]}]})
+        with pytest.raises(ValidationError, match="True, not a number"):
+            ingest(doc, "json")
+
     def test_unknown_format(self):
         with pytest.raises(ValidationError):
             ingest(CSV_FIXTURE, "xml")
@@ -261,3 +266,24 @@ class TestExport:
         assert format_number(8.0) == "8"
         assert format_number(math.inf) == "inf"
         assert format_number(2.6020599913279625) == "2.60205999"
+
+
+class TestMalformedReimport:
+    @pytest.mark.parametrize("parse, data", [
+        (parse_table, "{}"),
+        (parse_table, "not json"),
+        (parse_table, '{"indices": ["h"], "authors": [{"id": "a"}]}'),
+        (parse_ranking, '{"ranking": [{"id": "a"}]}'),
+        (parse_ranking, "[]"),
+        (parse_classification, '{"cutoffs": [0.1]}'),
+        (parse_classification, '{"cutoffs": 3, "assignment": {}}'),
+    ])
+    def test_json_errors_are_validation_errors(self, parse, data):
+        with pytest.raises(ValidationError, match="malformed"):
+            parse(data, "json")
+
+    def test_csv_errors_are_validation_errors(self):
+        with pytest.raises(ValidationError, match="malformed"):
+            parse_ranking("author_id,value,rank\na,3\n", "csv")
+        with pytest.raises(ValidationError, match="malformed"):
+            parse_table("author_id,h\na,many\n", "csv")

@@ -60,6 +60,19 @@ class TestConstructCurve:
         with pytest.raises(ValidationError):
             construct_curve([5, float("nan")])
 
+    def test_boolean_entry_rejected(self):
+        with pytest.raises(ValidationError, match="position 1 is True, not a number"):
+            construct_curve([3, True, False])
+
+    def test_first_bad_entry_is_named(self):
+        with pytest.raises(ValidationError, match="position 0"):
+            construct_curve([-1, "x"])
+        with pytest.raises(ValidationError, match="position 1 is not a number"):
+            construct_curve([2, "x", -1])
+
+    def test_entries_whose_sum_overflows_are_accepted(self):
+        assert construct_curve((x for x in [1e308, 1e308])).as_list() == [1e308, 1e308]
+
     def test_sorting_idempotent(self, rng):
         for _ in range(50):
             curve = random_curve(rng, max_p=20)

@@ -22,7 +22,8 @@ from srmkit import (
     srm_generic,
     weak_duality_margin,
 )
-from srmkit.duality import random_simplex_candidates, unit_cell_candidates
+from srmkit.curves import AUTHOR_SUPPORT_ONLY
+from srmkit.duality import _mass_at, random_simplex_candidates, unit_cell_candidates
 
 from conftest import random_curve
 
@@ -54,8 +55,44 @@ class TestDualDensity:
 
     def test_indicator_height(self):
         z = DualDensity.indicator(0, 1, N)
-        assert z.breakpoints == (0.0, 1.0, N)
-        assert z.heights == (N, 0.0)
+        assert tuple(z.breakpoints) == (0.0, 1.0, N)
+        assert tuple(z.heights) == (N, 0.0)
+
+    def test_arrays_are_read_only(self):
+        z = DualDensity.from_weights([1, 3], N)
+        for name in ("breakpoints", "heights", "cum_mass", "cum_moment", "rank_mass",
+                     "rank_cum_mass", "rank_cum_moment"):
+            arr = getattr(z, name)
+            assert arr.dtype == np.float64
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_rank_cells_match_mass_at(self, rng):
+        # the construction inlines _mass_at at the rank-cell edges; same bits
+        for extent in (N, 10.5):
+            for _ in range(20):
+                cuts = np.unique(rng.uniform(0, extent, size=5))
+                bp = np.concatenate([[0.0], cuts, [extent]])
+                hs = rng.uniform(0, 1, size=bp.size - 1)
+                z = DualDensity(bp, hs * extent / np.dot(hs, np.diff(bp)))
+                edges = np.minimum(np.arange(1, math.ceil(extent) + 1), extent)
+                masses = np.diff(np.concatenate([[0.0], _mass_at(z, edges)]))
+                assert np.array_equal(z.rank_mass, masses)
+                assert np.array_equal(z.rank_cum_mass[1:], np.cumsum(masses))
+                assert np.array_equal(
+                    z.rank_cum_moment[1:], np.cumsum(masses * np.arange(1, masses.size + 1))
+                )
+
+    def test_construction_copies_its_input(self):
+        bp, hs = np.array([0.0, N]), np.array([1.0])
+        z = DualDensity(bp, hs)
+        hs[0] = 2.0
+        assert z.heights[0] == 1.0
+
+    def test_equal_weights_give_equal_densities(self):
+        w = [0.5, 2.0, 1.5]
+        assert DualDensity.from_weights(w, N) == DualDensity.from_weights(list(w), N)
+        assert DualDensity.from_weights(w, N) != DualDensity.from_weights([1, 1, 1], N)
 
     def test_from_weights_normalizes(self):
         z = DualDensity.from_weights([1, 3], N)
@@ -267,17 +304,17 @@ class TestWeakDuality:
         for _ in range(300):
             curve = random_curve(rng, max_p=14, max_c=60)
             z = random_density(rng, MU)
-            assert weak_duality_margin(curve, fam, z, MU) >= -1e-9
+            assert weak_duality_margin(curve, fam, [z], MU) >= -1e-9
 
     def test_cmax_minimizer_margin_zero(self):
         z = constructed_minimizer("c_max", X, 0.0, MU)
-        assert weak_duality_margin(X, family_for("c_max"), z, MU) == 0.0
+        assert weak_duality_margin(X, family_for("c_max"), [z], MU) == 0.0
 
     def test_zero_curve_margin_nonnegative(self, rng):
         zero = construct_curve([])
         for label in SHAPES:
             z = random_density(rng, MU)
-            assert weak_duality_margin(zero, family_for(label), z, MU) >= 0.0
+            assert weak_duality_margin(zero, family_for(label), [z], MU) >= 0.0
 
     def test_rank_step_semantics_is_what_makes_it_hold(self):
         # The engine checks dominance at integer ranks, so the staircase
@@ -293,25 +330,46 @@ class TestWeakDuality:
         assert srm_generic(curve, fam).level == 3.0
         assert h_plus(z, t, fam, MU) == pytest.approx(2.5)  # below the index
         assert h_plus(z, t, fam, MU, rank_step=True) >= 3.0
-        assert weak_duality_margin(curve, fam, z, MU) >= 0.0
+        assert weak_duality_margin(curve, fam, [z], MU) >= 0.0
 
     def test_support_restricted_margins_for_power(self, rng):
         fam = family_for("phi:1.62")
         for _ in range(200):
             curve = random_curve(rng, min_p=1, max_p=14, max_c=60)
             z = random_density(rng, MU, cells=curve.p)
-            assert weak_duality_margin(curve, fam, z, MU) >= -1e-9
+            assert weak_duality_margin(curve, fam, [z], MU) >= -1e-9
+
+    def test_margin_is_min_over_densities_of_per_density_margins(self, rng):
+        shapes = ("c_max", "pubs", "h", "h2", "h_alpha:2", "w", "h_r", "phi:0.8", "phi:1.62")
+        for label in shapes:
+            fam = family_for(label)
+            restricted = fam.policy == AUTHOR_SUPPORT_ONLY
+            for _ in range(40):
+                curve = random_curve(rng, min_p=1 if restricted else 0, max_p=14, max_c=60)
+                if not restricted and rng.random() < 0.2:
+                    curve = construct_curve(curve.values, tail=1.0)  # some unbounded levels
+                cells = curve.p if restricted else None
+                zs = [random_density(rng, MU, cells=cells) for _ in range(int(rng.integers(1, 8)))]
+                hp = min(h_plus(z, expected_value(z, curve, MU), fam, MU, rank_step=True)
+                         for z in zs)
+                phi = srm_generic(curve, fam).level
+                want = 0.0 if math.isinf(hp) and math.isinf(phi) else hp - phi
+                assert weak_duality_margin(curve, fam, zs, MU) == want
+
+    def test_margin_needs_a_density(self):
+        with pytest.raises(ValidationError):
+            weak_duality_margin(X, family_for("h"), [], MU)
 
     def test_both_sides_infinite_count_as_zero(self):
         shifted = construct_curve([8, 6], tail=2)
         z = DualDensity.indicator(0, 1, N)
-        assert weak_duality_margin(shifted, family_for("pubs"), z, MU) == 0.0
+        assert weak_duality_margin(shifted, family_for("pubs"), [z], MU) == 0.0
 
 
 class TestConstructedMinimizers:
     def test_cmax_is_first_cell(self):
         z = constructed_minimizer("c_max", X, 0.0, MU)
-        assert z.breakpoints[:2] == (0.0, 1.0)
+        assert tuple(z.breakpoints[:2]) == (0.0, 1.0)
         assert z.heights[0] == N
 
     def test_pubs_interval_past_the_record(self):
@@ -392,7 +450,7 @@ class TestCandidateGenerators:
     def test_unit_cells_cover_the_measure(self):
         cells = unit_cell_candidates(MU)
         assert len(cells) == int(N)
-        assert cells[2].breakpoints[1:3] == (2.0, 3.0)
+        assert tuple(cells[2].breakpoints[1:3]) == (2.0, 3.0)
 
     def test_random_candidates_are_seed_deterministic(self):
         a = random_simplex_candidates(MU, 5, seed=7)

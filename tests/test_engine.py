@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from srmkit import (
     srm_closed_form,
     srm_generic,
 )
+from srmkit.calibration import phi_index
 from srmkit.curves import evaluate_family
 
 from conftest import dominating_pair, random_curve
@@ -268,3 +270,11 @@ class TestIndexSpecParsing:
             family_for("phi")
         with pytest.raises(UnknownIndexError):
             srm_closed_form(X1, "h_alpha")
+
+
+def test_phi_on_huge_values_warns_nothing():
+    curve = construct_curve([1e308, 1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert srm_closed_form(curve, "phi:2").level == 1e308
+        assert phi_index(curve, 2.0).level == 1e308
