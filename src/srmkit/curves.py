@@ -147,18 +147,8 @@ def construct_curve(raw: Sequence[float], tail: float = 0.0) -> CitationCurve:
     ``tail`` are folded into the tail.  An entry strictly below ``tail``
     is rejected.
     """
-    raw = raw if isinstance(raw, (list, tuple)) else list(raw)
-    # whole-list passes at C speed; the loop runs only to name the first bad entry
-    try:
-        cleaned = [float(v) for v in raw]
-        valid = (
-            bool not in set(map(type, raw))
-            and math.isfinite(sum(cleaned))
-            and min(cleaned, default=0.0) >= 0
-        )
-    except (TypeError, ValueError):
-        valid = False
-    for pos, v in enumerate(raw if not valid else ()):
+    cleaned = []
+    for pos, v in enumerate(raw):
         if isinstance(v, bool):
             raise ValidationError(f"citation at position {pos} is {v!r}, not a number")
         try:
@@ -169,11 +159,12 @@ def construct_curve(raw: Sequence[float], tail: float = 0.0) -> CitationCurve:
             raise ValidationError(
                 f"citation at position {pos} is {v!r}; citations must be finite and >= 0"
             )
+        cleaned.append(x)
     tail = checked_number(tail, "tail")
-    if tail > 0 and min(cleaned, default=tail) < tail:
-        pos = next(pos for pos, x in enumerate(cleaned) if x < tail)
+    below = [pos for pos, x in enumerate(cleaned) if x < tail]
+    if below:
         raise ValidationError(
-            f"citation {cleaned[pos]:g} at position {pos} is below the tail {tail:g}"
+            f"citation {cleaned[below[0]]:g} at position {below[0]} is below the tail {tail:g}"
         )
     cleaned.sort(reverse=True)
     return CitationCurve(cleaned, tail)
