@@ -147,25 +147,26 @@ def construct_curve(raw: Sequence[float], tail: float = 0.0) -> CitationCurve:
     ``tail`` are folded into the tail.  An entry strictly below ``tail``
     is rejected.
     """
+    tail = checked_number(tail, "tail")
     cleaned = []
     for pos, v in enumerate(raw):
-        if isinstance(v, bool):
+        # identity tests find the same values as isinstance(v, bool), which
+        # cannot be subclassed, at less cost per citation
+        if v is True or v is False:
             raise ValidationError(f"citation at position {pos} is {v!r}, not a number")
         try:
             x = float(v)
         except (TypeError, ValueError):
             raise ValidationError(f"citation at position {pos} is not a number: {v!r}") from None
-        if not math.isfinite(x) or x < 0:
+        if not tail <= x < math.inf:
+            if 0 <= x < math.inf:
+                raise ValidationError(
+                    f"citation {x:g} at position {pos} is below the tail {tail:g}"
+                )
             raise ValidationError(
                 f"citation at position {pos} is {v!r}; citations must be finite and >= 0"
             )
         cleaned.append(x)
-    tail = checked_number(tail, "tail")
-    below = [pos for pos, x in enumerate(cleaned) if x < tail]
-    if below:
-        raise ValidationError(
-            f"citation {cleaned[below[0]]:g} at position {below[0]} is below the tail {tail:g}"
-        )
     cleaned.sort(reverse=True)
     return CitationCurve(cleaned, tail)
 

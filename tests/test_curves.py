@@ -41,8 +41,10 @@ class TestConstructCurve:
         assert curve.value_at(-3.0) == 0.0
 
     def test_entry_below_tail_rejected(self):
-        with pytest.raises(ValidationError, match="below the tail"):
+        with pytest.raises(ValidationError, match="citation 2 at position 3 is below the tail 3"):
             construct_curve([8, 6, 4, 2], tail=3)
+        with pytest.raises(ValidationError, match="position 1 is inf; citations must be finite"):
+            construct_curve([8, math.inf], tail=3)
 
     def test_entries_equal_to_tail_fold_into_it(self):
         curve = construct_curve([8, 6, 3, 3], tail=3)
