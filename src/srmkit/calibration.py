@@ -13,12 +13,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .cohort import Cohort
 from .curves import CitationCurve, SrmValue, checked_number
-from .errors import InsufficientDataError, UnsupportedOperationError, ValidationError
+from .engine import segment_blocks, segment_counts, segment_ranks
+from .errors import InsufficientDataError, UnsupportedOperationError, ValidationError, reading
 
 #: Published reference exponent for senior mathematical-finance cohorts.
 #: A convenience preset only: it is a reported value, not reproducible
@@ -84,10 +86,11 @@ class CohortProfile:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
+    @reading("profile")
     def from_json(cls, data: Union[str, bytes]) -> "CohortProfile":
         try:
             doc = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"profile is not valid JSON: {exc}") from None
         if not isinstance(doc, dict) or doc.get("version") != PROFILE_VERSION:
             raise ValidationError(f"expected a profile document with version {PROFILE_VERSION}")
@@ -109,6 +112,77 @@ class CohortProfile:
         )
 
 
+def _fit_segments(
+    values: np.ndarray, offsets: np.ndarray, ids: Sequence[str]
+) -> Tuple[List[CalibrationFit], List[str]]:
+    """OLS fits of every segment of CSR records, and the ids of the
+    authors with fewer than 2 usable points.
+
+    Segment k holds author ``ids[k]``'s values, sorted nonincreasing, so
+    the values >= 1 are a prefix of it.  Every sum is one
+    ``np.add.reduceat`` over the prefixes of the fitted authors of a
+    block, with the means taken first and the products centred on them:
+    the arithmetic of a per-author fit with ``np.mean`` and ``np.sum``.
+    """
+    fits: List[CalibrationFit] = []
+    skipped: List[str] = []
+    for lo, hi in segment_blocks(offsets):
+        bounds = offsets[lo:hi + 1] - offsets[lo]
+        block = values[offsets[lo]:offsets[hi]]
+        n = segment_counts(block >= 1.0, bounds)
+        fitted = n >= 2
+        block_ids = list(zip(ids[lo:hi], fitted.tolist()))
+        skipped.extend(a for a, ok in block_ids if not ok)
+        if not fitted.any():
+            continue
+        m = n[fitted]
+        firsts = np.zeros(m.size + 1, dtype=np.int64)
+        np.cumsum(m, out=firsts[1:])
+        ranks = segment_ranks(firsts)
+        seg = np.repeat(np.arange(m.size), m)
+        # np.add.reduceat sums a segment as its first value plus the pairwise
+        # sum of the rest; a leading 0 per segment makes it the pairwise sum
+        # of the whole segment, which is what np.sum and np.mean compute
+        padded = np.zeros(firsts[-1] + m.size)
+        slots = np.arange(firsts[-1]) + seg + 1
+        heads = firsts[:-1] + np.arange(m.size)
+
+        def sums(x: np.ndarray) -> np.ndarray:
+            padded[slots] = x
+            return np.add.reduceat(padded, heads)
+
+        lx = np.log(ranks)
+        ly = np.log(block[np.repeat(bounds[:-1][fitted], m) + ranks.astype(np.int64) - 1])
+        lx_mean = sums(lx) / m
+        ly_mean = sums(ly) / m
+        dx = lx - lx_mean[seg]
+        dy = ly - ly_mean[seg]
+        slope = sums(dx * dy) / sums(dx**2)
+        intercept = ly_mean - slope * lx_mean
+        residuals = ly - (intercept[seg] + slope[seg] * lx)
+        ss_res = sums(residuals**2)
+        ss_tot = sums(dy**2)
+        flat = ss_tot == 0.0
+        r2 = 1.0 - ss_res / np.where(flat, 1.0, ss_tot)
+        r2[flat] = 1.0
+        fit_ids = [a for a, ok in block_ids if ok]
+        fits.extend(
+            CalibrationFit(
+                author_id=author_id,
+                beta_hat=-b,
+                q_hat=math.exp(c),
+                r2=min(max(r, 0.0), 1.0),
+                n_points=k,
+                n_excluded=total - k,
+            )
+            for author_id, b, c, r, k, total in zip(
+                fit_ids, slope.tolist(), intercept.tolist(), r2.tolist(), m.tolist(),
+                np.diff(bounds)[fitted].tolist(),
+            )
+        )
+    return fits, skipped
+
+
 def fit_author(curve: CitationCurve, author_id: str = "") -> CalibrationFit:
     """OLS fit of ln(x_i) on ln(i) over ranks with x_i >= 1.
 
@@ -117,34 +191,13 @@ def fit_author(curve: CitationCurve, author_id: str = "") -> CalibrationFit:
     (their logarithm would flip sign conventions) and counted in
     ``n_excluded``; fewer than 2 usable points is an error.
     """
-    values = curve.values
-    usable = values >= 1.0
-    n = int(np.sum(usable))
-    if n < 2:
+    fits, _ = _fit_segments(curve.values, np.array([0, curve.p]), [author_id])
+    if not fits:
+        n = int(np.sum(curve.values >= 1.0))
         raise InsufficientDataError(
             f"author {author_id or '?'}: {n} publication(s) with >= 1 citation; need 2"
         )
-    ranks = np.arange(1, curve.p + 1, dtype=float)[usable]
-    lx = np.log(ranks)
-    ly = np.log(values[usable])
-    lx_mean = lx.mean()
-    ly_mean = ly.mean()
-    sxx = float(np.sum((lx - lx_mean) ** 2))
-    sxy = float(np.sum((lx - lx_mean) * (ly - ly_mean)))
-    slope = sxy / sxx
-    intercept = ly_mean - slope * lx_mean
-    residuals = ly - (intercept + slope * lx)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((ly - ly_mean) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return CalibrationFit(
-        author_id=author_id,
-        beta_hat=-slope,
-        q_hat=math.exp(intercept),
-        r2=min(max(r2, 0.0), 1.0),
-        n_points=n,
-        n_excluded=curve.p - n,
-    )
+    return fits[0]
 
 
 def aggregate_beta(
@@ -195,27 +248,25 @@ def phi_index(curve: CitationCurve, beta_bar: float) -> SrmValue:
 
 
 def calibrate_cohort(
-    curves: Sequence[CitationCurve],
-    ids: Sequence[str],
+    curves: Union[Cohort, Sequence[CitationCurve]],
+    ids: Optional[Sequence[str]] = None,
     metadata: Optional[dict] = None,
     weight_by: Optional[str] = None,
 ) -> CohortProfile:
     """Fit every author and average the exponents.
 
-    Authors whose records cannot be fitted (fewer than 2 publications
-    with a citation) are skipped and listed in the profile metadata.
+    ``curves`` is a :class:`Cohort`, which carries its ids, or a list of
+    citation curves with their ``ids``.  Authors whose records cannot
+    be fitted (fewer than 2 publications with a citation) are skipped
+    and listed in the profile metadata.
     """
-    if len(curves) != len(ids):
-        raise ValidationError("curves and ids must have the same length")
-    if not curves:
+    if isinstance(curves, Cohort):
+        cohort = curves
+    else:
+        cohort = Cohort.from_curves(() if ids is None else ids, curves)
+    if not len(cohort):
         raise ValidationError("cannot calibrate an empty cohort")
-    fits = []
-    skipped = []
-    for curve, author_id in zip(curves, ids):
-        try:
-            fits.append(fit_author(curve, author_id=author_id))
-        except InsufficientDataError:
-            skipped.append(author_id)
+    fits, skipped = _fit_segments(cohort.values, cohort.offsets, cohort.ids)
     if not fits:
         raise InsufficientDataError("no author in the cohort had enough data to fit")
     meta = dict(metadata or {})

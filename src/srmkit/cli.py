@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from . import cohort as co
 from . import duality as du
 from .calibration import CohortProfile, calibrate_cohort
-from .engine import IndexSpec, family_for, parse_index, srm_closed_form
+from .engine import IndexSpec, family_for, parse_index
 from .errors import SrmError, UnknownIndexError, ValidationError
 
 _PROG = "srm"
@@ -128,7 +128,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         try:
             config = _read_config_file(args.config)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read config file: {exc}") from None
     cfg = RunConfig(subcommand=args.subcommand)
 
@@ -150,8 +150,10 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         elif dest == "seed":
             try:
                 cfg.seed = int(value)
+                if cfg.seed < 0:
+                    raise ValueError
             except ValueError:
-                raise _UsageError(f"--seed must be an integer, got {value!r}") from None
+                raise _UsageError(f"--seed must be a nonnegative integer, got {value!r}") from None
         elif dest == "extent":
             try:
                 cfg.extent = float(value)
@@ -176,7 +178,7 @@ def _resolve_format(cfg: RunConfig) -> str:
     return co.CSV_FORMAT
 
 
-def _load_records(cfg: RunConfig) -> List[co.AuthorRecord]:
+def _load_cohort(cfg: RunConfig) -> co.Cohort:
     path = _require(cfg.input, "--input")
     with open(path, "rb") as fh:
         data = fh.read()
@@ -240,16 +242,14 @@ def _cmd_compute(cfg: RunConfig) -> int:
     specs = [_resolve_index(cfg, part) for part in specs_text.split(",") if part.strip()]
     if not specs:
         raise _UsageError("--indices must name at least one index")
-    records = _load_records(cfg)
-    table = co.compute_table(records, specs)
+    table = co.compute_table(_load_cohort(cfg), specs)
     _emit(cfg, co.export(table, _resolve_format(cfg)))
     return 0
 
 
 def _cmd_calibrate(cfg: RunConfig) -> int:
     out_path = _require(cfg.profile, "--profile")
-    records = _load_records(cfg)
-    profile = calibrate_cohort([r.curve for r in records], [r.id for r in records])
+    profile = calibrate_cohort(_load_cohort(cfg))
     _write_atomic(out_path, profile.to_json().encode("utf-8"))
     return 0
 
@@ -261,8 +261,7 @@ def _cmd_rank(cfg: RunConfig) -> int:
         b <= a for a, b in zip(cutoffs, cutoffs[1:])
     ):
         raise _UsageError("--classes must be strictly increasing fractions in (0, 1)")
-    records = _load_records(cfg)
-    table = co.compute_table(records, [spec])
+    table = co.compute_table(_load_cohort(cfg), [spec])
     ranking = co.rank_authors(table, spec)
     classes = co.classify_merit(ranking, cutoffs)
     fmt = _resolve_format(cfg)
@@ -298,13 +297,13 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
     if cfg.seed is None:
         raise _UsageError("--seed is required for dual-check (randomized subcommand)")
     deltas = _parse_floats(cfg.deltas, "--deltas")
-    if any(d <= 0 for d in deltas):
-        raise _UsageError("--deltas must be positive")
+    if not all(0 < d < math.inf for d in deltas):
+        raise _UsageError("--deltas must be finite and positive")
     if cfg.samples < 0:
         raise _UsageError("--samples must be >= 0")
-    records = _load_records(cfg)
+    cohort = _load_cohort(cfg)
     family = family_for(spec)
-    max_p = max((r.curve.p for r in records), default=0)
+    max_p = int(cohort.lengths.max(initial=0))
     extent = cfg.extent if cfg.extent is not None else max_p + math.ceil(max(deltas)) + 1.0
     if extent < max(1.0, max_p):
         raise _UsageError(f"--extent must be at least max(1, largest p) = {max(1, max_p)}")
@@ -321,8 +320,8 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
     else:
         header.extend(f"gap_{d:g}" for d in gap_cols)
     results = []  # author id; value, min margin (None without densities), gaps
-    for i, rec in enumerate(records):
-        value = srm_closed_form(rec.curve, spec).level
+    values = co.compute_table(cohort, [spec]).levels[:, 0].tolist()
+    for i, (rec, value) in enumerate(zip(cohort, values)):
         restrict = (
             rec.curve.p
             if family.policy == du.AUTHOR_SUPPORT_ONLY and rec.curve.p >= 1

@@ -139,15 +139,14 @@ class CitationCurve:
         return f"CitationCurve([{body}]{tail})"
 
 
-def construct_curve(raw: Sequence[float], tail: float = 0.0) -> CitationCurve:
-    """Build a canonical citation curve from raw citation counts.
+def checked_citations(raw: Sequence[float], tail: float = 0.0) -> list:
+    """Validate raw citation counts and return them as floats, in input order.
 
-    Entries are validated (numbers but not booleans, finite,
-    nonnegative), sorted nonincreasing, and trailing entries equal to
-    ``tail`` are folded into the tail.  An entry strictly below ``tail``
-    is rejected.
+    Entries must be numbers but not booleans, finite, and at least
+    ``tail`` (itself already validated); an integer too large for a
+    float counts as infinite.  The first bad entry is reported by its
+    position.
     """
-    tail = checked_number(tail, "tail")
     cleaned = []
     for pos, v in enumerate(raw):
         # identity tests find the same values as isinstance(v, bool), which
@@ -156,6 +155,8 @@ def construct_curve(raw: Sequence[float], tail: float = 0.0) -> CitationCurve:
             raise ValidationError(f"citation at position {pos} is {v!r}, not a number")
         try:
             x = float(v)
+        except OverflowError:
+            x = math.inf
         except (TypeError, ValueError):
             raise ValidationError(f"citation at position {pos} is not a number: {v!r}") from None
         if not tail <= x < math.inf:
@@ -167,6 +168,18 @@ def construct_curve(raw: Sequence[float], tail: float = 0.0) -> CitationCurve:
                 f"citation at position {pos} is {v!r}; citations must be finite and >= 0"
             )
         cleaned.append(x)
+    return cleaned
+
+
+def construct_curve(raw: Sequence[float], tail: float = 0.0) -> CitationCurve:
+    """Build a canonical citation curve from raw citation counts.
+
+    Entries are validated by :func:`checked_citations`, sorted
+    nonincreasing, and trailing entries equal to ``tail`` are folded
+    into the tail.  An entry strictly below ``tail`` is rejected.
+    """
+    tail = checked_number(tail, "tail")
+    cleaned = checked_citations(raw, tail)
     cleaned.sort(reverse=True)
     return CitationCurve(cleaned, tail)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -170,7 +170,10 @@ def srm_generic(
                 break
             hi = hi * 2 + 1  # ceiling off by float dust; certified bounded, so this terminates
         else:
-            raise RuntimeError(f"no infeasible level found above the ceiling for {family.name!r}")
+            raise ValidationError(
+                f"no infeasible level found above the ceiling for {family.name!r}; "
+                "its level-set ceiling does not bound the feasible levels"
+            )
         lo = 0
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -268,6 +271,12 @@ def family_for(index: Union[str, IndexSpec]) -> PerformanceFamily:
     return power_family(spec.param, name=spec.label)
 
 
+_MISSING_PARAM = {
+    "h_alpha": "index 'h_alpha' needs an alpha, e.g. h_alpha:2",
+    "phi": "index 'phi' needs a beta, e.g. phi:1.62",
+}
+
+
 def _h_like(values: np.ndarray, thresholds: np.ndarray) -> int:
     # values nonincreasing, thresholds nondecreasing: the feasible ranks form a prefix
     return int(np.sum(values >= thresholds))
@@ -300,7 +309,7 @@ def srm_closed_form(curve: CitationCurve, index: Union[str, IndexSpec]) -> SrmVa
         return SrmValue(float(_h_like(vals, ranks * ranks)))
     if name == "h_alpha":
         if spec.param is None:
-            raise UnknownIndexError("index 'h_alpha' needs an alpha, e.g. h_alpha:2")
+            raise UnknownIndexError(_MISSING_PARAM[name])
         return SrmValue(float(_h_like(vals, spec.param * ranks)))
     if name == "w":
         if p == 0:
@@ -314,8 +323,112 @@ def srm_closed_form(curve: CitationCurve, index: Union[str, IndexSpec]) -> SrmVa
         x_h = float(vals[h - 1])
         return SrmValue(min(x_h, h + 1.0), attained=x_h < h + 1.0)
     if spec.param is None:
-        raise UnknownIndexError("index 'phi' needs a beta, e.g. phi:1.62")
+        raise UnknownIndexError(_MISSING_PARAM[name])
     if p == 0:
         return SrmValue(0.0)
     with np.errstate(over="ignore"):  # x_i * i**beta may overflow to inf, never the minimum
         return SrmValue(float(np.min(vals * ranks ** spec.param)))
+
+
+#: Records are evaluated in blocks of about this many citations, so the
+#: temporaries of a batch pass stay small however large the cohort.
+BLOCK_VALUES = 1 << 16
+
+
+def segment_blocks(offsets: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Consecutive segment ranges [lo, hi) holding at most BLOCK_VALUES
+    values each, or one segment when that segment alone is longer.
+    """
+    n = offsets.size - 1
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(offsets, offsets[lo] + BLOCK_VALUES, side="right")) - 1
+        hi = min(max(hi, lo + 1), n)
+        yield lo, hi
+        lo = hi
+
+
+def segment_counts(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Number of true entries of ``mask`` in every segment of ``offsets``."""
+    # a cumulative count handles empty segments, which reduceat would not
+    csum = np.zeros(mask.size + 1, dtype=np.int64)
+    np.cumsum(mask, out=csum[1:])
+    return csum[offsets[1:]] - csum[offsets[:-1]]
+
+
+def _segment_min(x: np.ndarray, offsets: np.ndarray, nonempty: np.ndarray) -> np.ndarray:
+    out = np.zeros(offsets.size - 1)
+    if x.size:
+        out[nonempty] = np.minimum.reduceat(x, offsets[:-1][nonempty])
+    return out
+
+
+def segment_ranks(offsets: np.ndarray) -> np.ndarray:
+    """Rank 1, 2, ... of every value within its segment (offsets from 0), as floats."""
+    ranks = np.arange(1, offsets[-1] + 1) - np.repeat(offsets[:-1], np.diff(offsets))
+    return ranks.astype(float)
+
+
+def srm_closed_form_batch(
+    values: np.ndarray,
+    offsets: np.ndarray,
+    indices: Sequence[Union[str, IndexSpec]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Catalog closed forms for many records at once.
+
+    Record k is ``values[offsets[k]:offsets[k+1]]``: positive citation
+    counts sorted nonincreasing, with tail 0 (the canonical values of a
+    :class:`CitationCurve`).  Returns ``(levels, attained)``, arrays of
+    shape (records, indices), equal bit for bit to
+    :func:`srm_closed_form` on each record.  Each index costs a few
+    passes over all citations: h-like counts are segment counts of
+    ``x_i >= threshold(i)``, phi a segment minimum of x_i * i**beta,
+    and w is min(p, floor(min_i(x_i + i - 1))), which equals the count
+    of ranks where the prefix minimum reaches the rank because
+    x_i + i - 1 >= i - 1 for every i.
+    """
+    specs = [parse_index(ix) for ix in indices]
+    for spec in specs:
+        if spec.name in _MISSING_PARAM and spec.param is None:
+            raise UnknownIndexError(_MISSING_PARAM[spec.name])
+    values = np.asarray(values, dtype=float)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = offsets.size - 1
+    levels = np.zeros((n, len(specs)))
+    attained = np.ones((n, len(specs)), dtype=bool)
+    for lo, hi in segment_blocks(offsets):
+        bounds = offsets[lo:hi + 1] - offsets[lo]
+        block = values[offsets[lo]:offsets[hi]]
+        _closed_forms(block, bounds, specs, levels[lo:hi], attained[lo:hi])
+    return levels, attained
+
+
+def _closed_forms(values, offsets, specs, levels, attained) -> None:
+    starts = offsets[:-1]
+    p = np.diff(offsets)
+    nonempty = p > 0
+    ranks = segment_ranks(offsets)
+    for col, spec in enumerate(specs):
+        name = spec.name
+        if name == "c_max":
+            levels[nonempty, col] = values[starts[nonempty]]
+        elif name == "pubs":
+            levels[:, col] = p
+        elif name == "h":
+            levels[:, col] = segment_counts(values >= ranks, offsets)
+        elif name == "h_r":
+            h = segment_counts(values >= ranks, offsets)
+            has = h > 0
+            x_h = values[starts[has] + h[has] - 1]
+            levels[has, col] = np.minimum(x_h, h[has] + 1.0)
+            attained[has, col] = x_h < h[has] + 1.0
+        elif name == "h2":
+            levels[:, col] = segment_counts(values >= ranks * ranks, offsets)
+        elif name == "h_alpha":
+            levels[:, col] = segment_counts(values >= spec.param * ranks, offsets)
+        elif name == "w":
+            reach = _segment_min(values + ranks - 1.0, offsets, nonempty)
+            levels[:, col] = np.minimum(p, np.floor(reach))
+        else:
+            with np.errstate(over="ignore"):  # x_i * i**beta may overflow to inf, never the minimum
+                levels[:, col] = _segment_min(values * ranks ** spec.param, offsets, nonempty)

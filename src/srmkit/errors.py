@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class SrmError(Exception):
     """Base class for all srmkit errors."""
@@ -23,3 +25,17 @@ class UnknownIndexError(SrmError, ValueError):
 
 class TableEntryError(SrmError):
     """A journal-weight table is missing a required entry."""
+
+
+@contextmanager
+def reading(what: str):
+    """Report a malformed document as ValidationError, not a raw lookup error.
+
+    Usable as a context manager or a decorator.
+    """
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"malformed {what}: {type(exc).__name__}: {exc}") from None

@@ -217,3 +217,73 @@ class TestCalibrateCohort:
             CohortProfile.from_json("{}")
         with pytest.raises(ValidationError):
             CohortProfile.from_json("not json")
+
+
+def two_pass_fit(curve):
+    """Reference: the per-author fit with np.mean and centred sums."""
+    usable = curve.values >= 1.0
+    lx = np.log(np.arange(1, curve.p + 1, dtype=float)[usable])
+    ly = np.log(curve.values[usable])
+    dx, dy = lx - lx.mean(), ly - ly.mean()
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    intercept = ly.mean() - slope * lx.mean()
+    ss_tot = float(np.sum(dy * dy))
+    ss_res = float(np.sum((ly - (intercept + slope * lx)) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
+    return -slope, math.exp(intercept), r2
+
+
+class TestBatchFits:
+    def test_cohort_fits_match_the_two_pass_and_polyfit_references(self):
+        rng = np.random.default_rng(5101)
+        curves = [random_curve(rng, max_p=60, max_c=3000) for _ in range(150)]
+        curves += [construct_curve(np.floor(5.0 * rng.pareto(1.2, size=s))) for s in (1, 2, 90)]
+        curves += [construct_curve([4, 4, 4]), construct_curve([7, 0.5, 0.2])]
+        ids = [f"a{k}" for k in range(len(curves))]
+        profile = calibrate_cohort(curves, ids)
+        by_id = {f.author_id: f for f in profile.fits}
+        skipped = profile.metadata.get("skipped", [])
+        for author_id, curve in zip(ids, curves):
+            usable = curve.values[curve.values >= 1.0]
+            if usable.size < 2:
+                assert author_id in skipped
+                continue
+            fit = by_id[author_id]
+            beta, q, r2 = two_pass_fit(curve)
+            assert fit.beta_hat == pytest.approx(beta, rel=1e-12, abs=1e-15)
+            assert fit.q_hat == pytest.approx(q, rel=1e-12)
+            assert fit.r2 == pytest.approx(r2, rel=1e-12, abs=1e-15)
+            assert fit.n_points == usable.size and fit.n_excluded == curve.p - usable.size
+            lx = np.log(np.arange(1, usable.size + 1, dtype=float))
+            slope, intercept = np.polyfit(lx, np.log(usable), 1)
+            assert abs(fit.beta_hat + slope) <= 1e-9
+            assert abs(math.log(fit.q_hat) - intercept) <= 1e-9
+            assert fit == fit_author(curve, author_id)
+
+    def test_cohort_argument_carries_its_ids(self):
+        from srmkit import ingest
+
+        cohort = ingest("author_id,citations\na,9;3;1\nb,2\nc,5;5\n", "csv")
+        profile = calibrate_cohort(cohort)
+        assert [f.author_id for f in profile.fits] == ["a", "c"]
+        assert profile.metadata["skipped"] == ["b"]
+        assert profile.fits[0] == fit_author(cohort[0].curve, "a")
+
+
+class TestMalformedProfile:
+    @pytest.mark.parametrize("doc", [
+        {"version": 1},
+        {"version": 1, "beta_bar": 1.5, "fits": [{"beta_hat": 1.0}]},
+        {"version": 1, "beta_bar": "steep"},
+        {"version": 1, "beta_bar": 1.5, "fits": 3},
+        {"version": 1, "beta_bar": 1.5, "metadata": [1, 2]},
+    ])
+    def test_malformed_profile_is_a_validation_error(self, doc):
+        import json
+
+        with pytest.raises(ValidationError, match="malformed profile"):
+            CohortProfile.from_json(json.dumps(doc))
+
+    def test_non_utf8_profile_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            CohortProfile.from_json(b'{"version": 1, "beta_bar": "\xff"}')

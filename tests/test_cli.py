@@ -3,6 +3,8 @@ import math
 import os
 import stat
 
+import numpy as np
+
 import pytest
 
 from srmkit import CohortProfile
@@ -248,3 +250,144 @@ class TestDeterminismAndConfig:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()
+
+
+class TestRejectedOptions:
+    @pytest.mark.parametrize("deltas", ["inf", "nan", "1,-inf", "0.5,nan"])
+    def test_nonfinite_deltas_are_usage_errors(self, cohort_csv, deltas, capsys):
+        assert run(["dual-check", "--input", str(cohort_csv), "--index", "h",
+                    "--seed", "1", "--samples", "2", "--deltas", deltas]) == 2
+        assert "--deltas must be finite and positive" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, cohort_csv, capsys):
+        assert run(["dual-check", "--input", str(cohort_csv), "--index", "h",
+                    "--seed", "-5"]) == 2
+        assert "--seed must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_usage_error(self, cohort_csv, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"indices = h\xff\xfe\n")
+        assert run(["compute", "--config", str(config), "--input", str(cohort_csv)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"version": 1, "fits": []},
+        {"version": 1, "beta_bar": 1.5, "fits": [{"beta_hat": 1.5}]},
+    ])
+    def test_malformed_profile_is_data_error(self, cohort_csv, tmp_path, doc, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(doc))
+        assert run(["compute", "--input", str(cohort_csv), "--indices", "phi",
+                    "--profile", str(profile)]) == 1
+        assert "malformed profile" in capsys.readouterr().err
+
+
+class TestIngestErrorsAtTheCommandLine:
+    @pytest.mark.parametrize("name, data", [
+        ("deep.json", b"[" * 100_000 + b"]" * 100_000),
+        ("huge.json", b'{"authors": [{"id": "a", "citations": [1' + b"0" * 400 + b"]}]}"),
+        ("cr.csv", b"author_id,citations\na,1\rb,2\n"),
+    ], ids=["deep", "huge", "cr"])
+    def test_bad_input_is_data_error(self, tmp_path, name, data, capsys):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run(["compute", "--input", str(path), "--indices", "h"]) == 1
+        assert "srm: error:" in capsys.readouterr().err
+
+    def test_long_csv_record_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("author_id,citations\nbig," + ";".join(["12345"] * 30_000) + "\n")
+        assert run(["compute", "--input", str(path), "--indices", "pubs,h"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "big,30000,12345"
+
+
+_FUZZ_TOKENS = [b";", b",", b"\n", b"\r", b"-", b"nan", b"inf", b"\xff", b'"', b"[", b"]",
+                b"{", b"}", b"1e400", b"true", b"null", b"0", b"\x00", b":", b"9" * 30]
+
+_FUZZ_OPTIONS = {
+    "--indices": ["h", "h,w", "phi", "phi:0", "h_alpha", "zz", "h,h", "", ",", "phi:nan",
+                  "c_max,pubs,h,h2,h_alpha:2,w,h_r,phi:1.62", "h_alpha:-1"],
+    "--index": ["h", "w", "phi", "phi:1.62", "c_max", "pubs", "h_r", "h2", "bogus", ""],
+    "--classes": ["0.1,0.3", "0.5", "1", "0", "nan", "x", "0.3,0.1", ""],
+    "--deltas": ["1,0.1", "inf", "nan", "-1", "0", "1e-300", "x", "", "20"],
+    "--samples": ["0", "3", "-1", "x", "1e3", ""],
+    "--seed": ["1", "-5", "x", "", "123456789012345678901234567890"],
+    "--extent": ["60", "nan", "inf", "-1", "0", "1", "x"],
+    "--format": ["csv", "json", "xml"],
+}
+
+_FUZZ_SUBCOMMANDS = {
+    "compute": ["--indices", "--profile"],
+    "calibrate": [],
+    "rank": ["--index", "--profile", "--classes"],
+    "dual-check": ["--index", "--profile", "--deltas", "--samples", "--seed", "--extent"],
+}
+
+_FUZZ_PROFILE = json.dumps({"version": 1, "beta_bar": 1.62, "fits": [], "metadata": {}})
+
+
+def _mutated(rng, data: bytes) -> bytes:
+    out = bytearray(data)
+    for _ in range(int(rng.integers(1, 6))):
+        pos = int(rng.integers(len(out) + 1))
+        op = int(rng.integers(3))
+        if op == 0 and out:
+            out[min(pos, len(out) - 1)] = int(rng.integers(256))
+        elif op == 1:
+            out[pos:pos] = _FUZZ_TOKENS[int(rng.integers(len(_FUZZ_TOKENS)))]
+        else:
+            del out[pos:pos + int(rng.integers(1, 4))]
+    return bytes(out)
+
+
+def _fuzz_bytes(rng, valid: bytes) -> bytes:
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return valid
+    if kind == 1:
+        return _mutated(rng, valid)
+    return rng.integers(0, 256, size=int(rng.integers(0, 200)), dtype=np.uint8).tobytes()
+
+
+def test_cli_fuzz_never_tracebacks(tmp_path, capsys):
+    """Random inputs, options and config files end in exit 0, 1 or 2."""
+    rng = np.random.default_rng(6101)
+    valid_json = json.dumps({"authors": [
+        {"id": "a", "citations": [5, 3, 3, 1], "annotations": {"x": 1}},
+        {"id": "b", "citations": [2, 0, 7]},
+    ]}).encode()
+    for trial in range(300):
+        sub = list(_FUZZ_SUBCOMMANDS)[int(rng.integers(len(_FUZZ_SUBCOMMANDS)))]
+        suffix = ".json" if rng.integers(2) else ".csv"
+        data = _fuzz_bytes(rng, valid_json if suffix == ".json" else CSV_FIXTURE.encode())
+        path = tmp_path / f"in{trial}{suffix}"
+        path.write_bytes(data)
+        argv = [sub, "--input", str(path)]
+        if rng.integers(5) == 0:
+            argv[2] = str(tmp_path / "missing.csv")
+        for flag in _FUZZ_SUBCOMMANDS[sub]:
+            if rng.integers(8) == 0:
+                continue
+            if flag == "--profile":
+                profile = tmp_path / f"profile{trial}.json"
+                if sub != "calibrate":
+                    profile.write_bytes(_fuzz_bytes(rng, _FUZZ_PROFILE.encode()))
+                argv += [flag, str(profile)]
+            else:
+                choices = _FUZZ_OPTIONS[flag]  # the first choice is valid; take it half the time
+                pick = 0 if rng.integers(2) else int(rng.integers(len(choices)))
+                argv += [flag, choices[pick]]
+        if sub == "calibrate":
+            argv += ["--profile", str(tmp_path / f"profile{trial}.json")]
+        if rng.integers(3) == 0:
+            config = tmp_path / f"run{trial}.cfg"
+            config.write_bytes(_fuzz_bytes(rng, b"samples = 2\nseed = 4\nindices = h,w\n"))
+            argv += ["--config", str(config)]
+        if rng.integers(2):
+            argv += ["--format", _FUZZ_OPTIONS["--format"][int(rng.integers(3))]]
+        if rng.integers(2):
+            argv += ["--output", str(tmp_path / f"out{trial}{suffix}")]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv

@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from srmkit import (
@@ -13,8 +15,10 @@ from srmkit import (
     ingest,
     rank_authors,
     shift_citations,
+    srm_closed_form,
 )
 from srmkit.cohort import (
+    Cohort,
     RankedAuthor,
     format_number,
     parse_classification,
@@ -287,3 +291,204 @@ class TestMalformedReimport:
             parse_ranking("author_id,value,rank\na,3\n", "csv")
         with pytest.raises(ValidationError, match="malformed"):
             parse_table("author_id,h\na,many\n", "csv")
+
+
+def _varied_curve(rng, kind):
+    """One record of a shape the batch closed forms must handle."""
+    size = int(rng.integers(1, 40))
+    if kind == 0:
+        return construct_curve([])
+    if kind == 1:
+        return construct_curve([0] * size)  # all zero: no publication counts
+    if kind == 2:
+        return construct_curve(rng.integers(0, 6, size=size))  # many ties and zeros
+    if kind == 3:
+        return construct_curve([1e308] * 3 + list(rng.integers(0, 50, size=size)))
+    if kind == 4:
+        return construct_curve(rng.uniform(0.0, 60.0, size=size))
+    return construct_curve(np.floor(5.0 * rng.pareto(1.2, size=size)))
+
+
+def _varied_records(rng, n, tails=False):
+    records = []
+    for k in range(n):
+        shifted = tails and k % 5 == 0
+        # the generic search, which evaluates tail rows, cannot take 1e308 values
+        curve = _varied_curve(rng, int(rng.choice([0, 1, 2, 4, 5] if shifted else 6)))
+        if shifted:
+            curve = shift_citations(curve, float(rng.choice([0.5, 2.0, 7.0])))
+        records.append(AuthorRecord(f"a{k:03d}", curve))
+    return records
+
+
+def _catalog_specs(rng):
+    alpha, beta = (float(x) for x in rng.uniform(0.1, 4.0, size=2))
+    return ["c_max", "pubs", "h", "h2", "h_alpha:2", f"h_alpha:{alpha!r}", "w", "h_r",
+            "phi:1.62", f"phi:{beta!r}", "phi:0.3"]
+
+
+class TestColumnarCohort:
+    def test_batch_table_is_bit_equal_to_the_scalar_closed_forms(self):
+        rng = np.random.default_rng(4101)
+        for trial in range(25):
+            records = _varied_records(rng, 60, tails=trial % 2 == 1)
+            specs = _catalog_specs(rng)
+            table = compute_table(records, specs)
+            cohort = None
+            if trial % 2 == 0:  # no tails: ingest the same values, unsorted
+                doc = {"authors": [
+                    {"id": r.id, "citations": rng.permutation(r.curve.as_list() + [0]).tolist()}
+                    for r in records
+                ]}
+                cohort = ingest(json.dumps(doc), "json")
+            for k, rec in enumerate(records):
+                for col, spec in enumerate(specs):
+                    want = srm_closed_form(rec.curve, spec)
+                    assert table.levels[k, col] == want.level, (rec, spec)
+                    assert table.attained[k, col] == want.attained, (rec, spec)
+            if cohort is not None:
+                again = compute_table(cohort, specs)
+                assert np.array_equal(again.levels, table.levels)
+                assert np.array_equal(again.attained, table.attained)
+
+    def test_cohort_is_a_sequence_of_records(self):
+        records = _varied_records(np.random.default_rng(4102), 30, tails=True)
+        cohort = Cohort.from_records(records)
+        assert len(cohort) == 30
+        assert [r.id for r in cohort] == [r.id for r in records]
+        assert [r.curve for r in cohort] == [r.curve for r in records]
+        assert cohort[-1].curve == records[-1].curve
+        assert [r.id for r in cohort[2:5]] == [r.id for r in records[2:5]]
+        with pytest.raises(IndexError):
+            cohort[30]
+        assert not cohort.values.flags.writeable and not cohort.offsets.flags.writeable
+
+    def test_ingest_packs_sorted_positive_segments(self):
+        cohort = ingest("author_id,citations\na,0;3;1;3\nb,\nc,0;0\nd,2\n", "csv")
+        assert cohort.values.tolist() == [3.0, 3.0, 1.0, 2.0]
+        assert cohort.offsets.tolist() == [0, 3, 3, 3, 4]
+        assert cohort.lengths.tolist() == [3, 0, 0, 1]
+
+    def test_empty_cohort_gives_an_empty_table(self):
+        table = compute_table(ingest("author_id,citations\n", "csv"), ["h", "phi:2"])
+        assert table.levels.shape == (0, 2) and table.authors == ()
+
+    def test_long_records_span_several_blocks(self):
+        rng = np.random.default_rng(4103)
+        records = [
+            AuthorRecord(f"r{k}", construct_curve(np.floor(5.0 * rng.pareto(1.2, size=size))))
+            for k, size in enumerate([70_000, 3, 0, 40_000, 40_000, 1])
+        ]
+        table = compute_table(records, ["h", "w", "h_r", "phi:1.62"])
+        for k, rec in enumerate(records):
+            for col, spec in enumerate(table.indices):
+                assert table.get(rec.id, spec) == srm_closed_form(rec.curve, spec)
+
+
+class TestIngestPins:
+    """Ingest accepts and rejects exactly the values the scalar path did."""
+
+    @pytest.mark.parametrize("cell, values", [
+        ("1_000", [1000.0]),
+        ("1; 3 ;2", [3.0, 2.0, 1.0]),
+        ("1e3", [1000.0]),
+        ("٣", [3.0]),
+        ("0;-0;4", [4.0]),
+    ])
+    def test_csv_accepted(self, cell, values):
+        assert ingest(f"author_id,citations\na,{cell}\n", "csv")[0].curve.as_list() == values
+
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "line 2: author 'a': citation at position 0 is nan; citations must be finite"),
+        ("2;inf", "line 2: author 'a': citation at position 1 is inf; citations must be finite"),
+        ("1;;2", "line 2: bad citation value '' for author 'a'"),
+        ("0x10", "line 2: bad citation value '0x10' for author 'a'"),
+    ])
+    def test_csv_rejected(self, cell, message):
+        with pytest.raises(ValidationError) as err:
+            ingest(f"author_id,citations\na,{cell}\n", "csv")
+        assert str(err.value).startswith(message)
+
+    def test_json_accepted(self):
+        doc = '{"authors": [{"id": 17, "citations": ["3", " 4 ", "1_000", 2.5, 0]}]}'
+        record = ingest(doc, "json")[0]
+        assert record.id == "17" and record.curve.as_list() == [1000.0, 4.0, 3.0, 2.5]
+
+    @pytest.mark.parametrize("value, message", [
+        ("true", "is True, not a number"),
+        ("false", "is False, not a number"),
+        ("null", "is not a number: None"),
+        ('"x"', "is not a number: 'x'"),
+        ('"nan"', "is 'nan'; citations must be finite and >= 0"),
+        ("-1", "is -1; citations must be finite and >= 0"),
+        ("1" + "0" * 400, "is 1" + "0" * 400 + "; citations must be finite and >= 0"),
+    ])
+    def test_json_rejected(self, value, message):
+        doc = '{"authors": [{"id": "a", "citations": [1, %s, 2]}]}' % value
+        with pytest.raises(ValidationError) as err:
+            ingest(doc, "json")
+        assert str(err.value) == f"authors[0] (author 'a'): citation at position 1 {message}"
+
+
+class TestIngestErrorOrder:
+    """With several faults, the first faulty line or entry is reported."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("ok,1;2\nb,5;-3;x\nc,zz\n", "line 3: bad citation value 'x' for author 'b'"),
+        ("ok,1\nb,5;-3\nc,1,2\n",
+         "line 3: author 'b': citation at position 1 is -3.0; citations must be finite and >= 0"),
+        ("ok,1\nb,1,2\nc,-1\n", "line 3: expected 2 fields, got 3"),
+        ("ok,1\n,3\nc,-1\n", "line 3: empty author id"),
+        ("ok,1;nan\nb,x\n",
+         "line 2: author 'ok': citation at position 1 is nan; citations must be finite and >= 0"),
+        ("a,1\nb,2\na,-1\n",
+         "line 4: author 'a': citation at position 0 is -1.0; citations must be finite and >= 0"),
+        ("a,1\nb,2\na,3\n", "duplicate author id 'a'"),
+        ("a,1\nb,2\rc,3\n", "line 3: new-line character seen in unquoted field"),
+    ])
+    def test_csv(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            ingest("author_id,citations\n" + text, "csv")
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("authors, message", [
+        ([{"id": "a", "citations": [1]}, {"id": "b", "citations": [1, -2]}, {"citations": []}],
+         "authors[1] (author 'b'): citation at position 1 is -2; citations must be finite and >= 0"),
+        ([{"id": "a", "citations": [1]}, {"id": "b", "citations": [None], "annotations": 3}],
+         "authors[1] (author 'b'): citation at position 0 is not a number: None"),
+        ([{"id": "a", "citations": [1]}, {"id": "b", "citations": [1], "annotations": 3}],
+         "authors[1]: 'annotations' must be an object"),
+        ([{"id": "a", "citations": [1]}, {"id": "", "citations": [-1]}],
+         "authors[1] (author ''): citation at position 0 is -1; citations must be finite and >= 0"),
+        ([{"id": "a", "citations": [1]}, {"id": "", "citations": [1]}],
+         "author id must be nonempty"),
+        ([{"id": "a", "citations": [1, "x", -1]}],
+         "authors[0] (author 'a'): citation at position 1 is not a number: 'x'"),
+        ([{"id": "a", "citations": [2, -1, "x"]}],
+         "authors[0] (author 'a'): citation at position 1 is -1; citations must be finite and >= 0"),
+        ([{"id": "a", "citations": 5}], "authors[0]: 'citations' must be a list"),
+        ([{"id": "a", "citations": [-3]}, 7], "authors[0] (author 'a'): citation at position 0"),
+        ([{"id": "a", "citations": [3]}, 7], "authors[1]: each author needs an 'id'"),
+    ])
+    def test_json(self, authors, message):
+        with pytest.raises(ValidationError) as err:
+            ingest(json.dumps({"authors": authors}), "json")
+        assert str(err.value).startswith(message)
+
+
+class TestIngestRobustness:
+    def test_csv_record_longer_than_the_field_limit(self):
+        limit = csv.field_size_limit()
+        cell = ";".join(["12345"] * 30_000)
+        assert len(cell) > limit
+        cohort = ingest(f"author_id,citations\nbig,{cell}\nsmall,1\n", "csv")
+        assert cohort.lengths.tolist() == [30_000, 1]
+        assert csv.field_size_limit() == limit
+
+    def test_deeply_nested_json_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            ingest("[" * 100_000 + "]" * 100_000, "json")
+
+    def test_integer_beyond_the_digit_limit_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            ingest('{"authors": [{"id": "a", "citations": [%s]}]}' % ("9" * 5000), "json")

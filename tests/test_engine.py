@@ -278,3 +278,23 @@ def test_phi_on_huge_values_warns_nothing():
         warnings.simplefilter("error")
         assert srm_closed_form(curve, "phi:2").level == 1e308
         assert phi_index(curve, 2.0).level == 1e308
+
+
+def test_understated_custom_ceiling_is_an_srm_error():
+    from srmkit import IndexLevelSet, LevelRule, SrmError, rectangle_family
+
+    # width 0: every level is dominated, so no ceiling can bound the search
+    family = rectangle_family(
+        "flat", LevelRule("linear", 1.0), LevelRule("const", 0.0),
+        levels=IndexLevelSet("integer", ceiling=lambda curve: 1.0),
+    )
+    with pytest.raises(SrmError, match="ceiling"):
+        srm_generic(X1, family)
+
+
+def test_batch_closed_forms_need_their_parameters():
+    from srmkit.engine import IndexSpec, srm_closed_form_batch
+
+    for name in ("h_alpha", "phi"):
+        with pytest.raises(UnknownIndexError, match="needs a"):
+            srm_closed_form_batch(X1.values, np.array([0, X1.p]), [IndexSpec(name)])
