@@ -60,7 +60,6 @@ from .duality import (
     weak_duality_margin,
 )
 from .engine import (
-    DominancePolicy,
     IndexSpec,
     dominates,
     family_for,

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cohort import Cohort
+from .cohort import Cohort, json_bytes
 from .curves import CitationCurve, SrmValue, checked_number
 from .engine import segment_blocks, segment_counts, segment_ranks
 from .errors import InsufficientDataError, UnsupportedOperationError, ValidationError, reading
@@ -75,15 +75,14 @@ class CohortProfile:
     def cohort_size(self) -> int:
         return len(self.fits)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_json(self) -> bytes:
+        return json_bytes({
             "version": PROFILE_VERSION,
             "beta_bar": self.beta_bar,
             "cohort_size": self.cohort_size,
             "fits": [f.to_dict() for f in self.fits],
             "metadata": self.metadata,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        })
 
     @classmethod
     @reading("profile")

@@ -10,7 +10,6 @@ success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -57,12 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, output=True):
         p.add_argument("--config", help="key=value file with defaults for the flags below")
         p.add_argument("--input", help="cohort file (CSV or JSON)")
-        p.add_argument("--output", help="output file (default: stdout)")
-        p.add_argument("--format", dest="fmt", choices=["csv", "json"],
-                       help="output format (default: from --output suffix, else csv)")
+        if output:
+            p.add_argument("--output", help="output file (default: stdout)")
+            p.add_argument("--format", dest="fmt", choices=co.FORMATS,
+                           help="output format (default: from --output suffix, else csv)")
 
     p = sub.add_parser("compute", help="compute an index table for a cohort")
     common(p)
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", help="calibration profile JSON (resolves bare 'phi')")
 
     p = sub.add_parser("calibrate", help="fit the cohort power-law profile")
-    common(p)
+    common(p, output=False)
     p.add_argument("--profile", help="where to write the profile JSON")
 
     p = sub.add_parser("rank", help="rank a cohort by one index and assign merit classes")
@@ -159,6 +159,8 @@ def _merge(args: argparse.Namespace) -> RunConfig:
                 cfg.extent = float(value)
             except ValueError:
                 raise _UsageError(f"--extent must be a number, got {value!r}") from None
+        elif dest == "fmt" and value not in co.FORMATS:
+            raise _UsageError(f"--format must be 'csv' or 'json', got {value!r}")
         else:
             setattr(cfg, dest, value)
     return cfg
@@ -250,7 +252,7 @@ def _cmd_compute(cfg: RunConfig) -> int:
 def _cmd_calibrate(cfg: RunConfig) -> int:
     out_path = _require(cfg.profile, "--profile")
     profile = calibrate_cohort(_load_cohort(cfg))
-    _write_atomic(out_path, profile.to_json().encode("utf-8"))
+    _write_atomic(out_path, profile.to_json())
     return 0
 
 
@@ -264,31 +266,10 @@ def _cmd_rank(cfg: RunConfig) -> int:
     table = co.compute_table(_load_cohort(cfg), [spec])
     ranking = co.rank_authors(table, spec)
     classes = co.classify_merit(ranking, cutoffs)
-    fmt = _resolve_format(cfg)
-    if fmt == co.CSV_FORMAT:
-        rows = [["author_id", "value", "rank", "merit_class"]]
-        for entry in ranking:
-            rows.append(
-                [entry.id, co.format_number(entry.value), str(entry.rank),
-                 classes.assignment[entry.id]]
-            )
-        data = co._csv_bytes(rows)
-    else:
-        doc = {
-            "index": spec.label,
-            "cutoffs": list(classes.cutoffs),
-            "ranking": [
-                {
-                    "id": e.id,
-                    "value": co._json_number(e.value),
-                    "rank": e.rank,
-                    "merit_class": classes.assignment[e.id],
-                }
-                for e in ranking
-            ],
-        }
-        data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    _emit(cfg, data)
+    rows = [(e.id, e.value, e.rank, classes.assignment[e.id]) for e in ranking]
+    fields = {"index": spec.label, "cutoffs": list(classes.cutoffs)}
+    _emit(cfg, co.write_rows(_resolve_format(cfg), ["value", "rank", "merit_class"], rows,
+                             "ranking", fields, id_key="id"))
     return 0
 
 
@@ -314,12 +295,12 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
         gap_cols = [0.0]  # the c_max minimizer does not depend on delta
     elif spec.name in ("pubs", "h"):
         gap_cols = deltas
-    header = ["author_id", "value", "n_densities", "min_margin"]
+    columns = ["value", "n_densities", "min_margin"]
     if spec.name == "c_max":
-        header.append("gap")
+        columns.append("gap")
     else:
-        header.extend(f"gap_{d:g}" for d in gap_cols)
-    results = []  # author id; value, min margin (None without densities), gaps
+        columns.extend(f"gap_{d:g}" for d in gap_cols)
+    rows = []  # margin is None without densities
     values = co.compute_table(cohort, [spec]).levels[:, 0].tolist()
     for i, (rec, value) in enumerate(zip(cohort, values)):
         restrict = (
@@ -340,22 +321,9 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
                 z_star, du.expected_value(z_star, rec.curve, measure), family, measure
             )
             gaps.append(bound - value)
-        results.append((rec.id, [value, margin, *gaps]))
-    if _resolve_format(cfg) == co.CSV_FORMAT:
-        rows = [header]
-        for author, (value, *rest) in results:
-            rows.append([author, co.format_number(value), str(cfg.samples),
-                         *("" if x is None else co.format_number(x) for x in rest)])
-        data = co._csv_bytes(rows)
-    else:
-        authors = [
-            dict(zip(header, [author, co._json_number(value), cfg.samples,
-                              *(None if x is None else co._json_number(x) for x in rest)]))
-            for author, (value, *rest) in results
-        ]
-        doc = {"index": spec.label, "authors": authors}
-        data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    _emit(cfg, data)
+        rows.append((rec.id, value, cfg.samples, margin, *gaps))
+    _emit(cfg, co.write_rows(_resolve_format(cfg), columns, rows, "authors",
+                             {"index": spec.label}))
     return 0
 
 

@@ -20,7 +20,7 @@ import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import ValidationError, reading
 
 CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
-_FORMATS = (CSV_FORMAT, JSON_FORMAT)
+FORMATS = (CSV_FORMAT, JSON_FORMAT)
 
 
 def format_number(x: float) -> str:
@@ -46,7 +46,7 @@ def _json_number(x: float):
 
 
 def _check_format(fmt: str) -> str:
-    if fmt not in _FORMATS:
+    if fmt not in FORMATS:
         raise ValidationError(f"unknown format {fmt!r}; use 'csv' or 'json'")
     return fmt
 
@@ -175,7 +175,10 @@ class IndexTable:
         return self.indices.index(index)
 
     def get(self, author_id: str, index: str) -> SrmValue:
-        row, col = self._rows[author_id], self._col(index)
+        row = self._rows.get(author_id)
+        if row is None:
+            raise ValidationError(f"table has no author {author_id!r}")
+        col = self._col(index)
         return SrmValue(float(self.levels[row, col]), bool(self.attained[row, col]))
 
     def column(self, index: str) -> List[Tuple[str, SrmValue]]:
@@ -491,11 +494,47 @@ def classify_merit(
 # ---------------------------------------------------------------------------
 
 
-def _csv_bytes(rows: Sequence[Sequence[str]]) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue().encode("utf-8")
+def json_bytes(doc) -> bytes:
+    """The encoding of every JSON output: indent 2, sorted keys, final newline."""
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _csv_cell(x):
+    # the csv module writes None as an empty cell and anything else with str
+    return format_number(x) if isinstance(x, float) else x
+
+
+def _json_cell(x):
+    return _json_number(x) if isinstance(x, float) else x
+
+
+def write_rows(
+    fmt: str,
+    columns: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    key: str,
+    fields: Optional[Dict[str, object]] = None,
+    id_key: str = "author_id",
+) -> bytes:
+    """Encode one row per author, the author's id first, then ``columns``.
+
+    CSV is a header (``author_id`` and ``columns``) plus the rows: a
+    ``str`` cell passes through unchanged, ``None`` becomes an empty
+    cell, an ``int`` is written with ``str`` and a float with
+    :func:`format_number`.  JSON is ``{**fields, key: [...]}`` with one
+    object per row, the id under ``id_key`` and floats rendered as in
+    CSV; ``fields`` are written as given.
+    """
+    _check_format(fmt)
+    if fmt == CSV_FORMAT:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["author_id", *columns])
+        writer.writerows([_csv_cell(x) for x in row] for row in rows)
+        return buf.getvalue().encode("utf-8")
+    names = (id_key, *columns)
+    objects = [dict(zip(names, map(_json_cell, row))) for row in rows]
+    return json_bytes({**(fields or {}), key: objects})
 
 
 def _export_cohort(cohort: Cohort, fmt: str) -> bytes:
@@ -503,10 +542,11 @@ def _export_cohort(cohort: Cohort, fmt: str) -> bytes:
     bounds = cohort.offsets.tolist()
     citations = [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     if fmt == CSV_FORMAT:
-        rows = [["author_id", "citations"]]
-        for author_id, cites in zip(cohort.ids, citations):
-            rows.append([author_id, ";".join(format_number(v) for v in cites)])
-        return _csv_bytes(rows)
+        rows = [
+            (author_id, ";".join(map(format_number, cites)))
+            for author_id, cites in zip(cohort.ids, citations)
+        ]
+        return write_rows(fmt, ["citations"], rows, "authors")
     authors = []
     for author_id, cites, notes in zip(cohort.ids, citations, cohort.annotations):
         entry: Dict[str, object] = {
@@ -516,15 +556,14 @@ def _export_cohort(cohort: Cohort, fmt: str) -> bytes:
         if notes:
             entry["annotations"] = notes
         authors.append(entry)
-    return (json.dumps({"authors": authors}, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return json_bytes({"authors": authors})
 
 
 def _export_table(table: IndexTable, fmt: str) -> bytes:
     rows = zip(table.authors, table.levels.tolist(), table.attained.tolist())
     if fmt == CSV_FORMAT:
-        return _csv_bytes(
-            [["author_id", *table.indices]]
-            + [[author, *map(format_number, levels)] for author, levels, _ in rows]
+        return write_rows(
+            fmt, table.indices, [(author, *levels) for author, levels, _ in rows], "authors"
         )
     authors = [
         {
@@ -536,32 +575,14 @@ def _export_table(table: IndexTable, fmt: str) -> bytes:
         }
         for author, levels, flags in rows
     ]
-    doc = {"indices": list(table.indices), "authors": authors}
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _export_ranking(ranking: Sequence[RankedAuthor], fmt: str) -> bytes:
-    if fmt == CSV_FORMAT:
-        rows = [["author_id", "value", "rank"]]
-        for entry in ranking:
-            rows.append([entry.id, format_number(entry.value), str(entry.rank)])
-        return _csv_bytes(rows)
-    doc = {
-        "ranking": [
-            {"id": e.id, "value": _json_number(e.value), "rank": e.rank} for e in ranking
-        ]
-    }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return json_bytes({"indices": list(table.indices), "authors": authors})
 
 
 def _export_classification(cls: MeritClassification, fmt: str) -> bytes:
     if fmt == CSV_FORMAT:
-        rows = [["author_id", "merit_class"]]
-        for author in sorted(cls.assignment):
-            rows.append([author, cls.assignment[author]])
-        return _csv_bytes(rows)
-    doc = {"cutoffs": list(cls.cutoffs), "assignment": cls.assignment}
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        rows = [(author, cls.assignment[author]) for author in sorted(cls.assignment)]
+        return write_rows(fmt, ["merit_class"], rows, "assignment")
+    return json_bytes({"cutoffs": list(cls.cutoffs), "assignment": cls.assignment})
 
 
 def export(obj, fmt: str) -> bytes:
@@ -577,7 +598,8 @@ def export(obj, fmt: str) -> bytes:
     if isinstance(obj, MeritClassification):
         return _export_classification(obj, fmt)
     if isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], RankedAuthor):
-        return _export_ranking(obj, fmt)
+        rows = [(e.id, e.value, e.rank) for e in obj]
+        return write_rows(fmt, ["value", "rank"], rows, "ranking", id_key="id")
     if isinstance(obj, Cohort):
         return _export_cohort(obj, fmt)
     if isinstance(obj, (list, tuple)) and all(isinstance(r, AuthorRecord) for r in obj):

@@ -42,7 +42,7 @@ from .curves import (
     PerformanceFamily,
     checked_number,
 )
-from .engine import DominancePolicy, IndexSpec, parse_index, srm_closed_form, srm_generic
+from .engine import IndexSpec, parse_index, srm_closed_form, srm_generic
 from .errors import TableEntryError, UnknownIndexError, ValidationError
 
 _MASS_TOL = 1e-9
@@ -468,7 +468,6 @@ def weak_duality_margin(
     family: PerformanceFamily,
     densities: Sequence[DualDensity],
     measure: ReferenceMeasure,
-    policy: Optional[DominancePolicy] = None,
 ) -> float:
     """min over densities of H+(Z, E[ZX]) - srm_generic(X), rank-step semantics.
 
@@ -484,7 +483,7 @@ def weak_duality_margin(
         h_plus(z, expected_value(z, curve, measure), family, measure, rank_step=True)
         for z in densities
     )
-    phi = srm_generic(curve, family, policy).level
+    phi = srm_generic(curve, family).level
     if math.isinf(hp) and math.isinf(phi):
         return 0.0
     return hp - phi

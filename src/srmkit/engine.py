@@ -19,7 +19,6 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .curves import (
-    ALL_POSITIVE_RANKS,
     AUTHOR_SUPPORT_ONLY,
     INTEGER_LEVELS,
     POWER,
@@ -41,50 +40,26 @@ from .curves import (
 from .errors import UnknownIndexError, UnsupportedOperationError, ValidationError
 
 
-@dataclass(frozen=True)
-class DominancePolicy:
-    """Where dominance is checked.
-
-    ``all-positive-ranks`` checks every rank in the support of f_q (the
-    tail standing in beyond the author's own publications);
-    ``author-support-only`` checks ranks 1..p and is mandatory for
-    families with unbounded support.
-    """
-
-    mode: str = ALL_POSITIVE_RANKS
-
-    def __post_init__(self):
-        if self.mode not in (ALL_POSITIVE_RANKS, AUTHOR_SUPPORT_ONLY):
-            raise ValidationError(f"unknown dominance mode {self.mode!r}")
-
-
-def _policy_for(family: PerformanceFamily, policy: Optional[DominancePolicy]) -> DominancePolicy:
-    return policy if policy is not None else DominancePolicy(mode=family.policy)
-
-
-def dominates(
-    curve: CitationCurve,
-    family: PerformanceFamily,
-    q: float,
-    policy: Optional[DominancePolicy] = None,
-) -> bool:
+def dominates(curve: CitationCurve, family: PerformanceFamily, q: float) -> bool:
     """True iff the curve sits on or above f_q at every checked rank.
 
-    Ranks past the support of f_q face a zero constraint and are
-    skipped (curve values are nonnegative), so only ranks up to
+    The family's policy names the checked ranks: ``all-positive-ranks``
+    checks every rank in the support of f_q (the tail standing in
+    beyond the author's own publications), ``author-support-only``
+    ranks 1..p.  Ranks past the support of f_q face a zero constraint
+    and are skipped (curve values are nonnegative), so only ranks up to
     floor(support) are compared.
     """
-    pol = _policy_for(family, policy)
     if q <= 0:
         return True
-    if pol.mode == AUTHOR_SUPPORT_ONLY:
+    if family.policy == AUTHOR_SUPPORT_ONLY:
         n = curve.p
     else:
         s = support_bound(family, q)
         if math.isinf(s):
             raise UnsupportedOperationError(
-                f"family {family.name!r} has unbounded support; "
-                "use the author-support-only policy"
+                f"family {family.name!r} has unbounded support at level {q!r}; "
+                "all positive ranks cannot be checked"
             )
         n = int(math.floor(s))
     if n <= 0:
@@ -146,11 +121,7 @@ def level_ceiling(curve: CitationCurve, family: PerformanceFamily) -> float:
     return max(1.0 / w.coeff, h.inverse_sup(x1))
 
 
-def srm_generic(
-    curve: CitationCurve,
-    family: PerformanceFamily,
-    policy: Optional[DominancePolicy] = None,
-) -> SrmValue:
+def srm_generic(curve: CitationCurve, family: PerformanceFamily) -> SrmValue:
     """sup{q in the level set : curve dominates f_q}, by monotone search.
 
     Feasible levels form a down-set (the family rises in q), so integer
@@ -159,14 +130,13 @@ def srm_generic(
     feasible side; an unbounded feasible set yields level +inf, attained
     False.
     """
-    pol = _policy_for(family, policy)
     ceiling = level_ceiling(curve, family)
     if math.isinf(ceiling):
         return SrmValue(math.inf, attained=False)
     if family.levels.kind == INTEGER_LEVELS:
         hi = int(math.floor(ceiling)) + 1
         for _ in range(64):
-            if not dominates(curve, family, hi, pol):
+            if not dominates(curve, family, hi):
                 break
             hi = hi * 2 + 1  # ceiling off by float dust; certified bounded, so this terminates
         else:
@@ -177,19 +147,19 @@ def srm_generic(
         lo = 0
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if dominates(curve, family, mid, pol):
+            if dominates(curve, family, mid):
                 lo = mid
             else:
                 hi = mid
         return SrmValue(float(lo), attained=True)
-    if dominates(curve, family, ceiling, pol):
+    if dominates(curve, family, ceiling):
         return SrmValue(float(ceiling), attained=True)
     lo, hi = 0.0, float(ceiling)
     while hi - lo > 0:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if dominates(curve, family, mid, pol):
+        if dominates(curve, family, mid):
             lo = mid
         else:
             hi = mid

@@ -114,11 +114,36 @@ class TestRank:
         assert doc["index"] == "h"
         assert doc["ranking"][0]["rank"] == 1
 
+    def test_json_output_matches_csv_cells(self, cohort_csv, tmp_path):
+        base = ["rank", "--input", str(cohort_csv), "--index", "w", "--classes", "0.5"]
+        csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+        assert run([*base, "--output", str(csv_out)]) == 0
+        assert run([*base, "--output", str(json_out)]) == 0
+        doc = json.loads(json_out.read_text())
+        lines = csv_out.read_text().splitlines()
+        assert doc["index"] == "w" and doc["cutoffs"] == [0.5]
+        assert len(doc["ranking"]) == len(lines) - 1
+        for entry, line in zip(doc["ranking"], lines[1:]):
+            author, value, rank, merit_class = line.split(",")
+            assert entry == {"id": author, "value": float(value), "rank": int(rank),
+                             "merit_class": merit_class}
+
     def test_bad_cutoffs_are_usage_errors(self, cohort_csv):
         assert run(["rank", "--input", str(cohort_csv), "--index", "h",
                     "--classes", "0.5,0.2"]) == 2
         assert run(["rank", "--input", str(cohort_csv), "--index", "h",
                     "--classes", "zero"]) == 2
+
+
+class TestCalibrateOptions:
+    @pytest.mark.parametrize("flag, value", [("--output", "o.csv"), ("--format", "csv")])
+    def test_output_flags_are_usage_errors(self, power_cohort_json, tmp_path, monkeypatch,
+                                           flag, value, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["calibrate", "--input", str(power_cohort_json),
+                    "--profile", "profile.json", flag, value]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not os.path.exists("profile.json") and not os.path.exists("o.csv")
 
 
 class TestDualCheck:
@@ -282,6 +307,21 @@ class TestRejectedOptions:
         assert "malformed profile" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--indices", "h"],
+        ["rank", "--index", "h"],
+        ["dual-check", "--index", "h", "--seed", "1", "--samples", "2"],
+    ], ids=["compute", "rank", "dual-check"])
+    def test_bad_format_in_config_is_usage_error(self, cohort_csv, tmp_path, argv, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("format = xml\n")
+        out = tmp_path / "out.json"
+        assert run([*argv, "--input", str(cohort_csv), "--config", str(config),
+                    "--output", str(out)]) == 2
+        assert "--format must be 'csv' or 'json', got 'xml'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestIngestErrorsAtTheCommandLine:
     @pytest.mark.parametrize("name, data", [
         ("deep.json", b"[" * 100_000 + b"]" * 100_000),
@@ -391,3 +431,129 @@ def test_cli_fuzz_never_tracebacks(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
+
+
+_GOLDEN_ARGS = {
+    "compute": ["--indices", "h,w,phi:1.62"],
+    "rank": ["--index", "w"],
+    "dual-check": ["--index", "h", "--samples", "3", "--seed", "1"],
+}
+
+_GOLDEN = {
+    ("compute", "csv"): """\
+author_id,h,w,phi:1.62
+X1,3,4,8
+X2,2,3,4
+""",
+    ("compute", "json"): """\
+{
+  "authors": [
+    {
+      "id": "X1",
+      "values": {
+        "h": {
+          "attained": true,
+          "level": 3.0
+        },
+        "phi:1.62": {
+          "attained": true,
+          "level": 8.0
+        },
+        "w": {
+          "attained": true,
+          "level": 4.0
+        }
+      }
+    },
+    {
+      "id": "X2",
+      "values": {
+        "h": {
+          "attained": true,
+          "level": 2.0
+        },
+        "phi:1.62": {
+          "attained": true,
+          "level": 4.0
+        },
+        "w": {
+          "attained": true,
+          "level": 3.0
+        }
+      }
+    }
+  ],
+  "indices": [
+    "h",
+    "w",
+    "phi:1.62"
+  ]
+}
+""",
+    ("rank", "csv"): """\
+author_id,value,rank,merit_class
+X1,4,1,class-1
+X2,3,2,class-3
+""",
+    ("rank", "json"): """\
+{
+  "cutoffs": [
+    0.1,
+    0.3
+  ],
+  "index": "w",
+  "ranking": [
+    {
+      "id": "X1",
+      "merit_class": "class-1",
+      "rank": 1,
+      "value": 4.0
+    },
+    {
+      "id": "X2",
+      "merit_class": "class-3",
+      "rank": 2,
+      "value": 3.0
+    }
+  ]
+}
+""",
+    ("dual-check", "csv"): """\
+author_id,value,n_densities,min_margin,gap_1,gap_0.1,gap_0.01
+X1,3,3,1,0.561552813,0.0652475842,0.00665191733
+X2,2,3,1.21098828,0.732050808,0.095445115,0.00995049384
+""",
+    ("dual-check", "json"): """\
+{
+  "authors": [
+    {
+      "author_id": "X1",
+      "gap_0.01": 0.00665191733,
+      "gap_0.1": 0.0652475842,
+      "gap_1": 0.561552813,
+      "min_margin": 1.0,
+      "n_densities": 3,
+      "value": 3.0
+    },
+    {
+      "author_id": "X2",
+      "gap_0.01": 0.00995049384,
+      "gap_0.1": 0.095445115,
+      "gap_1": 0.732050808,
+      "min_margin": 1.21098828,
+      "n_densities": 3,
+      "value": 2.0
+    }
+  ],
+  "index": "h"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(_GOLDEN), ids="-".join)
+def test_output_bytes_are_pinned(cohort_csv, capsys, command, fmt):
+    """Layout, key order, indentation and number rendering of each output."""
+    assert run([command, "--input", str(cohort_csv), *_GOLDEN_ARGS[command],
+                "--format", fmt]) == 0
+    assert capsys.readouterr().out == _GOLDEN[command, fmt]

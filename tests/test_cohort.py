@@ -99,6 +99,11 @@ class TestComputeTable:
         with pytest.raises(ValidationError):
             compute_table(fixture_records(), ["h", "h"])
 
+    def test_unknown_author_is_a_validation_error(self):
+        table = compute_table(fixture_records(), ["h"])
+        with pytest.raises(ValidationError, match="'X3'"):
+            table.get("X3", "h")
+
 
 class TestRanking:
     def test_competition_ranks_with_ties(self):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from srmkit import (
-    DominancePolicy,
     UnknownIndexError,
     UnsupportedOperationError,
     append_publication,
@@ -63,10 +62,9 @@ class TestDominates:
             fam = family_for(label)
             assert dominates(random_curve(rng, max_p=10), fam, 0)
 
-    def test_unbounded_support_needs_author_policy(self):
-        fam = family_for("phi:1.62")
+    def test_infinite_level_of_a_bounded_family_is_unsupported(self):
         with pytest.raises(UnsupportedOperationError):
-            dominates(X1, fam, 2, DominancePolicy(mode="all-positive-ranks"))
+            dominates(X1, family_for("h"), math.inf)
 
     def test_feasible_set_is_downward_closed(self, rng):
         for label in ("h", "w", "phi:1.62", "h_r"):
