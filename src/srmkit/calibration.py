@@ -19,7 +19,7 @@ import numpy as np
 
 from .cohort import Cohort, json_bytes
 from .curves import CitationCurve, SrmValue, checked_number
-from .engine import segment_blocks, segment_counts, segment_ranks
+from .engine import IndexSpec, segment_blocks, segment_counts, segment_ranks, srm_closed_form
 from .errors import InsufficientDataError, UnsupportedOperationError, ValidationError, reading
 
 #: Published reference exponent for senior mathematical-finance cohorts.
@@ -239,11 +239,7 @@ def phi_index(curve: CitationCurve, beta_bar: float) -> SrmValue:
         raise ValidationError("beta_bar must be strictly positive")
     if curve.tail > 0:
         raise UnsupportedOperationError("the calibrated index is defined for curves with tail 0")
-    if curve.p == 0:
-        return SrmValue(0.0)
-    ranks = np.arange(1, curve.p + 1, dtype=float)
-    with np.errstate(over="ignore"):  # x_i * i**beta may overflow to inf, never the minimum
-        return SrmValue(float(np.min(curve.values * ranks**beta_bar)))
+    return srm_closed_form(curve, IndexSpec("phi", beta_bar))
 
 
 def calibrate_cohort(

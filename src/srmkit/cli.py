@@ -157,8 +157,10 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         elif dest == "extent":
             try:
                 cfg.extent = float(value)
+                if not math.isfinite(cfg.extent):
+                    raise ValueError
             except ValueError:
-                raise _UsageError(f"--extent must be a number, got {value!r}") from None
+                raise _UsageError(f"--extent must be a finite number, got {value!r}") from None
         elif dest == "fmt" and value not in co.FORMATS:
             raise _UsageError(f"--format must be 'csv' or 'json', got {value!r}")
         else:

@@ -181,15 +181,6 @@ class IndexTable:
         col = self._col(index)
         return SrmValue(float(self.levels[row, col]), bool(self.attained[row, col]))
 
-    def column(self, index: str) -> List[Tuple[str, SrmValue]]:
-        col = self._col(index)
-        return [
-            (a, SrmValue(level, flag))
-            for a, level, flag in zip(
-                self.authors, self.levels[:, col].tolist(), self.attained[:, col].tolist()
-            )
-        ]
-
 
 @dataclass(frozen=True)
 class RankedAuthor:
@@ -211,10 +202,6 @@ class MeritClassification:
 
     cutoffs: Tuple[float, ...]
     assignment: Dict[str, str]
-
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(f"class-{i}" for i in range(1, len(self.cutoffs) + 2))
 
 
 def _decode(data: Union[bytes, str]) -> str:
@@ -393,6 +380,14 @@ def _pack(flat: np.ndarray, counts: List[int]) -> Tuple[np.ndarray, np.ndarray]:
     return values, offsets
 
 
+def _check_unique(ids: Iterable[str]) -> None:
+    seen = set()
+    for author_id in ids:
+        if author_id in seen:
+            raise ValidationError(f"duplicate author id {author_id!r}")
+        seen.add(author_id)
+
+
 def ingest(data: Union[bytes, str], fmt: str) -> Cohort:
     """Parse a cohort file into a :class:`Cohort` (duplicate ids rejected).
 
@@ -403,11 +398,7 @@ def ingest(data: Union[bytes, str], fmt: str) -> Cohort:
     _check_format(fmt)
     read = _ingest_csv if fmt == CSV_FORMAT else _ingest_json
     ids, flat, counts, annotations = read(_decode(data))
-    seen = set()
-    for author_id in ids:
-        if author_id in seen:
-            raise ValidationError(f"duplicate author id {author_id!r}")
-        seen.add(author_id)
+    _check_unique(ids)
     values, offsets = _pack(flat, counts)
     return Cohort(ids, values, offsets, annotations=annotations)
 
@@ -608,11 +599,8 @@ def export(obj, fmt: str) -> bytes:
 
 
 def _level(text_or_number) -> float:
-    if isinstance(text_or_number, str):
-        if text_or_number == "inf":
-            return math.inf
-        return float(text_or_number)
-    return float(text_or_number)
+    """An exported level ("inf" or a number), checked like an index level."""
+    return SrmValue(float(text_or_number)).level
 
 
 @reading("table")
@@ -637,25 +625,22 @@ def parse_table(data: Union[bytes, str], fmt: str) -> IndexTable:
         if any(len(row) != len(header) for row in rows):
             raise ValidationError(f"table CSV rows must have {len(header)} fields")
         authors = [row[0] for row in rows]
-        cells = [[SrmValue(_level(cell)) for cell in row[1:]] for row in rows]
+        levels = [[_level(cell) for cell in row[1:]] for row in rows]
+        attained = [[True] * len(indices) for _ in rows]
     else:
         doc = json.loads(text)
         indices = tuple(doc["indices"])
         authors = [entry["id"] for entry in doc["authors"]]
-        cells = [
-            [
-                SrmValue(_level(entry["values"][ix]["level"]),
-                         attained=bool(entry["values"][ix]["attained"]))
-                for ix in indices
-            ]
-            for entry in doc["authors"]
-        ]
+        cells = [[entry["values"][ix] for ix in indices] for entry in doc["authors"]]
+        levels = [[_level(cell["level"]) for cell in row] for row in cells]
+        attained = [[bool(cell["attained"]) for cell in row] for row in cells]
+    _check_unique(authors)
     shape = (len(authors), len(indices))
     return IndexTable(
         authors=tuple(authors),
         indices=indices,
-        levels=np.array([[c.level for c in row] for row in cells], dtype=float).reshape(shape),
-        attained=np.array([[c.attained for c in row] for row in cells], dtype=bool).reshape(shape),
+        levels=np.array(levels, dtype=float).reshape(shape),
+        attained=np.array(attained, dtype=bool).reshape(shape),
     )
 
 
@@ -668,16 +653,18 @@ def parse_ranking(data: Union[bytes, str], fmt: str) -> List[RankedAuthor]:
         header = next(reader, None)
         if header != ["author_id", "value", "rank"]:
             raise ValidationError("ranking CSV must have header author_id,value,rank")
-        return [
+        ranking = [
             RankedAuthor(id=row[0], value=_level(row[1]), rank=int(row[2]))
             for row in reader
             if row
         ]
-    doc = json.loads(text)
-    return [
-        RankedAuthor(id=e["id"], value=_level(e["value"]), rank=int(e["rank"]))
-        for e in doc["ranking"]
-    ]
+    else:
+        ranking = [
+            RankedAuthor(id=e["id"], value=_level(e["value"]), rank=int(e["rank"]))
+            for e in json.loads(text)["ranking"]
+        ]
+    _check_unique(e.id for e in ranking)
+    return ranking
 
 
 @reading("classification")

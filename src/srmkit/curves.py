@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,14 +37,14 @@ INTEGER_LEVELS = "integer"
 REAL_LEVELS = "real"
 
 
-def checked_number(x, what: str, minimum: float = 0.0) -> float:
-    """Coerce to float and validate finiteness and the lower bound."""
+def checked_number(x, what: str) -> float:
+    """Coerce to float and check that it is finite and nonnegative."""
     try:
         value = float(x)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be a number, got {x!r}") from None
-    if not math.isfinite(value) or value < minimum:
-        raise ValidationError(f"{what} must be finite and >= {minimum:g}, got {x!r}")
+    if not math.isfinite(value) or value < 0:
+        raise ValidationError(f"{what} must be finite and >= 0, got {x!r}")
     return value
 
 
@@ -260,19 +259,13 @@ class IndexLevelSet:
     """Candidate performance levels: nonnegative integers or reals.
 
     Level 0 always belongs to the set and the set is totally ordered.
-    ``ceiling`` may name a custom search bound, a function of the
-    citation curve beyond which dominance is known to fail; when absent
-    the engine derives a bound from the family shape.
     """
 
     kind: str = INTEGER_LEVELS
-    ceiling: Optional[Callable[[object], float]] = None
 
     def __post_init__(self):
         if self.kind not in (INTEGER_LEVELS, REAL_LEVELS):
             raise ValidationError(f"unknown level set kind {self.kind!r}")
-        if self.ceiling is not None and not callable(self.ceiling):
-            raise ValidationError("the level-set ceiling must be callable")
 
 
 @dataclass(frozen=True)
@@ -282,15 +275,12 @@ class PerformanceFamily:
     Each f_q is left continuous in x, vanishes for x <= 0, and f_0 is
     identically zero; the family is also left continuous in q except at
     the moving support boundary (a null set under the reference
-    measure).  ``policy`` names the default dominance domain; the power
-    shape has unbounded support and therefore requires the
-    author-support-only policy.
+    measure).
     """
 
     name: str
     shape: str
     levels: IndexLevelSet
-    policy: str = ALL_POSITIVE_RANKS
     height: Optional[LevelRule] = None
     width: Optional[LevelRule] = None
     beta: Optional[float] = None
@@ -298,8 +288,6 @@ class PerformanceFamily:
     def __post_init__(self):
         if self.shape not in (RECTANGLE, STAIRCASE, POWER):
             raise ValidationError(f"unknown family shape {self.shape!r}")
-        if self.policy not in (ALL_POSITIVE_RANKS, AUTHOR_SUPPORT_ONLY):
-            raise ValidationError(f"unknown dominance policy {self.policy!r}")
         if self.shape == RECTANGLE:
             if self.height is None or self.width is None:
                 raise ValidationError("rectangle families need height and width rules")
@@ -308,10 +296,15 @@ class PerformanceFamily:
         elif self.shape == POWER:
             if self.beta is None or not math.isfinite(self.beta) or self.beta <= 0:
                 raise ValidationError("power families need a finite exponent beta > 0")
-            if self.policy != AUTHOR_SUPPORT_ONLY:
-                raise ValidationError(
-                    "power families have unbounded support and require the author-support-only policy"
-                )
+
+    @property
+    def policy(self) -> str:
+        """The dominance domain, fixed by the shape.
+
+        A power curve has unbounded support, so only the author's own
+        ranks can be checked; every other shape checks its whole support.
+        """
+        return AUTHOR_SUPPORT_ONLY if self.shape == POWER else ALL_POSITIVE_RANKS
 
 
 def rectangle_family(
@@ -319,31 +312,17 @@ def rectangle_family(
     height: LevelRule,
     width: LevelRule,
     levels: IndexLevelSet = IndexLevelSet(INTEGER_LEVELS),
-    policy: str = ALL_POSITIVE_RANKS,
 ) -> PerformanceFamily:
-    return PerformanceFamily(name=name, shape=RECTANGLE, levels=levels, policy=policy,
-                             height=height, width=width)
+    return PerformanceFamily(name=name, shape=RECTANGLE, levels=levels, height=height, width=width)
 
 
-def staircase_family(
-    name: str = "w",
-    levels: IndexLevelSet = IndexLevelSet(INTEGER_LEVELS),
-    policy: str = ALL_POSITIVE_RANKS,
-) -> PerformanceFamily:
-    return PerformanceFamily(name=name, shape=STAIRCASE, levels=levels, policy=policy)
+def staircase_family(name: str = "w") -> PerformanceFamily:
+    return PerformanceFamily(name=name, shape=STAIRCASE, levels=IndexLevelSet(INTEGER_LEVELS))
 
 
-def power_family(
-    beta: float,
-    name: str = "",
-    levels: IndexLevelSet = IndexLevelSet(REAL_LEVELS),
-) -> PerformanceFamily:
+def power_family(beta: float, name: str = "") -> PerformanceFamily:
     return PerformanceFamily(
-        name=name or f"power:{beta:g}",
-        shape=POWER,
-        levels=levels,
-        policy=AUTHOR_SUPPORT_ONLY,
-        beta=beta,
+        name=name or f"power:{beta:g}", shape=POWER, levels=IndexLevelSet(REAL_LEVELS), beta=beta
     )
 
 
@@ -371,13 +350,6 @@ def evaluate_family(family: PerformanceFamily, q: float, x: float) -> float:
     return q / x ** family.beta
 
 
-@lru_cache(maxsize=256)
-def _rank_powers(beta: float, n: int) -> np.ndarray:
-    out = np.arange(1, n + 1, dtype=float) ** (-beta)
-    out.setflags(write=False)
-    return out
-
-
 def family_rank_values(family: PerformanceFamily, q: float, n: int) -> np.ndarray:
     """Vector of f_q evaluated at integer ranks 1..n."""
     if n <= 0:
@@ -390,7 +362,7 @@ def family_rank_values(family: PerformanceFamily, q: float, n: int) -> np.ndarra
         return np.where(ranks <= family.width.value(q), h, 0.0)
     if family.shape == STAIRCASE:
         return np.where(ranks <= q, q - ranks + 1.0, 0.0)
-    return q * _rank_powers(family.beta, n)
+    return q * ranks ** (-family.beta)
 
 
 _DEFAULT_Q_GRID = tuple(range(0, 9))

@@ -43,7 +43,7 @@ from .curves import (
     checked_number,
 )
 from .engine import IndexSpec, parse_index, srm_closed_form, srm_generic
-from .errors import TableEntryError, UnknownIndexError, ValidationError
+from .errors import TableEntryError, UnknownIndexError, ValidationError, reading
 
 _MASS_TOL = 1e-9
 
@@ -522,9 +522,9 @@ def constructed_minimizer(
     return DualDensity.indicator(float(anchor), float(anchor) + delta, n)
 
 
-def unit_cell_candidates(measure: ReferenceMeasure, upto: Optional[float] = None) -> list:
+def unit_cell_candidates(measure: ReferenceMeasure) -> list:
     """Normalized indicators of the unit cells (i-1, i]."""
-    k = int(math.floor(min(upto, measure.extent) if upto is not None else measure.extent))
+    k = int(math.floor(measure.extent))
     return [DualDensity.indicator(i - 1.0, float(i), measure.extent) for i in range(1, k + 1)]
 
 
@@ -565,8 +565,9 @@ class GammaTable:
     def __post_init__(self):
         betas = tuple(float(b) for b in self.betas)
         object.__setattr__(self, "betas", betas)
-        if not betas or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-            raise ValidationError("beta grid must be nonempty and strictly increasing")
+        if (not betas or not all(map(math.isfinite, betas))
+                or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:]))):
+            raise ValidationError("beta grid must be nonempty, finite and strictly increasing")
         cols = {}
         for cid, col in self.columns.items():
             col = tuple(float(v) for v in col)
@@ -603,6 +604,7 @@ class GammaTable:
         return cls(grid, columns)
 
     @classmethod
+    @reading("gamma table")
     def from_csv(cls, data: Union[str, bytes]) -> "GammaTable":
         """Parse rows of candidate_id,beta,gamma (header required)."""
         text = data.decode("utf-8") if isinstance(data, bytes) else data

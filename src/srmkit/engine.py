@@ -13,6 +13,7 @@ independent routes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
@@ -30,14 +31,13 @@ from .curves import (
     LevelRule,
     PerformanceFamily,
     SrmValue,
-    _rank_powers,
     family_rank_values,
     power_family,
     rectangle_family,
     staircase_family,
     support_bound,
 )
-from .errors import UnknownIndexError, UnsupportedOperationError, ValidationError
+from .errors import UnknownIndexError, UnsupportedOperationError
 
 
 def dominates(curve: CitationCurve, family: PerformanceFamily, q: float) -> bool:
@@ -47,35 +47,33 @@ def dominates(curve: CitationCurve, family: PerformanceFamily, q: float) -> bool
     checks every rank in the support of f_q (the tail standing in
     beyond the author's own publications), ``author-support-only``
     ranks 1..p.  Ranks past the support of f_q face a zero constraint
-    and are skipped (curve values are nonnegative), so only ranks up to
-    floor(support) are compared.
+    and are skipped (curve values are nonnegative).  Past rank p the
+    curve equals its tail, and f_q at integer ranks never rises with
+    the rank, so ranks beyond p+1 decide nothing and are skipped too.
     """
     if q <= 0:
         return True
     if family.policy == AUTHOR_SUPPORT_ONLY:
-        n = curve.p
-    else:
-        s = support_bound(family, q)
-        if math.isinf(s):
-            raise UnsupportedOperationError(
-                f"family {family.name!r} has unbounded support at level {q!r}; "
-                "all positive ranks cannot be checked"
-            )
-        n = int(math.floor(s))
-    if n <= 0:
-        return True
+        ranks = np.arange(1, curve.p + 1, dtype=float)
+        return bool(np.all(curve.values >= q * ranks ** (-family.beta)))
+    if math.isinf(q) and math.isinf(support_bound(family, q)):
+        raise UnsupportedOperationError(
+            f"family {family.name!r} has unbounded support at level {q!r}; "
+            "all positive ranks cannot be checked"
+        )
     if family.shape == RECTANGLE:
-        k = min(int(math.floor(family.width.value(q))), n)
-        if k <= 0:
-            return True
-        return bool(np.all(curve.rank_values(k) >= family.height.value(q)))
-    if family.shape == STAIRCASE:
-        k = min(int(math.floor(q)), n)
-        if k <= 0:
-            return True
-        fv = (q + 1.0) - np.arange(1, k + 1, dtype=float)
-        return bool(np.all(curve.rank_values(k) >= fv))
-    return bool(np.all(curve.rank_values(n) >= q * _rank_powers(family.beta, n)))
+        h = family.height.value(q)
+        k = int(min(family.width.value(q), curve.p + 1)) if h > 0 else 0
+        return k <= 0 or bool(np.all(curve.rank_values(k) >= h))
+    k = int(min(q, curve.p + 1))
+    fv = (q + 1.0) - np.arange(1, k + 1, dtype=float)
+    return k <= 0 or bool(np.all(curve.rank_values(k) >= fv))
+
+
+_MAX_FLOAT = sys.float_info.max
+#: The largest integer level; the search counts every level above it as
+#: infeasible, because no float names it.
+_MAX_INT_LEVEL = int(_MAX_FLOAT)
 
 
 def level_ceiling(curve: CitationCurve, family: PerformanceFamily) -> float:
@@ -83,21 +81,22 @@ def level_ceiling(curve: CitationCurve, family: PerformanceFamily) -> float:
 
     Per shape, with x1 the curve's value on (0, 1]:
 
+    * rectangle whose height or width is identically 0: f_q vanishes,
+      so every level is feasible and U is infinity;
     * rectangle, increasing height: levels whose height exceeds x1 fail
-      at rank 1, so U = max(width threshold for rank 1, height^{-1}(x1));
+      at rank 1, so U = max(width^{-1}(1), height^{-1}(x1));
     * rectangle, constant height c: ranks beyond p carry the tail, so
-      U = (p+1)/width-slope when tail < c, and infinity when tail >= c
+      U = width^{-1}(p+1) when tail < c, and infinity when tail >= c
       (every level is feasible);
     * staircase: f_q(1) = q for q >= 1, so U = max(1, x1);
     * power: the rank-1 constraint gives U = x1 (infinity for a curve
       that is a positive constant everywhere, which dominates every
       level on its empty support).
 
-    The zero curve has ceiling 0 for every shape.  A custom rule on the
-    family's level set takes precedence over the shape defaults.
+    The zero curve has ceiling 0 for every shape.  A bound that
+    overflows is the largest float: no level beyond it is feasible,
+    since its reference height overflows too.
     """
-    if family.levels.ceiling is not None:
-        return float(family.levels.ceiling(curve))
     p, tail = curve.p, curve.tail
     x1 = curve.first_value
     if p == 0 and tail == 0:
@@ -107,18 +106,19 @@ def level_ceiling(curve: CitationCurve, family: PerformanceFamily) -> float:
     if family.shape == STAIRCASE:
         return max(1.0, x1)
     h, w = family.height, family.width
+    if h.coeff == 0 or w.coeff == 0 or (h.kind == "const" and tail >= h.coeff):
+        return math.inf
     if h.kind == "const":
-        if tail >= h.coeff:
+        if w.kind == "const":  # f_q is one rectangle for every q > 0
+            return math.inf if dominates(curve, family, 1.0) else 0.0
+        bound = w.inverse_sup(p + 1)
+    elif w.kind == "const":
+        if w.coeff < 1:
             return math.inf
-        if w.kind == "const":
-            n = int(math.floor(w.coeff))
-            if n == 0:
-                return math.inf
-            return 0.0 if np.any(curve.rank_values(n) < h.coeff) else math.inf
-        return (p + 1) / w.coeff
-    if w.kind == "const":
-        return math.inf if w.coeff < 1 else h.inverse_sup(x1)
-    return max(1.0 / w.coeff, h.inverse_sup(x1))
+        bound = h.inverse_sup(x1)
+    else:
+        bound = max(w.inverse_sup(1.0), h.inverse_sup(x1))
+    return min(bound, _MAX_FLOAT)
 
 
 def srm_generic(curve: CitationCurve, family: PerformanceFamily) -> SrmValue:
@@ -135,15 +135,9 @@ def srm_generic(curve: CitationCurve, family: PerformanceFamily) -> SrmValue:
         return SrmValue(math.inf, attained=False)
     if family.levels.kind == INTEGER_LEVELS:
         hi = int(math.floor(ceiling)) + 1
-        for _ in range(64):
-            if not dominates(curve, family, hi):
-                break
-            hi = hi * 2 + 1  # ceiling off by float dust; certified bounded, so this terminates
-        else:
-            raise ValidationError(
-                f"no infeasible level found above the ceiling for {family.name!r}; "
-                "its level-set ceiling does not bound the feasible levels"
-            )
+        while hi <= _MAX_INT_LEVEL and dominates(curve, family, hi):
+            hi = hi * 2 + 1  # ceiling off by float dust
+        hi = min(hi, _MAX_INT_LEVEL + 1)
         lo = 0
         while hi - lo > 1:
             mid = (lo + hi) // 2

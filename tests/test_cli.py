@@ -212,6 +212,21 @@ class TestDualCheck:
         for entry in json.loads(out.read_text())["authors"]:
             assert entry["n_densities"] == 0 and entry["min_margin"] is None
 
+    @pytest.mark.parametrize("citations, index, samples", [
+        ("1e20;3", "h", "1"),
+        ("1e308;3", "h_alpha:0.5", "3"),
+    ])
+    def test_huge_citations_keep_margins_nonnegative(self, tmp_path, citations, index, samples):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"author_id,citations\na,{citations}\nb,5;4;1\n")
+        out = tmp_path / "dual.csv"
+        assert run(["dual-check", "--input", str(path), "--index", index,
+                    "--samples", samples, "--seed", "1", "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["2", "2"]
+        for line in lines[1:]:
+            assert float(line.split(",")[3]) >= -1e-9
+
 
 class TestOutputFiles:
     def test_output_mode_follows_the_umask(self, cohort_csv, tmp_path):
@@ -283,6 +298,12 @@ class TestRejectedOptions:
         assert run(["dual-check", "--input", str(cohort_csv), "--index", "h",
                     "--seed", "1", "--samples", "2", "--deltas", deltas]) == 2
         assert "--deltas must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extent", ["nan", "inf"])
+    def test_nonfinite_extent_is_usage_error(self, cohort_csv, extent, capsys):
+        assert run(["dual-check", "--input", str(cohort_csv), "--index", "h",
+                    "--seed", "1", "--samples", "2", "--extent", extent]) == 2
+        assert "--extent must be a finite number" in capsys.readouterr().err
 
     def test_negative_seed_is_usage_error(self, cohort_csv, capsys):
         assert run(["dual-check", "--input", str(cohort_csv), "--index", "h",

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from srmkit import (
+    ALL_POSITIVE_RANKS,
+    AUTHOR_SUPPORT_ONLY,
     CitationCurve,
     IndexLevelSet,
     LevelRule,
@@ -222,12 +224,13 @@ class TestEvaluateFamily:
 
 
 class TestFamilyValidation:
-    def test_power_requires_author_support_policy(self):
-        with pytest.raises(ValidationError):
-            PerformanceFamily(
-                name="bad", shape="power", levels=IndexLevelSet("real"),
-                policy="all-positive-ranks", beta=1.5,
-            )
+    def test_policy_follows_the_shape(self):
+        assert power_family(1.5).policy == AUTHOR_SUPPORT_ONLY
+        assert PerformanceFamily("p", "power", IndexLevelSet("real"), beta=1.5).policy == (
+            AUTHOR_SUPPORT_ONLY
+        )
+        for fam in (H, W, CMAX, PUBS):
+            assert fam.policy == ALL_POSITIVE_RANKS
 
     def test_power_requires_positive_beta(self):
         with pytest.raises(ValidationError):

@@ -445,6 +445,19 @@ class TestRobustDual:
         with pytest.raises(ValidationError):
             GammaTable.from_csv("cid,b,g\nifA,1,0.5\n")
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+    def test_nonfinite_beta_rejected(self, beta):
+        with pytest.raises(ValidationError, match="finite"):
+            GammaTable.from_csv(f"candidate_id,beta,gamma\na,{beta},1\n")
+
+    @pytest.mark.parametrize("data", [
+        b"candidate_id,beta,gamma\na,1,\xff\n",
+        "candidate_id,beta,gamma\na,1," + "1" * 200_000 + "\n",
+    ], ids=["non-utf8", "overlong-field"])
+    def test_unreadable_csv_is_a_validation_error(self, data):
+        with pytest.raises(ValidationError, match="malformed gamma table"):
+            GammaTable.from_csv(data)
+
 
 class TestCandidateGenerators:
     def test_unit_cells_cover_the_measure(self):

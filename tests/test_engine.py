@@ -1,10 +1,15 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from srmkit import (
+    CitationCurve,
+    IndexLevelSet,
+    LevelRule,
+    SrmValue,
     UnknownIndexError,
     UnsupportedOperationError,
     append_publication,
@@ -14,6 +19,7 @@ from srmkit import (
     level_ceiling,
     mix,
     parse_index,
+    rectangle_family,
     shift_citations,
     srm_closed_form,
     srm_generic,
@@ -193,15 +199,22 @@ class TestLevelCeiling:
         for label in INTEGER_INDICES + REAL_INDICES:
             assert level_ceiling(zero, family_for(label)) == 0
 
-    def test_custom_ceiling_rule_wins(self):
-        from dataclasses import replace
+    def test_overflowing_ceiling_is_the_largest_float(self):
+        assert level_ceiling(construct_curve([1e308, 3]), family_for("h_alpha:0.5")) == (
+            sys.float_info.max
+        )
 
-        from srmkit import IndexLevelSet
+    def test_square_width_ceiling_bounds_real_levels(self):
+        # width 10 q^2 reaches rank 2, which holds 0, at q = sqrt(0.2)
+        fam = rectangle_family("sq", LevelRule("const", 1.0), LevelRule("square", 10.0),
+                               levels=IndexLevelSet("real"))
+        out = srm_generic(construct_curve([5]), fam)
+        assert out.level == pytest.approx(math.sqrt(0.2), abs=1e-12)
 
-        fam = family_for("h")
-        custom = replace(fam, levels=IndexLevelSet("integer", ceiling=lambda c: 1000.0))
-        assert level_ceiling(X1, custom) == 1000.0
-        assert srm_generic(X1, custom).level == 3.0
+    def test_zero_width_family_is_feasible_at_every_level(self):
+        fam = rectangle_family("flat", LevelRule("const", 1.0), LevelRule("linear", 0.0))
+        assert math.isinf(level_ceiling(X1, fam))
+        assert srm_generic(X1, fam) == SrmValue(math.inf, attained=False)
 
 
 class TestStructuralProperties:
@@ -278,21 +291,77 @@ def test_phi_on_huge_values_warns_nothing():
         assert phi_index(curve, 2.0).level == 1e308
 
 
-def test_understated_custom_ceiling_is_an_srm_error():
-    from srmkit import IndexLevelSet, LevelRule, SrmError, rectangle_family
-
-    # width 0: every level is dominated, so no ceiling can bound the search
-    family = rectangle_family(
-        "flat", LevelRule("linear", 1.0), LevelRule("const", 0.0),
-        levels=IndexLevelSet("integer", ceiling=lambda curve: 1.0),
-    )
-    with pytest.raises(SrmError, match="ceiling"):
-        srm_generic(X1, family)
-
-
 def test_batch_closed_forms_need_their_parameters():
     from srmkit.engine import IndexSpec, srm_closed_form_batch
 
     for name in ("h_alpha", "phi"):
         with pytest.raises(UnknownIndexError, match="needs a"):
             srm_closed_form_batch(X1.values, np.array([0, X1.p]), [IndexSpec(name)])
+
+
+class TestHugeValues:
+    """The generic search on records whose values reach the float range."""
+
+    @pytest.mark.parametrize("raw", [[1e20, 3], [2**53 + 10, 1], [1e308, 3], [1e308]])
+    @pytest.mark.parametrize("label", INTEGER_INDICES + REAL_INDICES)
+    def test_fixed_records(self, raw, label):
+        curve = construct_curve(raw)
+        generic = srm_generic(curve, family_for(label)).level
+        assert generic == pytest.approx(srm_closed_form(curve, label).level, rel=1e-9, abs=1e-9)
+
+    def test_overflowing_ceiling_is_not_every_level(self):
+        out = srm_generic(construct_curve([1e308, 3]), family_for("h_alpha:0.5"))
+        assert out == SrmValue(2.0)
+
+    def test_random_records_match_the_closed_forms(self):
+        rng = np.random.default_rng(5101)
+        huge = [1e308, 1.7e308, 1e300, 1e20, 2.0**53 + 10, 1e9]
+        families = {label: family_for(label) for label in INTEGER_INDICES + REAL_INDICES}
+        for _ in range(12):
+            raw = list(rng.choice(huge, size=int(rng.integers(1, 4))))
+            raw += rng.integers(0, 40, size=int(rng.integers(0, 12))).tolist()
+            curve = construct_curve(raw)
+            for label, fam in families.items():
+                generic = srm_generic(curve, fam).level
+                closed = srm_closed_form(curve, label).level
+                if label in INTEGER_INDICES:
+                    assert generic == closed, (raw, label)
+                else:
+                    assert generic == pytest.approx(closed, rel=1e-9, abs=1e-9), (raw, label)
+
+
+def _tail_padded_closed_form(curve, label):
+    """``label`` of the tailed ``curve`` by the closed form of a tail-0 record.
+
+    The tail is written out as publications up to past every level it
+    can certify (at most tail/alpha for h_alpha, tail + p otherwise).
+    phi checks only the listed ranks, so it gets none, and a record
+    with no listed rank dominates every level.
+    """
+    if label.startswith("phi"):
+        return srm_closed_form(CitationCurve(curve.values), label).level if curve.p else math.inf
+    alpha = parse_index(label).param if label.startswith("h_alpha") else 1.0
+    extra = int(curve.tail / alpha) + curve.p + 2
+    padded = CitationCurve(np.concatenate([curve.values, np.full(extra, curve.tail)]))
+    return srm_closed_form(padded, label).level
+
+
+def test_shifted_records_match_the_closed_form_of_their_padding():
+    rng = np.random.default_rng(5102)
+    labels = [label for label in INTEGER_INDICES + REAL_INDICES if label != "pubs"]
+    for _ in range(10):
+        raw = rng.integers(0, 30, size=int(rng.integers(0, 10))).tolist()
+        if rng.random() < 0.5:
+            raw.append(float(rng.choice([1e308, 1e20])))
+        # whole shifts: the integer indices' closed forms presume whole citation counts
+        shifted = shift_citations(construct_curve(raw), float(rng.choice([1.0, 2.0, 7.0])))
+        assert math.isinf(srm_generic(shifted, family_for("pubs")).level)
+        for label in labels:
+            generic = srm_generic(shifted, family_for(label)).level
+            padded = _tail_padded_closed_form(shifted, label)
+            assert generic == pytest.approx(padded, rel=1e-9, abs=1e-9), (shifted, label)
+
+
+def test_shifted_cmax_stays_in_the_float_range():
+    for curve in (construct_curve([1e308]), shift_citations(construct_curve([1e308, 5]), 2)):
+        assert srm_generic(curve, family_for("c_max")) == SrmValue(1e308)
