@@ -311,11 +311,9 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
             else None
         )
         margin = None
-        if cfg.samples > 0:
-            densities = du.random_simplex_candidates(
-                measure, cfg.samples, seed=cfg.seed * 100003 + i, upto=restrict
-            )
-            margin = du.weak_duality_margin(rec.curve, family, densities, measure)
+        for masses in du.density_blocks(measure, cfg.samples, cfg.seed * 100003 + i, restrict):
+            m = du.weak_duality_margin(rec.curve, family, masses, measure)
+            margin = m if margin is None else min(margin, m)
         gaps = []
         for d in gap_cols:
             z_star = du.constructed_minimizer(spec.name, rec.curve, d, measure)
@@ -352,6 +350,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (SrmError, OSError) as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. the rank cells of a huge --extent
+        print(f"{_PROG}: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

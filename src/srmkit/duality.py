@@ -21,6 +21,17 @@ against the engine's index holds with the rank-step transform for every
 density supported on the dominance domain, while with the true curves
 it can fail for the staircase and power shapes (whose rank samples sit
 strictly below the curve on the interior of rank intervals).
+
+Rank-step evaluation is batch-first.  A density enters it as the row of
+its unit rank-cell masses m_1..m_ceil(N), so K densities are one
+K x ceil(N) matrix; ``random_simplex_candidates`` returns such a matrix,
+and ``weak_duality_margin`` weighs every row in a few numpy passes over
+the row-wise prefix sums of m_i and i * m_i.  A single ``DualDensity``
+is the one-row case: ``h_plus(..., rank_step=True)`` and
+``expected_value`` run the same code on its ``rank_mass``.  Each row is
+built with DualDensity's own arithmetic and searched with numpy's own
+bisection, so a matrix row gives the same bits as the density it
+stands for.  ``gamma(..., rank_step=True)`` stays a scalar formula.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +50,7 @@ from .curves import (
     RECTANGLE,
     STAIRCASE,
     CitationCurve,
+    LevelRule,
     PerformanceFamily,
     checked_number,
 )
@@ -46,6 +58,10 @@ from .engine import IndexSpec, parse_index, srm_closed_form, srm_generic
 from .errors import TableEntryError, UnknownIndexError, ValidationError, reading
 
 _MASS_TOL = 1e-9
+
+#: Random densities are drawn and weighed in blocks of about this many
+#: rank cells, so the matrices stay small however many are asked for.
+BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -214,16 +230,24 @@ def expected_value(z: DualDensity, curve: CitationCurve, measure: ReferenceMeasu
     tail weighting whatever mass lies past the record).
     """
     _check_measure(z, measure)
-    if curve.p > measure.extent:
+    return float(_expected_values(z.rank_mass[None], z.rank_cum_mass[None], curve, measure)[0])
+
+
+def _expected_values(
+    masses: np.ndarray, cum: np.ndarray, curve: CitationCurve, measure: ReferenceMeasure
+) -> np.ndarray:
+    """E[Z X] for every row of rank-cell masses; ``cum`` holds their prefix sums."""
+    p = curve.p
+    if p > measure.extent:
         raise ValidationError(
-            f"curve has {curve.p} publications but the measure extends only to {measure.extent}"
+            f"curve has {p} publications but the measure extends only to {measure.extent}"
         )
-    masses, cum_m = z.rank_mass, z.rank_cum_mass
-    if curve.p == 0:
-        return curve.tail * float(cum_m[-1])
-    out = float(np.dot(curve.values, masses[: curve.p]))
+    if p == 0:
+        return curve.tail * cum[:, -1]
+    # one dot per row: a matrix-vector product sums in another order
+    out = np.array([np.dot(curve.values, row[:p]) for row in masses])
     if curve.tail:
-        out += curve.tail * float(cum_m[-1] - cum_m[curve.p])
+        out += curve.tail * (cum[:, -1] - cum[:, p])
     return out
 
 
@@ -365,53 +389,91 @@ def _h_plus_true(z: DualDensity, t: float, family: PerformanceFamily, n: float) 
     return (t + float(cum_v[-1])) / total - 1.0
 
 
-def _h_plus_rank(z: DualDensity, t: float, family: PerformanceFamily) -> float:
-    masses, cum_m, cum_im = z.rank_mass, z.rank_cum_mass, z.rank_cum_moment
-    k = len(masses)
-    if family.shape == POWER:
-        coeff = float(np.dot(masses, np.arange(1, k + 1, dtype=float) ** (-family.beta)))
-        if coeff <= 0.0:
-            return math.inf
-        return t / coeff
-    if family.shape == RECTANGLE:
-        h_rule, w_rule = family.height, family.width
-        if w_rule.kind == "const":
-            kk = min(int(math.floor(w_rule.coeff)), k)
-            m = float(cum_m[kk])
-            if h_rule.kind == "const":
-                return math.inf if h_rule.coeff * m <= t else 0.0
-            if m == 0.0:
-                return math.inf
-            return h_rule.inverse_sup(t / m)
-        b = w_rule.coeff
-        if h_rule.kind == "const":
-            c = h_rule.coeff
-            if c == 0.0:
-                return math.inf
-            tau = t / c
-            if float(cum_m[k]) <= tau:
-                return math.inf
-            j = int(np.searchsorted(cum_m, tau, side="right")) - 1
-            return (j + 1.0) / b
-        grid = np.arange(k + 1, dtype=float) / b
-        hv = h_rule.coeff * (grid if h_rule.kind == "linear" else grid * grid)
-        starts = hv * cum_m
-        j = int(np.searchsorted(starts, t, side="right")) - 1
-        if j >= k:
-            return h_rule.inverse_sup(t / float(cum_m[k]))
-        c = float(cum_m[j])
-        if c == 0.0:
-            return (j + 1.0) / b
-        return min(h_rule.inverse_sup(t / c), (j + 1.0) / b)
-    # staircase
-    starts = (np.arange(0, k + 1, dtype=float) + 1.0) * cum_m - cum_im
-    j = int(np.searchsorted(starts, t, side="right")) - 1
-    if j >= k:
-        return (t + float(cum_im[k])) / float(cum_m[k]) - 1.0
-    c = float(cum_m[j])
-    if c == 0.0:
-        return j + 1.0
-    return min(j + 1.0, (t + float(cum_im[j])) / c - 1.0)
+def _search_right(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """np.searchsorted(a[r], t[r], side="right") for every row r.
+
+    numpy's own bisection, stepped on all rows at once, so a row that is
+    not sorted in floating point still gets the index numpy gives it.
+    """
+    n = a.shape[1]
+    rows = np.arange(len(t))
+    lo = np.zeros(len(t), dtype=np.intp)
+    hi = np.full(len(t), n, dtype=np.intp)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        right = a[rows, np.minimum(mid, n - 1)] <= t
+        live = lo < hi
+        lo = np.where(live & right, mid + 1, lo)
+        hi = np.where(live & ~right, mid, hi)
+    return lo
+
+
+def _inverse_sup(rule: LevelRule, v: np.ndarray) -> np.ndarray:
+    """``rule.inverse_sup`` of every entry of v."""
+    if rule.kind == "const":
+        out = np.where(rule.coeff <= v, math.inf, 0.0)
+    elif rule.coeff == 0:
+        out = np.full(np.shape(v), math.inf)
+    elif rule.kind == "linear":
+        out = v / rule.coeff
+    else:
+        out = np.sqrt(v / rule.coeff)
+    return np.where(v < 0, 0.0, out)
+
+
+def _h_plus_rows(
+    masses: np.ndarray, cum: np.ndarray, t: np.ndarray, family: PerformanceFamily
+) -> np.ndarray:
+    """Rank-step H+(Z, t[r]) for the density of every row r of rank-cell masses.
+
+    ``cum`` holds the row prefix sums of the masses, from 0.  Rank-step
+    gamma is piecewise in q between the levels where f_q reaches a new
+    rank, so each row's level is found by searching its gamma at those
+    levels for t, then solving inside the segment found.
+    """
+    if np.isnan(t).any():
+        raise ValidationError("threshold must not be NaN")
+    k = masses.shape[1]
+    rows = np.arange(len(t))
+    ranks = np.arange(k + 1, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if family.shape == POWER:
+            decay = np.arange(1, k + 1, dtype=float) ** (-family.beta)
+            coeff = np.array([np.dot(row, decay) for row in masses])
+            out = np.where(coeff <= 0.0, math.inf, t / coeff)
+        elif family.shape == RECTANGLE:
+            h_rule, w_rule = family.height, family.width
+            if w_rule.kind == "const":
+                m = cum[:, min(int(math.floor(w_rule.coeff)), k)]
+                if h_rule.kind == "const":
+                    out = np.where(h_rule.coeff * m <= t, math.inf, 0.0)
+                else:
+                    out = np.where(m == 0.0, math.inf, _inverse_sup(h_rule, t / m))
+            elif h_rule.kind == "const" and h_rule.coeff == 0.0:
+                out = np.full(len(t), math.inf)
+            elif h_rule.kind == "const":
+                tau = t / h_rule.coeff
+                j = _search_right(cum, tau) - 1
+                out = np.where(cum[:, k] <= tau, math.inf, _inverse_sup(w_rule, j + 1.0))
+            else:
+                # gamma at the level where f_q first reaches rank j
+                grid = _inverse_sup(w_rule, ranks)
+                starts = h_rule.coeff * (grid if h_rule.kind == "linear" else grid * grid) * cum
+                j = _search_right(starts, t) - 1
+                c = cum[rows, j]
+                level = _inverse_sup(h_rule, t / c)
+                end = _inverse_sup(w_rule, j + 1.0)
+                out = np.where(j >= k, level, np.where(c == 0.0, end, np.minimum(level, end)))
+        else:
+            cim = np.zeros_like(cum)
+            np.cumsum(masses * ranks[1:], axis=1, out=cim[:, 1:])
+            starts = (ranks + 1.0) * cum - cim
+            j = _search_right(starts, t) - 1
+            c = cum[rows, j]
+            level = (t + cim[rows, j]) / c - 1.0
+            out = np.where(j >= k, level, np.where(c == 0.0, j + 1.0, np.minimum(j + 1.0, level)))
+    out = np.where(t < 0, 0.0, out)
+    return np.where(out < 0.0, 0.0, out)
 
 
 def h_plus(
@@ -433,15 +495,14 @@ def h_plus(
     level is feasible.
     """
     _check_measure(z, measure)
+    if rank_step:
+        t = np.array([float(t)])
+        return float(_h_plus_rows(z.rank_mass[None], z.rank_cum_mass[None], t, family)[0])
     if math.isnan(t):
         raise ValidationError("threshold must not be NaN")
     if t < 0:
         return 0.0
-    if rank_step:
-        out = _h_plus_rank(z, t, family)
-    else:
-        out = _h_plus_true(z, t, family, measure.extent)
-    return max(out, 0.0)
+    return max(_h_plus_true(z, t, family, measure.extent), 0.0)
 
 
 def dual_value(
@@ -466,10 +527,15 @@ def dual_value(
 def weak_duality_margin(
     curve: CitationCurve,
     family: PerformanceFamily,
-    densities: Sequence[DualDensity],
+    densities: Union[np.ndarray, Sequence[DualDensity]],
     measure: ReferenceMeasure,
 ) -> float:
     """min over densities of H+(Z, E[ZX]) - srm_generic(X), rank-step semantics.
+
+    ``densities`` is a matrix with one density per row, the masses of
+    its ceil(N) unit rank cells (as ``random_simplex_candidates`` draws
+    them), or a sequence of ``DualDensity``, whose ``rank_mass`` rows
+    are stacked into that matrix.  Every row is weighed at once.
 
     Nonnegative for every density supported on the dominance domain of
     the family's policy: rank dominance at the engine's level means the
@@ -477,12 +543,24 @@ def weak_duality_margin(
     mass, so E[ZX] >= gamma(Z, q) there.  Both sides +inf count as a
     zero margin.
     """
-    if not densities:
+    if isinstance(densities, np.ndarray):
+        masses = densities
+    else:
+        for z in densities:
+            _check_measure(z, measure)
+        masses = np.array([z.rank_mass for z in densities])
+    if masses.ndim != 2 or len(masses) == 0:
         raise ValidationError("need at least one density")
-    hp = min(
-        h_plus(z, expected_value(z, curve, measure), family, measure, rank_step=True)
-        for z in densities
-    )
+    cells = math.ceil(measure.extent)
+    if masses.shape[1] != cells:
+        raise ValidationError(
+            f"densities have {masses.shape[1]} rank cells but the measure extent "
+            f"{measure.extent} has {cells}"
+        )
+    cum = np.zeros((len(masses), cells + 1))
+    np.cumsum(masses, axis=1, out=cum[:, 1:])
+    t = _expected_values(masses, cum, curve, measure)
+    hp = min(_h_plus_rows(masses, cum, t, family).tolist())
     phi = srm_generic(curve, family).level
     if math.isinf(hp) and math.isinf(phi):
         return 0.0
@@ -531,18 +609,46 @@ def unit_cell_candidates(measure: ReferenceMeasure) -> list:
 def random_simplex_candidates(
     measure: ReferenceMeasure,
     count: int,
-    seed: int,
+    seed: Union[int, np.random.Generator],
     upto: Optional[float] = None,
-) -> list:
-    """Seeded random unit-mass densities on the unit cells (0, upto]."""
+) -> np.ndarray:
+    """Seeded random unit-mass densities on the unit cells (0, upto].
+
+    Returns a read-only (count, ceil(N)) matrix: row r holds the rank
+    cell masses of ``DualDensity.from_weights(w_r, N)``, bit for bit,
+    where w_r is the r-th flat Dirichlet draw.  ``seed`` is an integer,
+    or a Generator whose stream the draws continue.
+    """
     k = int(math.floor(min(upto, measure.extent) if upto is not None else measure.extent))
     if k < 1:
         raise ValidationError("need at least one whole cell to sample densities")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        out.append(DualDensity.from_weights(rng.dirichlet(np.ones(k)), measure.extent))
-    return out
+    w = rng.dirichlet(np.ones(k), size=count)
+    n = measure.extent
+    # from_weights' heights, then the mass up to every rank-cell edge as
+    # DualDensity computes it: the heights' prefix sums, flat past cell k
+    edges = np.cumsum(n * w / w.sum(axis=1, keepdims=True) / n, axis=1)
+    edges = np.pad(edges, ((0, 0), (0, math.ceil(n) - k)), mode="edge")
+    masses = np.diff(edges, axis=1, prepend=0.0)
+    masses.setflags(write=False)
+    return masses
+
+
+def density_blocks(
+    measure: ReferenceMeasure,
+    count: int,
+    seed: int,
+    upto: Optional[float] = None,
+) -> Iterator[np.ndarray]:
+    """``random_simplex_candidates(measure, count, seed, upto)`` in row blocks.
+
+    Each block holds about BLOCK_CELLS rank cells (at least one row);
+    the blocks continue one stream, so together they are the same rows.
+    """
+    rng = np.random.default_rng(seed)
+    rows = max(1, BLOCK_CELLS // math.ceil(measure.extent))
+    for start in range(0, count, rows):
+        yield random_simplex_candidates(measure, min(rows, count - start), rng, upto)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,23 @@ def level_ceiling(curve: CitationCurve, family: PerformanceFamily) -> float:
     return min(bound, _MAX_FLOAT)
 
 
+def _tail_rank_bound(curve: CitationCurve, family: PerformanceFamily) -> float:
+    """A level beyond which f_q reaches rank p+1 above the tail (inf if none).
+
+    Rank p+1 carries the tail, and the dominance check reaches it for
+    a rectangle of growing width and for the staircase: past
+    width^{-1}(p+1) and height^{-1}(tail), or past p + max(1, tail)
+    for the staircase, dominance fails there.  Unlike ``level_ceiling``
+    this ignores x1, so a huge first value costs no long search.
+    """
+    p, tail = curve.p, curve.tail
+    if family.shape == STAIRCASE:
+        return p + max(1.0, tail)
+    if family.shape == RECTANGLE and family.width.kind != "const":
+        return max(family.width.inverse_sup(p + 1), family.height.inverse_sup(tail))
+    return math.inf
+
+
 def srm_generic(curve: CitationCurve, family: PerformanceFamily) -> SrmValue:
     """sup{q in the level set : curve dominates f_q}, by monotone search.
 
@@ -134,7 +151,9 @@ def srm_generic(curve: CitationCurve, family: PerformanceFamily) -> SrmValue:
     if math.isinf(ceiling):
         return SrmValue(math.inf, attained=False)
     if family.levels.kind == INTEGER_LEVELS:
-        hi = int(math.floor(ceiling)) + 1
+        # any infeasible start gives the same level; real levels bisect
+        # from the ceiling, so their start stays where it was
+        hi = int(math.floor(min(ceiling, _tail_rank_bound(curve, family)))) + 1
         while hi <= _MAX_INT_LEVEL and dominates(curve, family, hi):
             hi = hi * 2 + 1  # ceiling off by float dust
         hi = min(hi, _MAX_INT_LEVEL + 1)

@@ -36,6 +36,7 @@ from srmkit import (
 )
 from srmkit.cli import run
 from srmkit.cohort import export, ingest
+from srmkit.duality import random_simplex_candidates
 
 from conftest import random_curve
 
@@ -192,13 +193,12 @@ def test_criterion_7_weak_duality():
     with criterion(7, "weak duality, 1000 densities x 100 curves per index"):
         measure = ReferenceMeasure(52.0)
         rng = np.random.default_rng(3005)
+        # each batch draws rng.dirichlet(np.ones(k), size=1000) from the shared
+        # rng: the same draws as 1000 single draws feeding DualDensity.from_weights
         for label in ALL_POSITIVE:
             fam = family_for(label)
             curves = [random_curve(rng, max_p=50, max_c=1000) for _ in range(100)]
-            densities = [
-                DualDensity.from_weights(rng.dirichlet(np.ones(52)), 52.0)
-                for _ in range(1000)
-            ]
+            densities = random_simplex_candidates(measure, 1000, rng)
             for curve in curves:
                 assert weak_duality_margin(curve, fam, densities, measure) >= -1e-9
         for label in SUPPORT_RESTRICTED:
@@ -206,10 +206,7 @@ def test_criterion_7_weak_duality():
             fam = family_for(label)
             curves = [random_curve(rng, min_p=1, max_p=50, max_c=1000) for _ in range(100)]
             for curve in curves:
-                densities = [
-                    DualDensity.from_weights(rng.dirichlet(np.ones(curve.p)), 52.0)
-                    for _ in range(1000)
-                ]
+                densities = random_simplex_candidates(measure, 1000, rng, upto=curve.p)
                 assert weak_duality_margin(curve, fam, densities, measure) >= -1e-9
 
 

@@ -299,6 +299,14 @@ class TestRejectedOptions:
                     "--seed", "1", "--samples", "2", "--deltas", deltas]) == 2
         assert "--deltas must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("index, samples", [("h", "0"), ("h", "2"), ("phi:1.62", "2")])
+    def test_extent_too_large_to_allocate_is_an_error(self, cohort_csv, index, samples, capsys):
+        # 1e13 rank cells take 80 TB: the first allocation fails at once
+        assert run(["dual-check", "--input", str(cohort_csv), "--index", index,
+                    "--seed", "1", "--samples", samples, "--extent", "1e13"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "srm: error: out of memory" in out.err
+
     @pytest.mark.parametrize("extent", ["nan", "inf"])
     def test_nonfinite_extent_is_usage_error(self, cohort_csv, extent, capsys):
         assert run(["dual-check", "--input", str(cohort_csv), "--index", "h",

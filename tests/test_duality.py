@@ -22,8 +22,16 @@ from srmkit import (
     srm_generic,
     weak_duality_margin,
 )
-from srmkit.curves import AUTHOR_SUPPORT_ONLY
-from srmkit.duality import _mass_at, random_simplex_candidates, unit_cell_candidates
+from srmkit.curves import AUTHOR_SUPPORT_ONLY, LevelRule, rectangle_family
+from srmkit.duality import (
+    BLOCK_CELLS,
+    _h_plus_rows,
+    _mass_at,
+    _search_right,
+    density_blocks,
+    random_simplex_candidates,
+    unit_cell_candidates,
+)
 
 from conftest import random_curve
 
@@ -33,6 +41,8 @@ X = construct_curve([8, 6, 4, 2])
 UNIFORM = DualDensity((0.0, N), (1.0,))
 
 SHAPES = ("c_max", "pubs", "h", "h2", "h_alpha:2", "w")
+CATALOG = ("c_max", "pubs", "h", "h2", "h_alpha:0.5", "h_alpha:1", "h_alpha:2", "h_alpha:3",
+           "w", "h_r", "phi:0.8", "phi:1.62", "phi:2.5")
 
 
 def random_density(rng, measure, cells=None):
@@ -468,6 +478,111 @@ class TestCandidateGenerators:
     def test_random_candidates_are_seed_deterministic(self):
         a = random_simplex_candidates(MU, 5, seed=7)
         b = random_simplex_candidates(MU, 5, seed=7)
-        assert a == b
+        assert np.array_equal(a, b)
         c = random_simplex_candidates(MU, 5, seed=8)
-        assert a != c
+        assert not np.array_equal(a, c)
+
+
+def _prefix_sums(masses):
+    cum = np.zeros((len(masses), masses.shape[1] + 1))
+    np.cumsum(masses, axis=1, out=cum[:, 1:])
+    return cum
+
+
+class TestBatchDualLayer:
+    """Densities as rows of rank-cell masses, against the one-density forms."""
+
+    @pytest.mark.parametrize("extent, upto", [(16.0, None), (16.0, 5), (10.5, None),
+                                              (10.5, 7.5), (202.0, None), (52.0, 3)])
+    def test_rows_are_from_weights_rank_arrays(self, extent, upto):
+        measure = ReferenceMeasure(extent)
+        k = int(math.floor(min(upto, extent) if upto is not None else extent))
+        masses = random_simplex_candidates(measure, 40, seed=11, upto=upto)
+        weights = np.random.default_rng(11).dirichlet(np.ones(k), size=40)
+        assert masses.shape == (40, math.ceil(extent)) and not masses.flags.writeable
+        cum = _prefix_sums(masses)
+        moment = np.cumsum(masses * np.arange(1, masses.shape[1] + 1), axis=1)
+        for r, w in enumerate(weights):
+            z = DualDensity.from_weights(w, extent)
+            assert np.array_equal(masses[r], z.rank_mass)
+            assert np.array_equal(cum[r], z.rank_cum_mass)
+            assert np.array_equal(moment[r], z.rank_cum_moment[1:])
+
+    def test_blocks_continue_one_stream(self):
+        measure = ReferenceMeasure(2000.0)
+        blocks = list(density_blocks(measure, 70, seed=5, upto=300))
+        assert len(blocks) > 1 and all(b.size <= BLOCK_CELLS for b in blocks)
+        whole = random_simplex_candidates(measure, 70, seed=5, upto=300)
+        assert np.array_equal(np.concatenate(blocks), whole)
+        assert list(density_blocks(measure, 0, seed=5)) == []
+
+    def test_search_is_numpys_on_unsorted_rows(self, rng):
+        for n in (1, 2, 7, 203):
+            a = np.round(rng.normal(size=(300, n)), 1)
+            a[::3] = np.sort(a[::3], axis=1)
+            t = np.round(rng.normal(size=300), 1)
+            want = [np.searchsorted(row, x, side="right") for row, x in zip(a, t)]
+            assert _search_right(a, t).tolist() == want
+
+    @staticmethod
+    def _edge_densities(rng, p):
+        """Random densities, some with no mass in cell 1 or none up to p."""
+        out = []
+        for kind in range(12):
+            w = rng.dirichlet(np.ones(int(N)))
+            if kind % 3 == 1:
+                w[0] = 0.0
+            elif kind % 3 == 2 and p < N:
+                w[:p] = 0.0
+            out.append(DualDensity.from_weights(w, N))
+        return out
+
+    @pytest.mark.parametrize("label", CATALOG + ("square-width",))
+    def test_batch_h_plus_is_the_right_inverse_of_rank_step_gamma(self, label, rng):
+        if label == "square-width":
+            fam = rectangle_family(label, LevelRule("linear", 1.0), LevelRule("square", 0.5))
+        else:
+            fam = family_for(label)
+        for trial in range(30):
+            curve = random_curve(rng, min_p=1, max_p=12, max_c=60)
+            if trial % 3 == 0:
+                curve = construct_curve(curve.values + 1.0, tail=float(rng.integers(1, 4)))
+            zs = self._edge_densities(rng, curve.p)
+            masses = np.array([z.rank_mass for z in zs])
+            t = np.array([expected_value(z, curve, MU) for z in zs])
+            t[::4] = rng.uniform(0, 40, size=t[::4].size)
+            t[1] = 0.0
+            out = _h_plus_rows(masses, _prefix_sums(masses), t, fam)
+            for z, level, tr in zip(zs, out.tolist(), t.tolist()):
+                assert level == h_plus(z, tr, fam, MU, rank_step=True)
+                if math.isinf(level):
+                    assert gamma(z, 1e9, fam, MU, rank_step=True) <= tr
+                    continue
+                step = 1e-9 * max(1.0, level)
+                if level > 0:
+                    assert gamma(z, max(level - step, 0.0), fam, MU, rank_step=True) <= tr
+                assert gamma(z, level + step, fam, MU, rank_step=True) > tr
+
+    @pytest.mark.parametrize("label", CATALOG)
+    def test_matrix_margin_is_the_least_row_margin(self, label, rng):
+        fam = family_for(label)
+        restricted = fam.policy == AUTHOR_SUPPORT_ONLY
+        for trial in range(10):
+            curve = random_curve(rng, min_p=1 if restricted else 0, max_p=14, max_c=60)
+            if not restricted and trial % 4 == 0:
+                curve = construct_curve(curve.values, tail=1.0)
+            upto = curve.p if restricted else None
+            masses = random_simplex_candidates(MU, 25, seed=trial, upto=upto)
+            weights = np.random.default_rng(trial).dirichlet(np.ones(upto or int(N)), size=25)
+            zs = [DualDensity.from_weights(w, N) for w in weights]
+            rows = [weak_duality_margin(curve, fam, masses[r:r + 1], MU) for r in range(25)]
+            got = weak_duality_margin(curve, fam, masses, MU)
+            assert got == min(rows) == weak_duality_margin(curve, fam, zs, MU)
+            assert rows == [weak_duality_margin(curve, fam, [z], MU) for z in zs]
+
+    def test_matrix_must_match_the_measure(self):
+        masses = random_simplex_candidates(MU, 3, seed=1)
+        with pytest.raises(ValidationError, match="rank cells"):
+            weak_duality_margin(X, family_for("h"), masses, ReferenceMeasure(20.0))
+        with pytest.raises(ValidationError, match="at least one density"):
+            weak_duality_margin(X, family_for("h"), masses[:0], MU)

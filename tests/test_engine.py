@@ -24,6 +24,7 @@ from srmkit import (
     srm_closed_form,
     srm_generic,
 )
+from srmkit import engine
 from srmkit.calibration import phi_index
 from srmkit.curves import evaluate_family
 
@@ -328,6 +329,16 @@ class TestHugeValues:
                     assert generic == closed, (raw, label)
                 else:
                     assert generic == pytest.approx(closed, rel=1e-9, abs=1e-9), (raw, label)
+
+    @pytest.mark.parametrize("label", ["h", "w", "h_alpha:2", "h2"])
+    def test_rank_after_the_record_caps_the_integer_search(self, label, monkeypatch):
+        # x1 = 1e308 alone would set the ceiling; rank p+1 holds the tail 2
+        calls = []
+        checked = engine.dominates
+        monkeypatch.setattr(engine, "dominates", lambda *args: calls.append(args) or checked(*args))
+        curve = shift_citations(construct_curve([1e308, 5]), 2)
+        assert srm_generic(curve, family_for(label)).level == _tail_padded_closed_form(curve, label)
+        assert len(calls) < 20
 
 
 def _tail_padded_closed_form(curve, label):
