@@ -38,8 +38,6 @@ from .curves import (
     append_publication,
     construct_curve,
     evaluate_family,
-    family_slope_class,
-    left_continuity_check,
     mix,
     power_family,
     rectangle_family,

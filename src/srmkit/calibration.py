@@ -201,30 +201,17 @@ def fit_author(curve: CitationCurve, author_id: str = "") -> CalibrationFit:
 
 def aggregate_beta(
     fits: Sequence[CalibrationFit],
-    weight_by: Optional[str] = None,
     metadata: Optional[dict] = None,
 ) -> CohortProfile:
     """Average the fitted exponents into a cohort profile.
 
-    The default is the plain arithmetic mean.  ``weight_by`` may name
-    "n_points" or "r2" for a weighted mean; the choice is recorded in
-    the profile metadata.
+    ``beta_bar`` is the plain arithmetic mean of the ``beta_hat``;
+    ``metadata`` is stored with the profile as given.
     """
     if not fits:
         raise ValidationError("cannot aggregate an empty list of fits")
-    betas = np.array([f.beta_hat for f in fits])
-    meta = dict(metadata or {})
-    if weight_by is None:
-        beta_bar = float(betas.mean())
-    else:
-        if weight_by not in ("n_points", "r2"):
-            raise ValidationError(f"unknown weighting {weight_by!r}; use 'n_points' or 'r2'")
-        weights = np.array([float(getattr(f, weight_by)) for f in fits])
-        if weights.sum() <= 0:
-            raise ValidationError("weights sum to zero; cannot form a weighted mean")
-        beta_bar = float(np.average(betas, weights=weights))
-        meta["weight_by"] = weight_by
-    return CohortProfile(beta_bar=beta_bar, fits=tuple(fits), metadata=meta)
+    beta_bar = float(np.array([f.beta_hat for f in fits]).mean())
+    return CohortProfile(beta_bar=beta_bar, fits=tuple(fits), metadata=dict(metadata or {}))
 
 
 def phi_index(curve: CitationCurve, beta_bar: float) -> SrmValue:
@@ -245,15 +232,13 @@ def phi_index(curve: CitationCurve, beta_bar: float) -> SrmValue:
 def calibrate_cohort(
     curves: Union[Cohort, Sequence[CitationCurve]],
     ids: Optional[Sequence[str]] = None,
-    metadata: Optional[dict] = None,
-    weight_by: Optional[str] = None,
 ) -> CohortProfile:
     """Fit every author and average the exponents.
 
     ``curves`` is a :class:`Cohort`, which carries its ids, or a list of
     citation curves with their ``ids``.  Authors whose records cannot
     be fitted (fewer than 2 publications with a citation) are skipped
-    and listed in the profile metadata.
+    and listed under ``skipped`` in the profile metadata.
     """
     if isinstance(curves, Cohort):
         cohort = curves
@@ -264,7 +249,4 @@ def calibrate_cohort(
     fits, skipped = _fit_segments(cohort.values, cohort.offsets, cohort.ids)
     if not fits:
         raise InsufficientDataError("no author in the cohort had enough data to fit")
-    meta = dict(metadata or {})
-    if skipped:
-        meta["skipped"] = skipped
-    return aggregate_beta(fits, weight_by=weight_by, metadata=meta)
+    return aggregate_beta(fits, metadata={"skipped": skipped} if skipped else None)

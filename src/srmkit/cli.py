@@ -99,8 +99,10 @@ def _read_config_file(path: str) -> Dict[str, str]:
                 continue
             if "=" not in stripped:
                 raise _UsageError(f"{path}:{lineno}: expected key = value")
-            key, _, value = stripped.partition("=")
-            key = key.strip().lower().replace("-", "_")
+            raw, _, value = stripped.partition("=")
+            key = raw.strip().lower().replace("-", "_")
+            if key not in _CONFIG_KEYS:
+                raise _UsageError(f"{path}:{lineno}: unknown key '{raw.strip()}'")
             value = value.strip()
             if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
                 value = value[1:-1]
@@ -317,9 +319,7 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
         gaps = []
         for d in gap_cols:
             z_star = du.constructed_minimizer(spec.name, rec.curve, d, measure)
-            bound = du.h_plus(
-                z_star, du.expected_value(z_star, rec.curve, measure), family, measure
-            )
+            bound = du.dual_value(rec.curve, family, [z_star], measure)
             gaps.append(bound - value)
         rows.append((rec.id, value, cfg.samples, margin, *gaps))
     _emit(cfg, co.write_rows(_resolve_format(cfg), columns, rows, "authors",

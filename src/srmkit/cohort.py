@@ -26,7 +26,7 @@ import numpy as np
 
 from .curves import CitationCurve, SrmValue, checked_citations
 from .engine import IndexSpec, family_for, parse_index, srm_closed_form_batch, srm_generic
-from .errors import ValidationError, reading
+from .errors import ValidationError
 
 CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
@@ -481,7 +481,7 @@ def classify_merit(
 
 
 # ---------------------------------------------------------------------------
-# export / re-import
+# export
 # ---------------------------------------------------------------------------
 
 
@@ -597,84 +597,3 @@ def export(obj, fmt: str) -> bytes:
         return _export_cohort(Cohort.from_records(obj), fmt)
     raise ValidationError(f"do not know how to export {type(obj).__name__}")
 
-
-def _level(text_or_number) -> float:
-    """An exported level ("inf" or a number), checked like an index level."""
-    return SrmValue(float(text_or_number)).level
-
-
-@reading("table")
-def parse_table(data: Union[bytes, str], fmt: str) -> IndexTable:
-    """Re-import an exported index table.
-
-    CSV exports carry levels only, so re-imported cells default to
-    attained=True; JSON exports round-trip both fields.
-    """
-    _check_format(fmt)
-    text = _decode(data)
-    if fmt == CSV_FORMAT:
-        reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("table CSV is empty") from None
-        if not header or header[0] != "author_id":
-            raise ValidationError("table CSV must start with an author_id column")
-        indices = tuple(header[1:])
-        rows = [row for row in reader if row]
-        if any(len(row) != len(header) for row in rows):
-            raise ValidationError(f"table CSV rows must have {len(header)} fields")
-        authors = [row[0] for row in rows]
-        levels = [[_level(cell) for cell in row[1:]] for row in rows]
-        attained = [[True] * len(indices) for _ in rows]
-    else:
-        doc = json.loads(text)
-        indices = tuple(doc["indices"])
-        authors = [entry["id"] for entry in doc["authors"]]
-        cells = [[entry["values"][ix] for ix in indices] for entry in doc["authors"]]
-        levels = [[_level(cell["level"]) for cell in row] for row in cells]
-        attained = [[bool(cell["attained"]) for cell in row] for row in cells]
-    _check_unique(authors)
-    shape = (len(authors), len(indices))
-    return IndexTable(
-        authors=tuple(authors),
-        indices=indices,
-        levels=np.array(levels, dtype=float).reshape(shape),
-        attained=np.array(attained, dtype=bool).reshape(shape),
-    )
-
-
-@reading("ranking")
-def parse_ranking(data: Union[bytes, str], fmt: str) -> List[RankedAuthor]:
-    _check_format(fmt)
-    text = _decode(data)
-    if fmt == CSV_FORMAT:
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header != ["author_id", "value", "rank"]:
-            raise ValidationError("ranking CSV must have header author_id,value,rank")
-        ranking = [
-            RankedAuthor(id=row[0], value=_level(row[1]), rank=int(row[2]))
-            for row in reader
-            if row
-        ]
-    else:
-        ranking = [
-            RankedAuthor(id=e["id"], value=_level(e["value"]), rank=int(e["rank"]))
-            for e in json.loads(text)["ranking"]
-        ]
-    _check_unique(e.id for e in ranking)
-    return ranking
-
-
-@reading("classification")
-def parse_classification(data: Union[bytes, str], fmt: str) -> MeritClassification:
-    _check_format(fmt)
-    text = _decode(data)
-    if fmt == CSV_FORMAT:
-        raise ValidationError("classification CSV does not carry cutoffs; re-import from JSON")
-    doc = json.loads(text)
-    return MeritClassification(
-        cutoffs=tuple(float(c) for c in doc["cutoffs"]),
-        assignment={str(k): str(v) for k, v in doc["assignment"].items()},
-    )

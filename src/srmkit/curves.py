@@ -365,68 +365,6 @@ def family_rank_values(family: PerformanceFamily, q: float, n: int) -> np.ndarra
     return q * ranks ** (-family.beta)
 
 
-_DEFAULT_Q_GRID = tuple(range(0, 9))
-_DEFAULT_M_GRID = (1, 2, 3, 4)
-_DEFAULT_X_GRID = tuple(range(1, 13))
-
-
-def family_slope_class(
-    family: PerformanceFamily,
-    q_grid: Sequence[float] = _DEFAULT_Q_GRID,
-    m_grid: Sequence[float] = _DEFAULT_M_GRID,
-    x_grid: Sequence[float] = _DEFAULT_X_GRID,
-    tol: float = 1e-12,
-) -> str:
-    """Classify how fast the family rises in q, on a finite grid.
-
-    Checks f_{q+m}(x) - f_q(x) against m over the grid product and
-    returns the strongest label consistent with every sampled point:
-    "linear" (difference always equals m), "slowly" (always <= m),
-    "fast" (always >= m), or "neither".  This is a refutation test, not
-    a proof: the defining inequalities quantify over all m and x, so a
-    grid can only rule classes out.  The defaults are rank-aligned
-    integer grids, matching the integer-rank dominance convention.
-    """
-    if not len(q_grid) or not len(m_grid) or not len(x_grid):
-        raise ValidationError("slope classification grids must be nonempty")
-    slowly = True
-    fast = True
-    for q in q_grid:
-        for m in m_grid:
-            if m < 0:
-                raise ValidationError("slope increments must be nonnegative")
-            for x in x_grid:
-                diff = evaluate_family(family, q + m, x) - evaluate_family(family, q, x)
-                if diff > m + tol:
-                    slowly = False
-                if diff < m - tol:
-                    fast = False
-            if not slowly and not fast:
-                return "neither"
-    if slowly and fast:
-        return "linear"
-    return "slowly" if slowly else "fast"
-
-
-def left_continuity_check(
-    family: PerformanceFamily, q: float, x: float, epsilons: Sequence[float]
-) -> float:
-    """Residual f_q(x) - f_{q-eps}(x) at the smallest probe eps.
-
-    For every built-in shape the residual tends to 0 as eps does,
-    provided x is not pinned to the moving support boundary (a null set
-    under the reference measure).
-    """
-    if not len(epsilons):
-        raise ValidationError("need at least one epsilon to probe left continuity")
-    eps = min(epsilons)
-    if eps <= 0:
-        raise ValidationError("epsilons must be positive")
-    if q - eps < 0:
-        raise ValidationError("q - eps must stay inside the level set")
-    return evaluate_family(family, q, x) - evaluate_family(family, q - eps, x)
-
-
 @dataclass(frozen=True)
 class SrmValue:
     """A computed index level.

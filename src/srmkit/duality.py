@@ -36,11 +36,9 @@ stands for.  ``gamma(..., rank_step=True)`` stays a scalar formula.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +53,7 @@ from .curves import (
     checked_number,
 )
 from .engine import IndexSpec, parse_index, srm_closed_form, srm_generic
-from .errors import TableEntryError, UnknownIndexError, ValidationError, reading
+from .errors import TableEntryError, UnknownIndexError, ValidationError
 
 _MASS_TOL = 1e-9
 
@@ -172,13 +170,6 @@ class DualDensity:
             bp = np.append(bp, float(extent))
             hs = np.append(hs, 0.0)
         return cls(bp, hs)
-
-    def refined(self, points: Iterable[float]) -> "DualDensity":
-        """The same density with extra breakpoints inserted."""
-        y = np.asarray(list(points), dtype=float)
-        bp = np.union1d(self.breakpoints, y[(y > 0) & (y < self.extent)])
-        cell = np.searchsorted(self.breakpoints, bp[:-1], side="right") - 1
-        return DualDensity(bp, self.heights[cell])
 
 
 def _cell(z: DualDensity, ys):
@@ -600,12 +591,6 @@ def constructed_minimizer(
     return DualDensity.indicator(float(anchor), float(anchor) + delta, n)
 
 
-def unit_cell_candidates(measure: ReferenceMeasure) -> list:
-    """Normalized indicators of the unit cells (i-1, i]."""
-    k = int(math.floor(measure.extent))
-    return [DualDensity.indicator(i - 1.0, float(i), measure.extent) for i in range(1, k + 1)]
-
-
 def random_simplex_candidates(
     measure: ReferenceMeasure,
     count: int,
@@ -687,51 +672,6 @@ class GammaTable:
                 raise ValidationError(f"gamma column for {cid!r} must be nondecreasing in beta")
             cols[cid] = col
         object.__setattr__(self, "columns", cols)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Tuple[str, float, float]]) -> "GammaTable":
-        by_candidate: Dict[str, Dict[float, float]] = {}
-        betas = set()
-        for cid, beta, value in rows:
-            beta = float(beta)
-            betas.add(beta)
-            by_candidate.setdefault(str(cid), {})[beta] = float(value)
-        if not by_candidate:
-            raise ValidationError("gamma table has no rows")
-        grid = tuple(sorted(betas))
-        columns = {}
-        for cid, entries in by_candidate.items():
-            col = []
-            for beta in grid:
-                if beta not in entries:
-                    raise TableEntryError(f"candidate {cid!r} missing gamma at beta {beta:g}")
-                col.append(entries[beta])
-            columns[cid] = tuple(col)
-        return cls(grid, columns)
-
-    @classmethod
-    @reading("gamma table")
-    def from_csv(cls, data: Union[str, bytes]) -> "GammaTable":
-        """Parse rows of candidate_id,beta,gamma (header required)."""
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-        reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("gamma table CSV is empty") from None
-        if [c.strip() for c in header] != ["candidate_id", "beta", "gamma"]:
-            raise ValidationError("gamma table CSV must start with header candidate_id,beta,gamma")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValidationError(f"line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                rows.append((row[0], float(row[1]), float(row[2])))
-            except ValueError:
-                raise ValidationError(f"line {lineno}: beta and gamma must be numbers") from None
-        return cls.from_rows(rows)
 
 
 def robust_dual_srm(

@@ -1,6 +1,5 @@
 """Exception types shared across the package."""
 
-import csv
 from contextlib import contextmanager
 
 
@@ -32,14 +31,12 @@ class TableEntryError(SrmError):
 def reading(what: str):
     """Report a malformed document as ValidationError, not a raw lookup error.
 
-    Too deep a nesting (``RecursionError``) and a field over the csv
-    module's limit (``csv.Error``) count as malformed too.  Usable as a
-    context manager or a decorator.
+    Too deep a nesting (``RecursionError``) counts as malformed too.
+    Usable as a context manager or a decorator.
     """
     try:
         yield
     except ValidationError:
         raise
-    except (LookupError, TypeError, ValueError, AttributeError, RecursionError,
-            csv.Error) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise ValidationError(f"malformed {what}: {type(exc).__name__}: {exc}") from None

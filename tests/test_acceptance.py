@@ -12,23 +12,24 @@ import numpy as np
 import pytest
 
 from srmkit import (
+    MATH_FINANCE_SENIOR_BETA,
     AuthorRecord,
     CohortProfile,
     DualDensity,
+    GammaTable,
     ReferenceMeasure,
     append_publication,
     calibrate_cohort,
     constructed_minimizer,
     construct_curve,
     dual_value,
-    expected_value,
     family_for,
     fit_author,
     gamma,
-    h_plus,
     mix,
     parse_index,
     phi_index,
+    robust_dual_srm,
     shift_citations,
     srm_closed_form,
     srm_generic,
@@ -215,19 +216,19 @@ def test_criterion_8_strong_duality_at_minimizers():
         measure = ReferenceMeasure(16.0)
         z_cmax = constructed_minimizer("c_max", X1, 0.0, measure)
         fam = family_for("c_max")
-        gap = h_plus(z_cmax, expected_value(z_cmax, X1, measure), fam, measure) - 8.0
+        gap = dual_value(X1, fam, [z_cmax], measure) - 8.0
         assert gap == 0.0
         fam = family_for("pubs")
         for delta in (1.0, 0.1, 0.01):
             z = constructed_minimizer("pubs", X1, delta, measure)
-            gap = h_plus(z, expected_value(z, X1, measure), fam, measure) - 4.0
+            gap = dual_value(X1, fam, [z], measure) - 4.0
             assert gap == 0.0
         fam = family_for("h")
         gaps = []
         x_after_core = 2.0  # fourth value of the fixture, h = 3
         for delta in (1.0, 0.1, 0.01):
             z = constructed_minimizer("h", X1, delta, measure)
-            gap = h_plus(z, expected_value(z, X1, measure), fam, measure) - 3.0
+            gap = dual_value(X1, fam, [z], measure) - 3.0
             assert 0.0 <= gap <= delta * x_after_core / 3.0
             gaps.append(gap)
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
@@ -304,7 +305,7 @@ def test_criterion_10_calibration_recovery():
 
 def test_criterion_11_calibrated_index_closed_form():
     with criterion(11, "calibrated index closed form"):
-        assert abs(phi_index(X1, 1.62).level - 8.0) <= 1e-9
+        assert abs(phi_index(X1, MATH_FINANCE_SENIOR_BETA).level - 8.0) <= 1e-9
         rng = np.random.default_rng(3007)
         fam = family_for("phi:1.62")
         for _ in range(1000):
@@ -348,3 +349,38 @@ def test_criterion_12_determinism_and_round_trip(tmp_path):
                         "--output", str(out)])
             assert code == 0
         assert dual_a.read_bytes() == dual_b.read_bytes()
+
+
+def test_criterion_13_dual_first_index():
+    with criterion(13, "dual-first index from a gamma table, 2000 records"):
+        measure = ReferenceMeasure(24.0)
+        rng = np.random.default_rng(3009)
+        fam = family_for("h")
+        densities = {
+            f"z{cells}": DualDensity.from_weights(rng.dirichlet(np.ones(cells)), measure.extent)
+            for cells in (2, 5, 12, 24)
+        }
+        base = [random_curve(rng, min_p=1, max_p=20, max_c=40) for _ in range(500)]
+        shifted = [shift_citations(x, int(rng.integers(1, 4))) for x in base]
+        grown = [append_publication(x) for x in base]
+        partners = base[1:] + base[:1]
+        lams = rng.choice((0.25, 0.5, 0.75), size=len(base))
+        mixed = [mix(x, y, lam) for x, y, lam in zip(base, partners, lams)]
+        curves = base + shifted + grown + mixed
+        duals = [dual_value(x, fam, list(densities.values()), measure) for x in curves]
+        # gamma on a grid from 0 past every dual value the draw reaches
+        step = 0.01
+        betas = tuple(np.arange(math.ceil(max(duals) / step) + 2) * step)
+        table = GammaTable(betas, {
+            cid: tuple(gamma(z, b, fam, measure) for b in betas)
+            for cid, z in densities.items()
+        })
+        robust = [robust_dual_srm(x, table, densities, measure) for x in curves]
+        for dual, value in zip(duals, robust):
+            assert 0.0 <= dual - value <= step
+        n = len(base)
+        at_base, at_shifted, at_grown, at_mixed = (robust[k * n:(k + 1) * n] for k in range(4))
+        for k in range(n):
+            assert at_shifted[k] >= at_base[k]
+            assert at_grown[k] >= at_base[k]
+            assert at_mixed[k] >= min(at_base[k], at_base[(k + 1) % n])

@@ -108,17 +108,6 @@ class TestAggregate:
         se = (0.4 / math.sqrt(12.0)) / math.sqrt(20.0)
         assert abs(profile.beta_bar - 1.6) <= 3 * se
 
-    def test_weighted_variant_is_explicit(self):
-        fits = [
-            fit_author(power_law_curve(50, 1.0, 4), "a"),
-            fit_author(power_law_curve(50, 2.0, 12), "b"),
-        ]
-        weighted = aggregate_beta(fits, weight_by="n_points")
-        assert weighted.beta_bar > 1.5
-        assert weighted.metadata["weight_by"] == "n_points"
-        with pytest.raises(ValidationError):
-            aggregate_beta(fits, weight_by="citations")
-
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             aggregate_beta([])
@@ -204,9 +193,9 @@ class TestCalibrateCohort:
 
     def test_profile_json_round_trip(self):
         curves = [power_law_curve(50.0 + i, 1.4 + 0.05 * i, 12) for i in range(5)]
-        profile = calibrate_cohort(
-            curves, [f"a{i}" for i in range(5)], metadata={"area": "math-finance"}
-        )
+        curves += [construct_curve([3]), construct_curve([])]
+        profile = calibrate_cohort(curves, [f"a{i}" for i in range(7)])
+        assert profile.metadata == {"skipped": ["a5", "a6"]}
         restored = CohortProfile.from_json(profile.to_json())
         assert restored.beta_bar == profile.beta_bar
         assert restored.fits == profile.fits

@@ -282,6 +282,22 @@ class TestDeterminismAndConfig:
         assert run(["compute", "--config", str(config), "--indices", "h",
                     "--input", str(cohort_csv)]) == 2
 
+    def test_unknown_config_key_is_usage_error(self, cohort_csv, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 4\nsampels = 5\n")
+        out = tmp_path / "d.csv"
+        assert run(["dual-check", "--config", str(config), "--input", str(cohort_csv),
+                    "--index", "h", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"srm: error: {config}:2: unknown key 'sampels'\n"
+        assert not out.exists()
+
+    def test_config_key_of_another_subcommand_is_accepted(self, cohort_csv, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"input = {cohort_csv}\nindices = h\nclasses = 0.2\n")
+        out = tmp_path / "t.csv"
+        assert run(["compute", "--config", str(config), "--output", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "author_id,h"
+
     def test_help_exits_zero(self, capsys):
         assert run(["compute", "--help"]) == 0
         assert run(["--help"]) == 0

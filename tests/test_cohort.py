@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -17,14 +18,7 @@ from srmkit import (
     shift_citations,
     srm_closed_form,
 )
-from srmkit.cohort import (
-    Cohort,
-    RankedAuthor,
-    format_number,
-    parse_classification,
-    parse_ranking,
-    parse_table,
-)
+from srmkit.cohort import Cohort, RankedAuthor, format_number
 
 from conftest import random_curve
 
@@ -219,16 +213,15 @@ class TestExport:
         table = compute_table(records, ["pubs"])
         assert math.isinf(table.get("t", "pubs").level)
         assert "t,inf" in export(table, "csv").decode()
-        restored = parse_table(export(table, "json"), "json")
-        assert math.isinf(restored.get("t", "pubs").level)
+        cell = json.loads(export(table, "json"))["authors"][0]["values"]["pubs"]
+        assert cell == {"level": "inf", "attained": False}
 
     def test_classification_json_echoes_cutoffs(self):
         ranking = ranking_of({"a": 3, "b": 2, "c": 1})
         classes = classify_merit(ranking, (0.4,))
         doc = json.loads(export(classes, "json"))
         assert doc["cutoffs"] == [0.4]
-        restored = parse_classification(export(classes, "json"), "json")
-        assert restored.assignment == classes.assignment
+        assert doc["assignment"] == classes.assignment
 
     def test_cohort_round_trip_both_formats(self, rng):
         for fmt in ("csv", "json"):
@@ -246,88 +239,60 @@ class TestExport:
         assert restored[0].annotations == {"area": "mf"}
 
     def test_table_round_trip(self, rng):
-        records = [
-            AuthorRecord(f"a{i}", random_curve(rng, max_p=10, max_c=100)) for i in range(8)
-        ]
-        table = compute_table(records, ["h", "w", "phi:1.62", "h_r"])
-        via_json = parse_table(export(table, "json"), "json")
-        assert via_json.authors == table.authors
-        assert via_json.indices == table.indices
-        for author in table.authors:
-            for ix in table.indices:
-                cell = table.get(author, ix)
-                # values are rendered with 9 significant digits
-                assert via_json.get(author, ix).level == pytest.approx(cell.level, rel=1e-8)
-                assert via_json.get(author, ix).attained == cell.attained
-        via_csv = parse_table(export(table, "csv"), "csv")
-        for author in table.authors:
-            for ix in table.indices:
-                assert via_csv.get(author, ix).level == pytest.approx(
-                    table.get(author, ix).level, rel=1e-8
-                )
+        """The stdlib decoders read back every cell exactly as formatted."""
+        records = []
+        for i in range(60):
+            curve = random_curve(rng, max_p=12, max_c=100)
+            kind = i % 4
+            if kind == 1:
+                curve = shift_citations(curve, int(rng.integers(1, 4)))
+            elif kind == 2:
+                curve = construct_curve(rng.uniform(0.0, 9.0, size=int(rng.integers(1, 8))))
+            elif kind == 3:
+                curve = construct_curve(rng.uniform(1e9, 1e12, size=int(rng.integers(1, 5))))
+            records.append(AuthorRecord(f"a{i}", curve))
+        table = compute_table(records, ["c_max", "pubs", "h", "w", "h_r", "phi:1.62"])
+        levels = table.levels
+        finite = np.isfinite(levels)
+        assert np.isinf(levels).any() and not table.attained.all()
+        assert (levels[finite] >= 1e9).any()
+        for col in (4, 5):  # h_r and phi:1.62
+            column = levels[:, col][finite[:, col]]
+            assert (column != np.floor(column)).any()
+
+        rows = list(csv.reader(io.StringIO(export(table, "csv").decode())))
+        assert rows[0] == ["author_id", *table.indices]
+        assert [row[0] for row in rows[1:]] == list(table.authors)
+        for row, row_levels in zip(rows[1:], levels):
+            assert len(row) == 1 + len(table.indices)
+            for cell, level in zip(row[1:], row_levels):
+                assert float(cell) == float(format_number(level))
+
+        doc = json.loads(export(table, "json"))
+        assert doc["indices"] == list(table.indices)
+        assert [entry["id"] for entry in doc["authors"]] == list(table.authors)
+        for entry, row_levels, row_flags in zip(doc["authors"], levels, table.attained):
+            assert list(entry["values"]) == sorted(table.indices)
+            for ix, level, flag in zip(table.indices, row_levels, row_flags):
+                cell = entry["values"][ix]
+                assert float(cell["level"]) == float(format_number(level))
+                assert cell["attained"] is bool(flag)
 
     def test_ranking_round_trip(self):
-        ranking = ranking_of({"a": 4, "b": 3, "c": 4})
-        for fmt in ("csv", "json"):
-            assert parse_ranking(export(ranking, fmt), fmt) == ranking
+        ranking = ranking_of({"a": 4, "b": 3, "c": 4, "d": 2.5e9, "e": math.inf})
+        rows = list(csv.reader(io.StringIO(export(ranking, "csv").decode())))
+        assert rows[0] == ["author_id", "value", "rank"]
+        decoded = json.loads(export(ranking, "json"))["ranking"]
+        assert len(rows) - 1 == len(decoded) == len(ranking)
+        for row, entry, expected in zip(rows[1:], decoded, ranking):
+            assert row[0] == entry["id"] == expected.id
+            assert float(row[1]) == float(entry["value"]) == float(format_number(expected.value))
+            assert int(row[2]) == entry["rank"] == expected.rank
 
     def test_format_number_conventions(self):
         assert format_number(8.0) == "8"
         assert format_number(math.inf) == "inf"
         assert format_number(2.6020599913279625) == "2.60205999"
-
-
-class TestMalformedReimport:
-    @pytest.mark.parametrize("parse, data", [
-        (parse_table, "{}"),
-        (parse_table, "not json"),
-        (parse_table, '{"indices": ["h"], "authors": [{"id": "a"}]}'),
-        (parse_ranking, '{"ranking": [{"id": "a"}]}'),
-        (parse_ranking, "[]"),
-        (parse_classification, '{"cutoffs": [0.1]}'),
-        (parse_classification, '{"cutoffs": 3, "assignment": {}}'),
-    ])
-    def test_json_errors_are_validation_errors(self, parse, data):
-        with pytest.raises(ValidationError, match="malformed"):
-            parse(data, "json")
-
-    def test_csv_errors_are_validation_errors(self):
-        with pytest.raises(ValidationError, match="malformed"):
-            parse_ranking("author_id,value,rank\na,3\n", "csv")
-        with pytest.raises(ValidationError, match="malformed"):
-            parse_table("author_id,h\na,many\n", "csv")
-
-    @pytest.mark.parametrize("parse", [parse_table, parse_ranking, parse_classification])
-    def test_deep_nesting_is_a_validation_error(self, parse):
-        with pytest.raises(ValidationError, match="malformed"):
-            parse("[" * 100_000, "json")
-
-    @pytest.mark.parametrize("parse, header", [
-        (parse_table, "author_id,h"),
-        (parse_ranking, "author_id,value,rank"),
-    ])
-    def test_overlong_csv_field_is_a_validation_error(self, parse, header):
-        with pytest.raises(ValidationError, match="malformed"):
-            parse(f"{header}\na,{'1' * 200_000},1\n", "csv")
-
-    @pytest.mark.parametrize("data, fmt", [
-        ("author_id,value,rank\na,nan,1\n", "csv"),
-        ('{"ranking": [{"id": "a", "value": NaN, "rank": 1}]}', "json"),
-        ("author_id,value,rank\na,-2,1\n", "csv"),
-    ])
-    def test_ranking_value_must_be_a_level(self, data, fmt):
-        with pytest.raises(ValidationError, match="index level"):
-            parse_ranking(data, fmt)
-
-    @pytest.mark.parametrize("parse, data, fmt", [
-        (parse_table, "author_id,h\na,1\na,2\n", "csv"),
-        (parse_table, json.dumps({"indices": ["h"], "authors": [
-            {"id": "a", "values": {"h": {"level": 1, "attained": True}}}] * 2}), "json"),
-        (parse_ranking, "author_id,value,rank\na,2,1\na,1,2\n", "csv"),
-    ])
-    def test_duplicate_author_is_rejected(self, parse, data, fmt):
-        with pytest.raises(ValidationError, match="duplicate author id 'a'"):
-            parse(data, fmt)
 
 
 def _varied_curve(rng, kind):

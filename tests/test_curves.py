@@ -16,8 +16,6 @@ from srmkit import (
     append_publication,
     construct_curve,
     evaluate_family,
-    family_slope_class,
-    left_continuity_check,
     mix,
     power_family,
     rectangle_family,
@@ -247,44 +245,24 @@ class TestFamilyValidation:
         assert LevelRule("const", 3.0).inverse_sup(2) == 0
 
 
-class TestSlopeClass:
-    def test_staircase_rises_slowly(self):
-        assert family_slope_class(W) == "slowly"
-
-    def test_h_family_is_neither(self):
-        assert family_slope_class(H) == "neither"
-        h2 = rectangle_family("h2", LevelRule("square"), LevelRule("linear"))
-        assert family_slope_class(h2) == "neither"
-
-    def test_cmax_slowly_globally_linear_inside_unit_cell(self):
-        # the q-increment lands entirely on (0, 1], so the rise is capped by m
-        assert family_slope_class(CMAX) == "slowly"
-        assert family_slope_class(CMAX, x_grid=[0.25, 0.5, 1.0]) == "linear"
-
-    def test_pubs_rises_slowly(self):
-        assert family_slope_class(PUBS) == "slowly"
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValidationError):
-            family_slope_class(H, q_grid=[])
-
-
 class TestLeftContinuity:
+    """f_q(x) - f_{q-eps}(x) vanishes with eps off the moving support boundary."""
+
     def test_h_family_linear_residual(self):
-        assert left_continuity_check(H, 4, 2, [1e-6]) == pytest.approx(1e-6, rel=1e-6)
+        residual = evaluate_family(H, 4, 2) - evaluate_family(H, 4 - 1e-6, 2)
+        assert residual == pytest.approx(1e-6, rel=1e-6)
 
     def test_power_residual_vanishes_monotonically(self):
-        residuals = [left_continuity_check(POW162, 8, 2, [eps]) for eps in (1e-2, 1e-4, 1e-6)]
+        residuals = [
+            evaluate_family(POW162, 8, 2) - evaluate_family(POW162, 8 - eps, 2)
+            for eps in (1e-2, 1e-4, 1e-6)
+        ]
         assert residuals[0] > residuals[1] > residuals[2] > 0
         assert residuals[2] < 1e-5
 
-    def test_zero_residual_left_of_origin(self):
-        for fam in (H, W, POW162):
-            assert left_continuity_check(fam, 4, -1, [1e-3]) == 0
-
     def test_probe_must_stay_in_level_set(self):
         with pytest.raises(ValidationError):
-            left_continuity_check(H, 0.5, 2, [1.0])
+            evaluate_family(H, 0.5 - 1.0, 2)
 
 
 class TestSrmValue:
