@@ -17,7 +17,7 @@ from .calibration import (
     phi_index,
 )
 from .cohort import (
-    AuthorRecord,
+    Cohort,
     IndexTable,
     MeritClassification,
     RankedAuthor,
@@ -31,7 +31,6 @@ from .curves import (
     ALL_POSITIVE_RANKS,
     AUTHOR_SUPPORT_ONLY,
     CitationCurve,
-    IndexLevelSet,
     LevelRule,
     PerformanceFamily,
     SrmValue,

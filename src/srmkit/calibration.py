@@ -229,21 +229,13 @@ def phi_index(curve: CitationCurve, beta_bar: float) -> SrmValue:
     return srm_closed_form(curve, IndexSpec("phi", beta_bar))
 
 
-def calibrate_cohort(
-    curves: Union[Cohort, Sequence[CitationCurve]],
-    ids: Optional[Sequence[str]] = None,
-) -> CohortProfile:
+def calibrate_cohort(cohort: Cohort) -> CohortProfile:
     """Fit every author and average the exponents.
 
-    ``curves`` is a :class:`Cohort`, which carries its ids, or a list of
-    citation curves with their ``ids``.  Authors whose records cannot
-    be fitted (fewer than 2 publications with a citation) are skipped
-    and listed under ``skipped`` in the profile metadata.
+    Authors whose records cannot be fitted (fewer than 2 publications
+    with a citation) are skipped and listed under ``skipped`` in the
+    profile metadata.
     """
-    if isinstance(curves, Cohort):
-        cohort = curves
-    else:
-        cohort = Cohort.from_curves(() if ids is None else ids, curves)
     if not len(cohort):
         raise ValidationError("cannot calibrate an empty cohort")
     fits, skipped = _fit_segments(cohort.values, cohort.offsets, cohort.ids)

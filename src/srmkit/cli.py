@@ -20,8 +20,9 @@ from typing import Dict, List, Optional, Sequence
 from . import cohort as co
 from . import duality as du
 from .calibration import CohortProfile, calibrate_cohort
+from .curves import AUTHOR_SUPPORT_ONLY
 from .engine import IndexSpec, family_for, parse_index
-from .errors import SrmError, UnknownIndexError, ValidationError
+from .errors import SrmError, UnknownIndexError
 
 _PROG = "srm"
 
@@ -306,22 +307,19 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
         columns.extend(f"gap_{d:g}" for d in gap_cols)
     rows = []  # margin is None without densities
     values = co.compute_table(cohort, [spec]).levels[:, 0].tolist()
-    for i, (rec, value) in enumerate(zip(cohort, values)):
-        restrict = (
-            rec.curve.p
-            if family.policy == du.AUTHOR_SUPPORT_ONLY and rec.curve.p >= 1
-            else None
-        )
+    for i, (author_id, value) in enumerate(zip(cohort.ids, values)):
+        curve = cohort.curve(i)
+        restrict = curve.p if family.policy == AUTHOR_SUPPORT_ONLY and curve.p >= 1 else None
         margin = None
         for masses in du.density_blocks(measure, cfg.samples, cfg.seed * 100003 + i, restrict):
-            m = du.weak_duality_margin(rec.curve, family, masses, measure)
+            m = du.weak_duality_margin(curve, family, masses, measure)
             margin = m if margin is None else min(margin, m)
         gaps = []
         for d in gap_cols:
-            z_star = du.constructed_minimizer(spec.name, rec.curve, d, measure)
-            bound = du.dual_value(rec.curve, family, [z_star], measure)
+            z_star = du.constructed_minimizer(spec.name, curve, d, measure)
+            bound = du.dual_value(curve, family, [z_star], measure)
             gaps.append(bound - value)
-        rows.append((rec.id, value, cfg.samples, margin, *gaps))
+        rows.append((author_id, value, cfg.samples, margin, *gaps))
     _emit(cfg, co.write_rows(_resolve_format(cfg), columns, rows, "authors",
                              {"index": spec.label}))
     return 0

@@ -17,14 +17,12 @@ import csv
 import io
 import json
 import math
-from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .curves import CitationCurve, SrmValue, checked_citations
+from .curves import CitationCurve, checked_citations
 from .engine import IndexSpec, family_for, parse_index, srm_closed_form_batch, srm_generic
 from .errors import ValidationError
 
@@ -51,20 +49,7 @@ def _check_format(fmt: str) -> str:
     return fmt
 
 
-@dataclass
-class AuthorRecord:
-    """A cohort entry: unique id, citation curve, free-form annotations."""
-
-    id: str
-    curve: CitationCurve
-    annotations: Dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValidationError("author id must be nonempty")
-
-
-class Cohort(SequenceABC):
+class Cohort:
     """A cohort stored column-wise, as compressed sparse rows.
 
     Author k has id ``ids[k]``, tail ``tails[k]``, annotations
@@ -73,11 +58,8 @@ class Cohort(SequenceABC):
     :class:`CitationCurve`, every one above the tail and sorted
     nonincreasing.  ``values`` (float64) and ``offsets`` (int64, from 0
     to ``values.size``) are taken over, not copied, and made read-only.
-    Build one with :func:`ingest`, :meth:`from_records` or
-    :meth:`from_curves`.
-
-    The cohort is also a read-only ``Sequence[AuthorRecord]``: indexing
-    builds the author's record, and its curve, on demand.
+    Ids are nonempty and unique, and there is one annotation dict per
+    author.  Build one with :func:`ingest` or :meth:`from_curves`.
     """
 
     __slots__ = ("ids", "values", "offsets", "tails", "annotations")
@@ -90,6 +72,7 @@ class Cohort(SequenceABC):
         tails: Optional[np.ndarray] = None,
         annotations: Optional[Sequence[Dict[str, object]]] = None,
     ):
+        ids = tuple(ids)
         n = len(ids)
         values = np.asarray(values, dtype=float)
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -103,13 +86,23 @@ class Cohort(SequenceABC):
             or np.any(offsets[1:] < offsets[:-1])
         ):
             raise ValidationError("cohort arrays do not describe one segment per author")
+        annotations = tuple(annotations) if annotations is not None else ({},) * n
+        if len(annotations) != n:
+            raise ValidationError(f"{len(annotations)} annotation entries for {n} authors")
+        seen = set()
+        for author_id in ids:
+            if not author_id:
+                raise ValidationError("author id must be nonempty")
+            if author_id in seen:
+                raise ValidationError(f"duplicate author id {author_id!r}")
+            seen.add(author_id)
         for arr in (values, offsets, tails):
             arr.setflags(write=False)
-        self.ids = tuple(ids)
+        self.ids = ids
         self.values = values
         self.offsets = offsets
         self.tails = tails
-        self.annotations = tuple(annotations) if annotations is not None else ({},) * n
+        self.annotations = annotations
 
     @classmethod
     def from_curves(
@@ -127,15 +120,6 @@ class Cohort(SequenceABC):
         tails = np.array([c.tail for c in curves], dtype=float)
         return cls(ids, values, offsets, tails=tails, annotations=annotations)
 
-    @classmethod
-    def from_records(cls, records: Sequence[AuthorRecord]) -> "Cohort":
-        records = list(records)
-        if not all(isinstance(r, AuthorRecord) for r in records):
-            raise ValidationError("a cohort is built from AuthorRecord entries")
-        return cls.from_curves(
-            [r.id for r in records], [r.curve for r in records], [r.annotations for r in records]
-        )
-
     @property
     def lengths(self) -> np.ndarray:
         """Publication count p of every author."""
@@ -144,12 +128,10 @@ class Cohort(SequenceABC):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        k = range(len(self))[i]
-        curve = CitationCurve(self.values[self.offsets[k]:self.offsets[k + 1]], self.tails[k])
-        return AuthorRecord(self.ids[k], curve, dict(self.annotations[k]))
+    def curve(self, k: int) -> CitationCurve:
+        """The citation curve of author k, built on demand."""
+        k = range(len(self.ids))[k]  # an IndexError, not another author's slice
+        return CitationCurve(self.values[self.offsets[k]:self.offsets[k + 1]], self.tails[k])
 
 
 @dataclass(eq=False)
@@ -165,21 +147,10 @@ class IndexTable:
     levels: np.ndarray
     attained: np.ndarray
 
-    @cached_property
-    def _rows(self) -> Dict[str, int]:
-        return {a: k for k, a in enumerate(self.authors)}
-
     def _col(self, index: str) -> int:
         if index not in self.indices:
             raise ValidationError(f"table has no column {index!r}; columns: {', '.join(self.indices)}")
         return self.indices.index(index)
-
-    def get(self, author_id: str, index: str) -> SrmValue:
-        row = self._rows.get(author_id)
-        if row is None:
-            raise ValidationError(f"table has no author {author_id!r}")
-        col = self._col(index)
-        return SrmValue(float(self.levels[row, col]), bool(self.attained[row, col]))
 
 
 @dataclass(frozen=True)
@@ -380,16 +351,8 @@ def _pack(flat: np.ndarray, counts: List[int]) -> Tuple[np.ndarray, np.ndarray]:
     return values, offsets
 
 
-def _check_unique(ids: Iterable[str]) -> None:
-    seen = set()
-    for author_id in ids:
-        if author_id in seen:
-            raise ValidationError(f"duplicate author id {author_id!r}")
-        seen.add(author_id)
-
-
 def ingest(data: Union[bytes, str], fmt: str) -> Cohort:
-    """Parse a cohort file into a :class:`Cohort` (duplicate ids rejected).
+    """Parse a cohort file into a :class:`Cohort`.
 
     Every citation is validated before any is sorted; on a bad value the
     error names the first bad line (CSV) or entry (JSON) and the
@@ -398,15 +361,11 @@ def ingest(data: Union[bytes, str], fmt: str) -> Cohort:
     _check_format(fmt)
     read = _ingest_csv if fmt == CSV_FORMAT else _ingest_json
     ids, flat, counts, annotations = read(_decode(data))
-    _check_unique(ids)
     values, offsets = _pack(flat, counts)
     return Cohort(ids, values, offsets, annotations=annotations)
 
 
-def compute_table(
-    records: Union[Cohort, Sequence[AuthorRecord]],
-    indices: Sequence[Union[str, IndexSpec]],
-) -> IndexTable:
+def compute_table(cohort: Cohort, indices: Sequence[Union[str, IndexSpec]]) -> IndexTable:
     """Evaluate every requested index for every author.
 
     Records with tail 0 go through the batch closed forms; a record
@@ -419,10 +378,9 @@ def compute_table(
     labels = tuple(s.label for s in specs)
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate index in request")
-    cohort = records if isinstance(records, Cohort) else Cohort.from_records(records)
     levels, attained = srm_closed_form_batch(cohort.values, cohort.offsets, specs)
     for k in np.flatnonzero(cohort.tails > 0).tolist():
-        curve = cohort[k].curve
+        curve = cohort.curve(k)
         for col, spec in enumerate(specs):
             value = srm_generic(curve, family_for(spec))
             levels[k, col], attained[k, col] = value.level, value.attained
@@ -569,15 +527,8 @@ def _export_table(table: IndexTable, fmt: str) -> bytes:
     return json_bytes({"indices": list(table.indices), "authors": authors})
 
 
-def _export_classification(cls: MeritClassification, fmt: str) -> bytes:
-    if fmt == CSV_FORMAT:
-        rows = [(author, cls.assignment[author]) for author in sorted(cls.assignment)]
-        return write_rows(fmt, ["merit_class"], rows, "assignment")
-    return json_bytes({"cutoffs": list(cls.cutoffs), "assignment": cls.assignment})
-
-
-def export(obj, fmt: str) -> bytes:
-    """Serialize a cohort, table, ranking or classification.
+def export(obj: Union[Cohort, IndexTable], fmt: str) -> bytes:
+    """Serialize a cohort or an index table.
 
     Exports mirror the ingest formats, so feeding a cohort export back
     through :func:`ingest` reproduces the records.  JSON table exports
@@ -586,14 +537,6 @@ def export(obj, fmt: str) -> bytes:
     _check_format(fmt)
     if isinstance(obj, IndexTable):
         return _export_table(obj, fmt)
-    if isinstance(obj, MeritClassification):
-        return _export_classification(obj, fmt)
-    if isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], RankedAuthor):
-        rows = [(e.id, e.value, e.rank) for e in obj]
-        return write_rows(fmt, ["value", "rank"], rows, "ranking", id_key="id")
     if isinstance(obj, Cohort):
         return _export_cohort(obj, fmt)
-    if isinstance(obj, (list, tuple)) and all(isinstance(r, AuthorRecord) for r in obj):
-        return _export_cohort(Cohort.from_records(obj), fmt)
     raise ValidationError(f"do not know how to export {type(obj).__name__}")
-

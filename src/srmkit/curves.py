@@ -255,32 +255,19 @@ class LevelRule:
 
 
 @dataclass(frozen=True)
-class IndexLevelSet:
-    """Candidate performance levels: nonnegative integers or reals.
-
-    Level 0 always belongs to the set and the set is totally ordered.
-    """
-
-    kind: str = INTEGER_LEVELS
-
-    def __post_init__(self):
-        if self.kind not in (INTEGER_LEVELS, REAL_LEVELS):
-            raise ValidationError(f"unknown level set kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class PerformanceFamily:
     """A family of reference citation curves f_q, nondecreasing in q.
 
     Each f_q is left continuous in x, vanishes for x <= 0, and f_0 is
     identically zero; the family is also left continuous in q except at
     the moving support boundary (a null set under the reference
-    measure).
+    measure).  ``levels`` is the level set searched, INTEGER_LEVELS or
+    REAL_LEVELS; level 0 always belongs to it.
     """
 
     name: str
     shape: str
-    levels: IndexLevelSet
+    levels: str
     height: Optional[LevelRule] = None
     width: Optional[LevelRule] = None
     beta: Optional[float] = None
@@ -288,6 +275,8 @@ class PerformanceFamily:
     def __post_init__(self):
         if self.shape not in (RECTANGLE, STAIRCASE, POWER):
             raise ValidationError(f"unknown family shape {self.shape!r}")
+        if self.levels not in (INTEGER_LEVELS, REAL_LEVELS):
+            raise ValidationError(f"unknown level set kind {self.levels!r}")
         if self.shape == RECTANGLE:
             if self.height is None or self.width is None:
                 raise ValidationError("rectangle families need height and width rules")
@@ -311,18 +300,18 @@ def rectangle_family(
     name: str,
     height: LevelRule,
     width: LevelRule,
-    levels: IndexLevelSet = IndexLevelSet(INTEGER_LEVELS),
+    levels: str = INTEGER_LEVELS,
 ) -> PerformanceFamily:
     return PerformanceFamily(name=name, shape=RECTANGLE, levels=levels, height=height, width=width)
 
 
 def staircase_family(name: str = "w") -> PerformanceFamily:
-    return PerformanceFamily(name=name, shape=STAIRCASE, levels=IndexLevelSet(INTEGER_LEVELS))
+    return PerformanceFamily(name=name, shape=STAIRCASE, levels=INTEGER_LEVELS)
 
 
 def power_family(beta: float, name: str = "") -> PerformanceFamily:
     return PerformanceFamily(
-        name=name or f"power:{beta:g}", shape=POWER, levels=IndexLevelSet(REAL_LEVELS), beta=beta
+        name=name or f"power:{beta:g}", shape=POWER, levels=REAL_LEVELS, beta=beta
     )
 
 
@@ -348,21 +337,6 @@ def evaluate_family(family: PerformanceFamily, q: float, x: float) -> float:
     if family.shape == STAIRCASE:
         return q - x + 1.0 if x <= q else 0.0
     return q / x ** family.beta
-
-
-def family_rank_values(family: PerformanceFamily, q: float, n: int) -> np.ndarray:
-    """Vector of f_q evaluated at integer ranks 1..n."""
-    if n <= 0:
-        return np.empty(0)
-    if q <= 0:
-        return np.zeros(n)
-    ranks = np.arange(1, n + 1, dtype=float)
-    if family.shape == RECTANGLE:
-        h = family.height.value(q)
-        return np.where(ranks <= family.width.value(q), h, 0.0)
-    if family.shape == STAIRCASE:
-        return np.where(ranks <= q, q - ranks + 1.0, 0.0)
-    return q * ranks ** (-family.beta)
 
 
 @dataclass(frozen=True)

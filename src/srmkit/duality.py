@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .curves import (
-    AUTHOR_SUPPORT_ONLY,
     POWER,
     RECTANGLE,
     STAIRCASE,
@@ -518,15 +517,15 @@ def dual_value(
 def weak_duality_margin(
     curve: CitationCurve,
     family: PerformanceFamily,
-    densities: Union[np.ndarray, Sequence[DualDensity]],
+    masses: np.ndarray,
     measure: ReferenceMeasure,
 ) -> float:
     """min over densities of H+(Z, E[ZX]) - srm_generic(X), rank-step semantics.
 
-    ``densities`` is a matrix with one density per row, the masses of
-    its ceil(N) unit rank cells (as ``random_simplex_candidates`` draws
-    them), or a sequence of ``DualDensity``, whose ``rank_mass`` rows
-    are stacked into that matrix.  Every row is weighed at once.
+    ``masses`` is a matrix with one density per row, the masses of its
+    ceil(N) unit rank cells: rows drawn by ``random_simplex_candidates``,
+    or ``z.rank_mass[None]`` for one ``DualDensity``.  Every row is
+    weighed at once.
 
     Nonnegative for every density supported on the dominance domain of
     the family's policy: rank dominance at the engine's level means the
@@ -534,12 +533,6 @@ def weak_duality_margin(
     mass, so E[ZX] >= gamma(Z, q) there.  Both sides +inf count as a
     zero margin.
     """
-    if isinstance(densities, np.ndarray):
-        masses = densities
-    else:
-        for z in densities:
-            _check_measure(z, measure)
-        masses = np.array([z.rank_mass for z in densities])
     if masses.ndim != 2 or len(masses) == 0:
         raise ValidationError("need at least one density")
     cells = math.ceil(measure.extent)
@@ -641,35 +634,38 @@ def density_blocks(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaTable:
     """Level thresholds gamma_beta(Q) per candidate weighting Q.
 
     ``columns[cid][i]`` is the smallest Q-average of citations needed
     to reach quality level ``betas[i]`` under the weighting named
-    ``cid``.  Each column must be nondecreasing in beta.
+    ``cid``.  Each column must be nondecreasing in beta.  The grid and
+    every column are stored as read-only float64 arrays.
     """
 
-    betas: Tuple[float, ...]
-    columns: Dict[str, Tuple[float, ...]]
+    betas: np.ndarray
+    columns: Dict[str, np.ndarray]
 
     def __post_init__(self):
-        betas = tuple(float(b) for b in self.betas)
-        object.__setattr__(self, "betas", betas)
-        if (not betas or not all(map(math.isfinite, betas))
-                or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:]))):
+        betas = np.array(self.betas, dtype=float)
+        if (betas.ndim != 1 or not betas.size or not np.isfinite(betas).all()
+                or (betas[1:] <= betas[:-1]).any()):
             raise ValidationError("beta grid must be nonempty, finite and strictly increasing")
+        betas.setflags(write=False)
+        object.__setattr__(self, "betas", betas)
         cols = {}
         for cid, col in self.columns.items():
-            col = tuple(float(v) for v in col)
-            if len(col) != len(betas):
+            col = np.array(col, dtype=float)
+            if col.shape != betas.shape:
                 raise TableEntryError(
-                    f"candidate {cid!r} covers {len(col)} levels, expected {len(betas)}"
+                    f"candidate {cid!r} covers {col.size} levels, expected {betas.size}"
                 )
-            if any(math.isnan(v) or v < 0 for v in col):
+            if not (col >= 0).all():  # nan fails the comparison too
                 raise ValidationError(f"gamma values for {cid!r} must be >= 0 (or +inf)")
-            if any(b > a for a, b in zip(col[1:], col)):
+            if (col[1:] < col[:-1]).any():
                 raise ValidationError(f"gamma column for {cid!r} must be nondecreasing in beta")
+            col.setflags(write=False)
             cols[cid] = col
         object.__setattr__(self, "columns", cols)
 
@@ -695,8 +691,7 @@ def robust_dual_srm(
             raise TableEntryError(f"candidate {cid!r} has no gamma column in the table")
     for cid, z in candidates.items():
         t = expected_value(z, curve, measure)
-        col = np.asarray(table.columns[cid])
-        j = int(np.searchsorted(col, t, side="right")) - 1
-        value = -math.inf if j < 0 else table.betas[j]
+        j = int(np.searchsorted(table.columns[cid], t, side="right")) - 1
+        value = -math.inf if j < 0 else float(table.betas[j])
         result = min(result, value)
     return result

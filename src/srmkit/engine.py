@@ -27,11 +27,9 @@ from .curves import (
     RECTANGLE,
     STAIRCASE,
     CitationCurve,
-    IndexLevelSet,
     LevelRule,
     PerformanceFamily,
     SrmValue,
-    family_rank_values,
     power_family,
     rectangle_family,
     staircase_family,
@@ -150,7 +148,7 @@ def srm_generic(curve: CitationCurve, family: PerformanceFamily) -> SrmValue:
     ceiling = level_ceiling(curve, family)
     if math.isinf(ceiling):
         return SrmValue(math.inf, attained=False)
-    if family.levels.kind == INTEGER_LEVELS:
+    if family.levels == INTEGER_LEVELS:
         # any infeasible start gives the same level; real levels bisect
         # from the ceiling, so their start stays where it was
         hi = int(math.floor(min(ceiling, _tail_rank_bound(curve, family)))) + 1
@@ -249,7 +247,7 @@ def family_for(index: Union[str, IndexSpec]) -> PerformanceFamily:
             spec.label,
             LevelRule("linear", 1.0),
             LevelRule("linear", 1.0),
-            levels=IndexLevelSet(REAL_LEVELS),
+            levels=REAL_LEVELS,
         )
     return power_family(spec.param, name=spec.label)
 

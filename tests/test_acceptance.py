@@ -13,7 +13,7 @@ import pytest
 
 from srmkit import (
     MATH_FINANCE_SENIOR_BETA,
-    AuthorRecord,
+    Cohort,
     CohortProfile,
     DualDensity,
     GammaTable,
@@ -284,7 +284,7 @@ def test_criterion_10_calibration_recovery():
             construct_curve([(80.0 + 5 * i) / r**b for r in range(1, 19)])
             for i, b in enumerate(betas)
         ]
-        profile = calibrate_cohort(curves, [f"a{i}" for i in range(20)])
+        profile = calibrate_cohort(Cohort.from_curves([f"a{i}" for i in range(20)], curves))
         assert abs(profile.beta_bar - 1.62) <= 1e-9
         for i, fit in enumerate(profile.fits):
             assert abs(fit.q_hat - (80.0 + 5 * i)) / (80.0 + 5 * i) <= 1e-6
@@ -321,13 +321,13 @@ def test_criterion_12_determinism_and_round_trip(tmp_path):
         # export -> ingest identity on 100 random cohorts, both formats
         for trial in range(100):
             fmt = "csv" if trial % 2 == 0 else "json"
-            records = [
-                AuthorRecord(f"a{j:02d}", random_curve(rng, max_p=30, max_c=1000))
-                for j in range(12)
-            ]
+            records = Cohort.from_curves(
+                [f"a{j:02d}" for j in range(12)],
+                [random_curve(rng, max_p=30, max_c=1000) for j in range(12)],
+            )
             twice = ingest(export(records, fmt), fmt)
-            assert [r.id for r in twice] == [r.id for r in records]
-            assert [r.curve for r in twice] == [r.curve for r in records]
+            assert twice.ids == records.ids
+            assert [twice.curve(k) for k in range(12)] == [records.curve(k) for k in range(12)]
         # byte-identical CLI runs
         cohort = tmp_path / "cohort.csv"
         lines = ["author_id,citations"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from srmkit import (
+    Cohort,
     CohortProfile,
     InsufficientDataError,
     UnsupportedOperationError,
@@ -175,26 +176,26 @@ class TestPhiIndex:
 class TestCalibrateCohort:
     def test_noiseless_cohort_recovers_shared_exponent(self):
         curves = [power_law_curve(60.0 + 10 * i, 1.62, 18) for i in range(20)]
-        profile = calibrate_cohort(curves, [f"a{i}" for i in range(20)])
+        profile = calibrate_cohort(Cohort.from_curves([f"a{i}" for i in range(20)], curves))
         assert profile.beta_bar == pytest.approx(1.62, abs=1e-9)
         assert profile.cohort_size == 20
 
     def test_unfittable_author_is_skipped_and_recorded(self):
         curves = [power_law_curve(50.0, 1.5, 10), construct_curve([3])]
-        profile = calibrate_cohort(curves, ["good", "thin"])
+        profile = calibrate_cohort(Cohort.from_curves(["good", "thin"], curves))
         assert profile.cohort_size == 1
         assert profile.metadata["skipped"] == ["thin"]
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValidationError):
-            calibrate_cohort([], [])
+            calibrate_cohort(Cohort.from_curves([], []))
         with pytest.raises(InsufficientDataError):
-            calibrate_cohort([construct_curve([3])], ["only"])
+            calibrate_cohort(Cohort.from_curves(["only"], [construct_curve([3])]))
 
     def test_profile_json_round_trip(self):
         curves = [power_law_curve(50.0 + i, 1.4 + 0.05 * i, 12) for i in range(5)]
         curves += [construct_curve([3]), construct_curve([])]
-        profile = calibrate_cohort(curves, [f"a{i}" for i in range(7)])
+        profile = calibrate_cohort(Cohort.from_curves([f"a{i}" for i in range(7)], curves))
         assert profile.metadata == {"skipped": ["a5", "a6"]}
         restored = CohortProfile.from_json(profile.to_json())
         assert restored.beta_bar == profile.beta_bar
@@ -229,7 +230,7 @@ class TestBatchFits:
         curves += [construct_curve(np.floor(5.0 * rng.pareto(1.2, size=s))) for s in (1, 2, 90)]
         curves += [construct_curve([4, 4, 4]), construct_curve([7, 0.5, 0.2])]
         ids = [f"a{k}" for k in range(len(curves))]
-        profile = calibrate_cohort(curves, ids)
+        profile = calibrate_cohort(Cohort.from_curves(ids, curves))
         by_id = {f.author_id: f for f in profile.fits}
         skipped = profile.metadata.get("skipped", [])
         for author_id, curve in zip(ids, curves):
@@ -256,7 +257,7 @@ class TestBatchFits:
         profile = calibrate_cohort(cohort)
         assert [f.author_id for f in profile.fits] == ["a", "c"]
         assert profile.metadata["skipped"] == ["b"]
-        assert profile.fits[0] == fit_author(cohort[0].curve, "a")
+        assert profile.fits[0] == fit_author(cohort.curve(0), "a")
 
 
 class TestMalformedProfile:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from srmkit import (
-    AuthorRecord,
+    Cohort,
     ValidationError,
     classify_merit,
     compute_table,
@@ -18,7 +18,8 @@ from srmkit import (
     shift_citations,
     srm_closed_form,
 )
-from srmkit.cohort import Cohort, RankedAuthor, format_number
+from srmkit.cohort import RankedAuthor, format_number
+from srmkit.curves import SrmValue
 
 from conftest import random_curve
 
@@ -32,19 +33,19 @@ def fixture_records():
 class TestIngest:
     def test_csv_basic(self):
         records = fixture_records()
-        assert [r.id for r in records] == ["X1", "X2"]
-        assert records[0].curve.as_list() == [8, 6, 4, 2]
+        assert records.ids == ("X1", "X2")
+        assert records.curve(0).as_list() == [8, 6, 4, 2]
 
     def test_json_sorts_citations(self):
         data = json.dumps({"authors": [{"id": "a1", "citations": [2, 8, 4, 6]}]})
         records = ingest(data, "json")
-        assert records[0].curve.as_list() == [8, 6, 4, 2]
+        assert records.curve(0).as_list() == [8, 6, 4, 2]
 
     def test_json_keeps_annotations(self):
         data = json.dumps(
             {"authors": [{"id": "a1", "citations": [3], "annotations": {"area": "mf"}}]}
         )
-        assert ingest(data, "json")[0].annotations == {"area": "mf"}
+        assert ingest(data, "json").annotations == ({"area": "mf"},)
 
     def test_negative_citation_names_the_row(self):
         bad = "author_id,citations\nok,1;2\nbad,5;-3\n"
@@ -62,7 +63,7 @@ class TestIngest:
 
     def test_empty_citations_cell_is_zero_curve(self):
         records = ingest("author_id,citations\nnone,\n", "csv")
-        assert records[0].curve.p == 0
+        assert records.curve(0).p == 0
 
     def test_json_boolean_citations_rejected(self):
         doc = json.dumps({"authors": [{"id": "a", "citations": [True, 3, False]}]})
@@ -77,13 +78,12 @@ class TestIngest:
 class TestComputeTable:
     def test_staircase_fixture_column(self):
         table = compute_table(fixture_records(), ["w"])
-        assert table.get("X1", "w").level == 4
-        assert table.get("X2", "w").level == 3
+        assert table.levels[:, 0].tolist() == [4, 3]
 
     def test_count_and_calibrated_columns(self):
         table = compute_table(fixture_records(), ["pubs", "phi:1.62"])
-        assert table.get("X2", "pubs").level == 5
-        assert table.get("X1", "phi:1.62").level == 8.0
+        assert table.levels[1, 0] == 5
+        assert table.levels[0, 1] == 8.0
 
     def test_unknown_index_rejected(self):
         with pytest.raises(Exception):
@@ -93,19 +93,14 @@ class TestComputeTable:
         with pytest.raises(ValidationError):
             compute_table(fixture_records(), ["h", "h"])
 
-    def test_unknown_author_is_a_validation_error(self):
-        table = compute_table(fixture_records(), ["h"])
-        with pytest.raises(ValidationError, match="'X3'"):
-            table.get("X3", "h")
-
 
 class TestRanking:
     def test_competition_ranks_with_ties(self):
-        records = [
-            AuthorRecord("a", construct_curve([4, 4, 4, 4])),
-            AuthorRecord("b", construct_curve([3, 3, 3])),
-            AuthorRecord("c", construct_curve([4, 4, 4, 4])),
-        ]
+        records = Cohort.from_curves(
+            ["a", "b", "c"],
+            [construct_curve([4, 4, 4, 4]), construct_curve([3, 3, 3]),
+             construct_curve([4, 4, 4, 4])],
+        )
         ranking = rank_authors(compute_table(records, ["h"]), "h")
         assert [(r.id, r.value, r.rank) for r in ranking] == [
             ("a", 4.0, 1),
@@ -114,7 +109,7 @@ class TestRanking:
         ]
 
     def test_single_author(self):
-        records = [AuthorRecord("solo", construct_curve([2]))]
+        records = Cohort.from_curves(["solo"], [construct_curve([2])])
         ranking = rank_authors(compute_table(records, ["h"]), "h")
         assert ranking[0].rank == 1
 
@@ -127,11 +122,12 @@ class TestRanking:
         assert by_h != by_w
 
     def test_ranking_is_a_permutation(self, rng):
-        records = [
-            AuthorRecord(f"a{i}", random_curve(rng, max_p=15, max_c=50)) for i in range(40)
-        ]
+        records = Cohort.from_curves(
+            [f"a{i}" for i in range(40)],
+            [random_curve(rng, max_p=15, max_c=50) for i in range(40)],
+        )
         ranking = rank_authors(compute_table(records, ["h"]), "h")
-        assert sorted(r.id for r in ranking) == sorted(rec.id for rec in records)
+        assert sorted(r.id for r in ranking) == sorted(records.ids)
         assert all(1 <= r.rank <= 40 for r in ranking)
         for hi, lo in zip(ranking, ranking[1:]):
             assert hi.value >= lo.value
@@ -176,21 +172,17 @@ class TestMeritClasses:
         assert classes.assignment["a03"] == "class-2"
 
     def test_raising_citations_never_demotes(self, rng):
+        ids = [f"a{i}" for i in range(12)]
         for _ in range(30):
-            records = [
-                AuthorRecord(f"a{i}", random_curve(rng, min_p=1, max_p=10, max_c=30))
-                for i in range(12)
-            ]
-            table = compute_table(records, ["h"])
+            curves = [random_curve(rng, min_p=1, max_p=10, max_c=30) for i in range(12)]
+            table = compute_table(Cohort.from_curves(ids, curves), ["h"])
             ranking = rank_authors(table, "h")
             before = classify_merit(ranking, (0.25,)).assignment
-            target = records[3]
-            boosted = AuthorRecord(target.id, shift_citations(target.curve, 5))
-            records[3] = boosted
+            curves[3] = shift_citations(curves[3], 5)
             after = classify_merit(
-                rank_authors(compute_table(records, ["h"]), "h"), (0.25,)
+                rank_authors(compute_table(Cohort.from_curves(ids, curves), ["h"]), "h"), (0.25,)
             ).assignment
-            assert int(after[target.id][-1]) <= int(before[target.id][-1])
+            assert int(after["a3"][-1]) <= int(before["a3"][-1])
 
     def test_invalid_cutoffs(self):
         ranking = ranking_of({"a": 1, "b": 2})
@@ -209,38 +201,31 @@ class TestExport:
         assert lines[1] == "X1,3,4"
 
     def test_infinite_cell_renders_as_inf(self):
-        records = [AuthorRecord("t", shift_citations(construct_curve([5, 4]), 2))]
+        records = Cohort.from_curves(["t"], [shift_citations(construct_curve([5, 4]), 2)])
         table = compute_table(records, ["pubs"])
-        assert math.isinf(table.get("t", "pubs").level)
+        assert math.isinf(table.levels[0, 0])
         assert "t,inf" in export(table, "csv").decode()
         cell = json.loads(export(table, "json"))["authors"][0]["values"]["pubs"]
         assert cell == {"level": "inf", "attained": False}
 
-    def test_classification_json_echoes_cutoffs(self):
-        ranking = ranking_of({"a": 3, "b": 2, "c": 1})
-        classes = classify_merit(ranking, (0.4,))
-        doc = json.loads(export(classes, "json"))
-        assert doc["cutoffs"] == [0.4]
-        assert doc["assignment"] == classes.assignment
-
     def test_cohort_round_trip_both_formats(self, rng):
         for fmt in ("csv", "json"):
-            records = [
-                AuthorRecord(f"a{i}", random_curve(rng, max_p=12, max_c=900))
-                for i in range(15)
-            ]
+            records = Cohort.from_curves(
+                [f"a{i}" for i in range(15)],
+                [random_curve(rng, max_p=12, max_c=900) for i in range(15)],
+            )
             restored = ingest(export(records, fmt), fmt)
-            assert [r.id for r in restored] == [r.id for r in records]
-            assert [r.curve for r in restored] == [r.curve for r in records]
+            assert restored.ids == records.ids
+            assert [restored.curve(k) for k in range(15)] == [records.curve(k) for k in range(15)]
 
     def test_json_round_trip_keeps_annotations(self):
-        records = [AuthorRecord("a", construct_curve([2, 1]), {"area": "mf"})]
+        records = Cohort.from_curves(["a"], [construct_curve([2, 1])], [{"area": "mf"}])
         restored = ingest(export(records, "json"), "json")
-        assert restored[0].annotations == {"area": "mf"}
+        assert restored.annotations == ({"area": "mf"},)
 
     def test_table_round_trip(self, rng):
         """The stdlib decoders read back every cell exactly as formatted."""
-        records = []
+        curves = []
         for i in range(60):
             curve = random_curve(rng, max_p=12, max_c=100)
             kind = i % 4
@@ -250,7 +235,8 @@ class TestExport:
                 curve = construct_curve(rng.uniform(0.0, 9.0, size=int(rng.integers(1, 8))))
             elif kind == 3:
                 curve = construct_curve(rng.uniform(1e9, 1e12, size=int(rng.integers(1, 5))))
-            records.append(AuthorRecord(f"a{i}", curve))
+            curves.append(curve)
+        records = Cohort.from_curves([f"a{i}" for i in range(60)], curves)
         table = compute_table(records, ["c_max", "pubs", "h", "w", "h_r", "phi:1.62"])
         levels = table.levels
         finite = np.isfinite(levels)
@@ -278,17 +264,6 @@ class TestExport:
                 assert float(cell["level"]) == float(format_number(level))
                 assert cell["attained"] is bool(flag)
 
-    def test_ranking_round_trip(self):
-        ranking = ranking_of({"a": 4, "b": 3, "c": 4, "d": 2.5e9, "e": math.inf})
-        rows = list(csv.reader(io.StringIO(export(ranking, "csv").decode())))
-        assert rows[0] == ["author_id", "value", "rank"]
-        decoded = json.loads(export(ranking, "json"))["ranking"]
-        assert len(rows) - 1 == len(decoded) == len(ranking)
-        for row, entry, expected in zip(rows[1:], decoded, ranking):
-            assert row[0] == entry["id"] == expected.id
-            assert float(row[1]) == float(entry["value"]) == float(format_number(expected.value))
-            assert int(row[2]) == entry["rank"] == expected.rank
-
     def test_format_number_conventions(self):
         assert format_number(8.0) == "8"
         assert format_number(math.inf) == "inf"
@@ -311,15 +286,19 @@ def _varied_curve(rng, kind):
     return construct_curve(np.floor(5.0 * rng.pareto(1.2, size=size)))
 
 
-def _varied_records(rng, n, tails=False):
-    records = []
+def _varied_curves(rng, n, tails=False):
+    curves = []
     for k in range(n):
         shifted = tails and k % 5 == 0
         curve = _varied_curve(rng, int(rng.choice(6)))
         if shifted:
             curve = shift_citations(curve, float(rng.choice([0.5, 2.0, 7.0])))
-        records.append(AuthorRecord(f"a{k:03d}", curve))
-    return records
+        curves.append(curve)
+    return curves
+
+
+def _ids(n):
+    return [f"a{k:03d}" for k in range(n)]
 
 
 def _catalog_specs(rng):
@@ -332,37 +311,52 @@ class TestColumnarCohort:
     def test_batch_table_is_bit_equal_to_the_scalar_closed_forms(self):
         rng = np.random.default_rng(4101)
         for trial in range(25):
-            records = _varied_records(rng, 60, tails=trial % 2 == 1)
+            curves = _varied_curves(rng, 60, tails=trial % 2 == 1)
             specs = _catalog_specs(rng)
-            table = compute_table(records, specs)
+            table = compute_table(Cohort.from_curves(_ids(60), curves), specs)
             cohort = None
             if trial % 2 == 0:  # no tails: ingest the same values, unsorted
                 doc = {"authors": [
-                    {"id": r.id, "citations": rng.permutation(r.curve.as_list() + [0]).tolist()}
-                    for r in records
+                    {"id": author_id, "citations": rng.permutation(curve.as_list() + [0]).tolist()}
+                    for author_id, curve in zip(_ids(60), curves)
                 ]}
                 cohort = ingest(json.dumps(doc), "json")
-            for k, rec in enumerate(records):
+            for k, curve in enumerate(curves):
                 for col, spec in enumerate(specs):
-                    want = srm_closed_form(rec.curve, spec)
-                    assert table.levels[k, col] == want.level, (rec, spec)
-                    assert table.attained[k, col] == want.attained, (rec, spec)
+                    want = srm_closed_form(curve, spec)
+                    assert table.levels[k, col] == want.level, (curve, spec)
+                    assert table.attained[k, col] == want.attained, (curve, spec)
             if cohort is not None:
                 again = compute_table(cohort, specs)
                 assert np.array_equal(again.levels, table.levels)
                 assert np.array_equal(again.attained, table.attained)
 
-    def test_cohort_is_a_sequence_of_records(self):
-        records = _varied_records(np.random.default_rng(4102), 30, tails=True)
-        cohort = Cohort.from_records(records)
-        assert len(cohort) == 30
-        assert [r.id for r in cohort] == [r.id for r in records]
-        assert [r.curve for r in cohort] == [r.curve for r in records]
-        assert cohort[-1].curve == records[-1].curve
-        assert [r.id for r in cohort[2:5]] == [r.id for r in records[2:5]]
+    def test_from_curves_packs_ids_and_curves(self):
+        curves = _varied_curves(np.random.default_rng(4102), 30, tails=True)
+        ids = _ids(30)
+        cohort = Cohort.from_curves(ids, curves)
+        assert len(cohort) == 30 and cohort.ids == tuple(ids)
+        assert [cohort.curve(k) for k in range(30)] == curves
+        assert cohort.curve(-1) == curves[-1]
         with pytest.raises(IndexError):
-            cohort[30]
-        assert not cohort.values.flags.writeable and not cohort.offsets.flags.writeable
+            cohort.curve(30)
+        assert cohort.annotations == ({},) * 30
+        for arr in (cohort.values, cohort.offsets, cohort.tails):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("ids, annotations, message", [
+        (["a", "b"], [{"area": "mf"}], "1 annotation entries for 2 authors"),
+        (["a", ""], None, "author id must be nonempty"),
+        (["a", "b", "a"], None, "duplicate author id 'a'"),
+    ])
+    def test_constructor_checks_ids_and_annotations(self, ids, annotations, message):
+        curves = [construct_curve([3, 1])] * len(ids)
+        with pytest.raises(ValidationError) as err:
+            Cohort.from_curves(ids, curves, annotations)
+        assert str(err.value) == message
+        offsets = np.arange(len(ids) + 1)
+        with pytest.raises(ValidationError, match=message):
+            Cohort(ids, np.ones(len(ids)), offsets, annotations=annotations)
 
     def test_ingest_packs_sorted_positive_segments(self):
         cohort = ingest("author_id,citations\na,0;3;1;3\nb,\nc,0;0\nd,2\n", "csv")
@@ -376,14 +370,14 @@ class TestColumnarCohort:
 
     def test_long_records_span_several_blocks(self):
         rng = np.random.default_rng(4103)
-        records = [
-            AuthorRecord(f"r{k}", construct_curve(np.floor(5.0 * rng.pareto(1.2, size=size))))
-            for k, size in enumerate([70_000, 3, 0, 40_000, 40_000, 1])
-        ]
+        sizes = [70_000, 3, 0, 40_000, 40_000, 1]
+        curves = [construct_curve(np.floor(5.0 * rng.pareto(1.2, size=size))) for size in sizes]
+        records = Cohort.from_curves([f"r{k}" for k in range(len(sizes))], curves)
         table = compute_table(records, ["h", "w", "h_r", "phi:1.62"])
-        for k, rec in enumerate(records):
+        for k, curve in enumerate(curves):
             for col, spec in enumerate(table.indices):
-                assert table.get(rec.id, spec) == srm_closed_form(rec.curve, spec)
+                cell = SrmValue(table.levels[k, col], table.attained[k, col])
+                assert cell == srm_closed_form(curve, spec)
 
 
 class TestIngestPins:
@@ -397,7 +391,7 @@ class TestIngestPins:
         ("0;-0;4", [4.0]),
     ])
     def test_csv_accepted(self, cell, values):
-        assert ingest(f"author_id,citations\na,{cell}\n", "csv")[0].curve.as_list() == values
+        assert ingest(f"author_id,citations\na,{cell}\n", "csv").curve(0).as_list() == values
 
     @pytest.mark.parametrize("cell, message", [
         ("nan", "line 2: author 'a': citation at position 0 is nan; citations must be finite"),
@@ -412,8 +406,8 @@ class TestIngestPins:
 
     def test_json_accepted(self):
         doc = '{"authors": [{"id": 17, "citations": ["3", " 4 ", "1_000", 2.5, 0]}]}'
-        record = ingest(doc, "json")[0]
-        assert record.id == "17" and record.curve.as_list() == [1000.0, 4.0, 3.0, 2.5]
+        cohort = ingest(doc, "json")
+        assert cohort.ids == ("17",) and cohort.curve(0).as_list() == [1000.0, 4.0, 3.0, 2.5]
 
     @pytest.mark.parametrize("value, message", [
         ("true", "is True, not a number"),

@@ -7,7 +7,6 @@ from srmkit import (
     ALL_POSITIVE_RANKS,
     AUTHOR_SUPPORT_ONLY,
     CitationCurve,
-    IndexLevelSet,
     LevelRule,
     PerformanceFamily,
     SrmValue,
@@ -23,7 +22,7 @@ from srmkit import (
     staircase_family,
     support_bound,
 )
-from srmkit.curves import family_rank_values
+from srmkit.curves import REAL_LEVELS
 
 from conftest import random_curve
 
@@ -205,14 +204,6 @@ class TestEvaluateFamily:
                 x = float(rng.uniform(-2, 25))
                 assert evaluate_family(fam, q1, x) <= evaluate_family(fam, q2, x) + 1e-12
 
-    def test_rank_values_match_scalar_evaluation(self, rng):
-        for fam in (H, W, CMAX, PUBS, POW162):
-            for _ in range(20):
-                q = float(rng.uniform(0, 12))
-                vec = family_rank_values(fam, q, 15)
-                for i in range(1, 16):
-                    assert vec[i - 1] == pytest.approx(evaluate_family(fam, q, i), abs=1e-12)
-
     def test_support_bound(self):
         assert support_bound(H, 4) == 4
         assert support_bound(CMAX, 4) == 1
@@ -224,11 +215,15 @@ class TestEvaluateFamily:
 class TestFamilyValidation:
     def test_policy_follows_the_shape(self):
         assert power_family(1.5).policy == AUTHOR_SUPPORT_ONLY
-        assert PerformanceFamily("p", "power", IndexLevelSet("real"), beta=1.5).policy == (
+        assert PerformanceFamily("p", "power", REAL_LEVELS, beta=1.5).policy == (
             AUTHOR_SUPPORT_ONLY
         )
         for fam in (H, W, CMAX, PUBS):
             assert fam.policy == ALL_POSITIVE_RANKS
+
+    def test_level_set_is_integer_or_real(self):
+        with pytest.raises(ValidationError, match="level set"):
+            PerformanceFamily("p", "power", "rational", beta=1.5)
 
     def test_power_requires_positive_beta(self):
         with pytest.raises(ValidationError):

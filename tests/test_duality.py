@@ -22,7 +22,7 @@ from srmkit import (
     srm_generic,
     weak_duality_margin,
 )
-from srmkit.curves import AUTHOR_SUPPORT_ONLY, LevelRule, rectangle_family
+from srmkit.curves import AUTHOR_SUPPORT_ONLY, LevelRule, evaluate_family, rectangle_family
 from srmkit.duality import (
     BLOCK_CELLS,
     _h_plus_rows,
@@ -194,8 +194,6 @@ class TestGamma:
             assert gamma(z, q, fam, MU) == pytest.approx(expected, abs=1e-6)
 
     def test_rank_step_matches_direct_sum(self, rng):
-        from srmkit.curves import family_rank_values
-
         for label in SHAPES + ("phi:1.62",):
             fam = family_for(label)
             for _ in range(25):
@@ -209,7 +207,8 @@ class TestGamma:
                     for i in range(1, int(N) + 1)
                 ]
                 masses = np.diff([0.0] + cum)
-                direct = float(np.dot(masses, family_rank_values(fam, q, int(N))))
+                f_q = [evaluate_family(fam, q, i) for i in range(1, int(N) + 1)]
+                direct = float(np.dot(masses, f_q))
                 assert gamma(z, q, fam, MU, rank_step=True) == pytest.approx(direct, abs=1e-10)
 
 
@@ -297,17 +296,17 @@ class TestWeakDuality:
         for _ in range(300):
             curve = random_curve(rng, max_p=14, max_c=60)
             z = random_density(rng, MU)
-            assert weak_duality_margin(curve, fam, [z], MU) >= -1e-9
+            assert weak_duality_margin(curve, fam, z.rank_mass[None], MU) >= -1e-9
 
     def test_cmax_minimizer_margin_zero(self):
         z = constructed_minimizer("c_max", X, 0.0, MU)
-        assert weak_duality_margin(X, family_for("c_max"), [z], MU) == 0.0
+        assert weak_duality_margin(X, family_for("c_max"), z.rank_mass[None], MU) == 0.0
 
     def test_zero_curve_margin_nonnegative(self, rng):
         zero = construct_curve([])
         for label in SHAPES:
             z = random_density(rng, MU)
-            assert weak_duality_margin(zero, family_for(label), [z], MU) >= 0.0
+            assert weak_duality_margin(zero, family_for(label), z.rank_mass[None], MU) >= 0.0
 
     def test_rank_step_semantics_is_what_makes_it_hold(self):
         # The engine checks dominance at integer ranks, so the staircase
@@ -323,14 +322,14 @@ class TestWeakDuality:
         assert srm_generic(curve, fam).level == 3.0
         assert h_plus(z, t, fam, MU) == pytest.approx(2.5)  # below the index
         assert h_plus(z, t, fam, MU, rank_step=True) >= 3.0
-        assert weak_duality_margin(curve, fam, [z], MU) >= 0.0
+        assert weak_duality_margin(curve, fam, z.rank_mass[None], MU) >= 0.0
 
     def test_support_restricted_margins_for_power(self, rng):
         fam = family_for("phi:1.62")
         for _ in range(200):
             curve = random_curve(rng, min_p=1, max_p=14, max_c=60)
             z = random_density(rng, MU, cells=curve.p)
-            assert weak_duality_margin(curve, fam, [z], MU) >= -1e-9
+            assert weak_duality_margin(curve, fam, z.rank_mass[None], MU) >= -1e-9
 
     def test_margin_is_min_over_densities_of_per_density_margins(self, rng):
         shapes = ("c_max", "pubs", "h", "h2", "h_alpha:2", "w", "h_r", "phi:0.8", "phi:1.62")
@@ -347,16 +346,17 @@ class TestWeakDuality:
                          for z in zs)
                 phi = srm_generic(curve, fam).level
                 want = 0.0 if math.isinf(hp) and math.isinf(phi) else hp - phi
-                assert weak_duality_margin(curve, fam, zs, MU) == want
+                masses = np.array([z.rank_mass for z in zs])
+                assert weak_duality_margin(curve, fam, masses, MU) == want
 
     def test_margin_needs_a_density(self):
         with pytest.raises(ValidationError):
-            weak_duality_margin(X, family_for("h"), [], MU)
+            weak_duality_margin(X, family_for("h"), np.empty((0, int(N))), MU)
 
     def test_both_sides_infinite_count_as_zero(self):
         shifted = construct_curve([8, 6], tail=2)
         z = DualDensity.indicator(0, 1, N)
-        assert weak_duality_margin(shifted, family_for("pubs"), [z], MU) == 0.0
+        assert weak_duality_margin(shifted, family_for("pubs"), z.rank_mass[None], MU) == 0.0
 
 
 class TestConstructedMinimizers:
@@ -409,6 +409,16 @@ class TestRobustDual:
     def test_non_monotone_column_rejected(self):
         with pytest.raises(ValidationError, match="nondecreasing"):
             GammaTable((1.0, 2.0), {"bad": (1.0, 0.5)})
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_negative_or_nan_gamma_rejected(self, value):
+        with pytest.raises(ValidationError, match=r">= 0 \(or \+inf\)"):
+            GammaTable((1.0, 2.0), {"bad": (value, 3.0)})
+
+    def test_columns_are_read_only_arrays(self):
+        table = GammaTable((1.0, 2.0), {"a": (0.5, math.inf)})
+        for arr in (table.betas, table.columns["a"]):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
 
     @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
     def test_nonfinite_beta_rejected(self, beta):
@@ -519,8 +529,9 @@ class TestBatchDualLayer:
             zs = [DualDensity.from_weights(w, N) for w in weights]
             rows = [weak_duality_margin(curve, fam, masses[r:r + 1], MU) for r in range(25)]
             got = weak_duality_margin(curve, fam, masses, MU)
-            assert got == min(rows) == weak_duality_margin(curve, fam, zs, MU)
-            assert rows == [weak_duality_margin(curve, fam, [z], MU) for z in zs]
+            stacked = np.array([z.rank_mass for z in zs])
+            assert got == min(rows) == weak_duality_margin(curve, fam, stacked, MU)
+            assert rows == [weak_duality_margin(curve, fam, z.rank_mass[None], MU) for z in zs]
 
     def test_matrix_must_match_the_measure(self):
         masses = random_simplex_candidates(MU, 3, seed=1)

@@ -7,7 +7,6 @@ import pytest
 
 from srmkit import (
     CitationCurve,
-    IndexLevelSet,
     LevelRule,
     SrmValue,
     UnknownIndexError,
@@ -208,7 +207,7 @@ class TestLevelCeiling:
     def test_square_width_ceiling_bounds_real_levels(self):
         # width 10 q^2 reaches rank 2, which holds 0, at q = sqrt(0.2)
         fam = rectangle_family("sq", LevelRule("const", 1.0), LevelRule("square", 10.0),
-                               levels=IndexLevelSet("real"))
+                               levels="real")
         out = srm_generic(construct_curve([5]), fam)
         assert out.level == pytest.approx(math.sqrt(0.2), abs=1e-12)
 

@@ -70,3 +70,28 @@ def test_every_export_has_a_caller():
     acceptance = Path(__file__).with_name("test_acceptance.py")
     used |= _called_names(ast.parse(acceptance.read_text()))
     assert sorted(exported - used - set(ORACLES)) == []
+
+
+def test_no_unused_imports():
+    """Every name a module imports is read somewhere in that module."""
+    package = Path(srmkit.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in loaded]
+    assert unused == []
