@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cohort import Cohort, json_bytes
+from .cohort import Cohort, json_rows, json_texts
 from .curves import CitationCurve, SrmValue, checked_number
 from .engine import IndexSpec, segment_blocks, segment_counts, segment_ranks, srm_closed_form
 from .errors import InsufficientDataError, UnsupportedOperationError, ValidationError, reading
@@ -52,16 +52,6 @@ class CalibrationFit:
         if not (0.0 <= self.r2 <= 1.0):
             raise ValidationError(f"r2 must lie in [0, 1], got {self.r2!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "author_id": self.author_id,
-            "beta_hat": self.beta_hat,
-            "q_hat": self.q_hat,
-            "r2": self.r2,
-            "n_points": self.n_points,
-            "n_excluded": self.n_excluded,
-        }
-
 
 @dataclass(frozen=True)
 class CohortProfile:
@@ -76,13 +66,17 @@ class CohortProfile:
         return len(self.fits)
 
     def to_json(self) -> bytes:
-        return json_bytes({
+        fields = {
             "version": PROFILE_VERSION,
             "beta_bar": self.beta_bar,
             "cohort_size": self.cohort_size,
-            "fits": [f.to_dict() for f in self.fits],
             "metadata": self.metadata,
-        })
+        }
+        row = {
+            name: json_texts([getattr(f, name) for f in self.fits])
+            for name in ("author_id", "beta_hat", "q_hat", "r2", "n_points", "n_excluded")
+        }
+        return json_rows(fields, "fits", row)
 
     @classmethod
     @reading("profile")

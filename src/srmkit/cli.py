@@ -17,6 +17,8 @@ import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from . import cohort as co
 from . import duality as du
 from .calibration import CohortProfile, calibrate_cohort
@@ -225,7 +227,8 @@ def _emit(cfg: RunConfig, data: bytes) -> None:
     if cfg.output:
         _write_atomic(cfg.output, data)
     else:
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.flush()  # anything printed before goes first
+        sys.stdout.buffer.write(data)
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -271,10 +274,14 @@ def _cmd_rank(cfg: RunConfig) -> int:
     table = co.compute_table(_load_cohort(cfg), [spec])
     ranking = co.rank_authors(table, spec)
     classes = co.classify_merit(ranking, cutoffs)
-    rows = [(e.id, e.value, e.rank, classes.assignment[e.id]) for e in ranking]
+    ids = [e.id for e in ranking]
+    columns = {
+        "value": np.array([e.value for e in ranking]),
+        "rank": [e.rank for e in ranking],
+        "merit_class": [classes.assignment[a] for a in ids],
+    }
     fields = {"index": spec.label, "cutoffs": list(classes.cutoffs)}
-    _emit(cfg, co.write_rows(_resolve_format(cfg), ["value", "rank", "merit_class"], rows,
-                             "ranking", fields, id_key="id"))
+    _emit(cfg, co.write_rows(_resolve_format(cfg), ids, columns, "ranking", fields, id_key="id"))
     return 0
 
 
@@ -300,27 +307,30 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
         gap_cols = [0.0]  # the c_max minimizer does not depend on delta
     elif spec.name in ("pubs", "h"):
         gap_cols = deltas
-    columns = ["value", "n_densities", "min_margin"]
-    if spec.name == "c_max":
-        columns.append("gap")
-    else:
-        columns.extend(f"gap_{d:g}" for d in gap_cols)
-    rows = []  # margin is None without densities
-    values = co.compute_table(cohort, [spec]).levels[:, 0].tolist()
-    for i, (author_id, value) in enumerate(zip(cohort.ids, values)):
+    values = co.compute_table(cohort, [spec]).levels[:, 0]
+    margins = []  # a margin is None without densities
+    gaps = np.empty((len(gap_cols), len(cohort)))
+    for i, value in enumerate(values.tolist()):
         curve = cohort.curve(i)
         restrict = curve.p if family.policy == AUTHOR_SUPPORT_ONLY and curve.p >= 1 else None
         margin = None
         for masses in du.density_blocks(measure, cfg.samples, cfg.seed * 100003 + i, restrict):
             m = du.weak_duality_margin(curve, family, masses, measure)
             margin = m if margin is None else min(margin, m)
-        gaps = []
-        for d in gap_cols:
+        margins.append(margin)
+        for j, d in enumerate(gap_cols):
             z_star = du.constructed_minimizer(spec.name, curve, d, measure)
-            bound = du.dual_value(curve, family, [z_star], measure)
-            gaps.append(bound - value)
-        rows.append((author_id, value, cfg.samples, margin, *gaps))
-    _emit(cfg, co.write_rows(_resolve_format(cfg), columns, rows, "authors",
+            gaps[j, i] = du.dual_value(curve, family, [z_star], measure) - value
+    columns = {
+        "value": values,
+        "n_densities": [cfg.samples] * len(cohort),
+        "min_margin": np.array(margins) if cfg.samples else margins,
+    }
+    if spec.name == "c_max":
+        columns["gap"] = gaps[0]
+    else:
+        columns.update((f"gap_{d:g}", col) for d, col in zip(gap_cols, gaps))
+    _emit(cfg, co.write_rows(_resolve_format(cfg), cohort.ids, columns, "authors",
                              {"index": spec.label}))
     return 0
 

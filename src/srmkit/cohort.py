@@ -17,8 +17,9 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,8 +59,9 @@ class Cohort:
     :class:`CitationCurve`, every one above the tail and sorted
     nonincreasing.  ``values`` (float64) and ``offsets`` (int64, from 0
     to ``values.size``) are taken over, not copied, and made read-only.
-    Ids are nonempty and unique, and there is one annotation dict per
-    author.  Build one with :func:`ingest` or :meth:`from_curves`.
+    Ids are nonempty, unique and encodable as UTF-8, and there is one
+    annotation dict per author.  Build one with :func:`ingest` or
+    :meth:`from_curves`.
     """
 
     __slots__ = ("ids", "values", "offsets", "tails", "annotations")
@@ -96,6 +98,16 @@ class Cohort:
             if author_id in seen:
                 raise ValidationError(f"duplicate author id {author_id!r}")
             seen.add(author_id)
+        try:  # every output is UTF-8; look for the bad id only on failure
+            "".join(ids).encode("utf-8")
+        except UnicodeEncodeError:
+            for author_id in ids:
+                try:
+                    author_id.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValidationError(
+                        f"author id {author_id!r} cannot be written as UTF-8"
+                    ) from None
         for arr in (values, offsets, tails):
             arr.setflags(write=False)
         self.ids = ids
@@ -448,42 +460,103 @@ def json_bytes(doc) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _csv_cell(x):
-    # the csv module writes None as an empty cell and anything else with str
-    return format_number(x) if isinstance(x, float) else x
+def json_texts(values: Sequence[object]) -> List[str]:
+    """The JSON text of each value (str, number, bool or None), as
+    :func:`json_bytes` writes it.
+    """
+    values = list(values)
+    if any(isinstance(v, str) for v in values):
+        return list(map(json.dumps, values))
+    # one call of the C encoder; no number, bool or null text holds ", "
+    return json.dumps(values)[1:-1].split(", ") if values else []
 
 
-def _json_cell(x):
-    return _json_number(x) if isinstance(x, float) else x
+def _cells(column: Sequence[object], fmt: str) -> Sequence[object]:
+    """The cells of one output column.
+
+    A float array is written by :func:`format_number` (CSV) or
+    :func:`_json_number` (JSON).  When all its values are finite whole
+    numbers below 1e9, none of them -0.0, that text is the decimal form
+    of their int64 values, so they skip the float formatting.  Any other
+    column is written as it is.
+    """
+    if not (isinstance(column, np.ndarray) and column.dtype.kind == "f"):
+        return column if fmt == CSV_FORMAT else json_texts(column)
+    whole = (np.abs(column) < 1e9) & (column == np.trunc(column))
+    if np.all(whole & ~((column == 0) & np.signbit(column))):
+        texts = list(map(str, column.astype(np.int64).tolist()))
+        return texts if fmt == CSV_FORMAT else [t + ".0" for t in texts]
+    if fmt == CSV_FORMAT:
+        return list(map(format_number, column.tolist()))
+    return json_texts(list(map(_json_number, column.tolist())))
+
+
+_MARK = re.compile(r'"\\u0000(\d+)"')  # json_bytes' text of the string "\0<j>"
+
+
+def json_rows(fields: Dict[str, object], key: str, row: Dict[str, object]) -> bytes:
+    """``json_bytes({**fields, key: rows})`` from the rows' columns.
+
+    ``row`` is shaped like one row object, but each leaf holds the JSON
+    texts of that leaf in every row, one list per leaf, all of the same
+    length.  The layout is json_bytes' own: it encodes a two-row
+    document whose leaves are marks, the strings "\\0<j>", and is split
+    at the marks, which gives the text before the first row, between two
+    leaves, between two rows and after the last row.  So no key of
+    ``row``, and no string of a field that sorts before ``key``, may be
+    such a mark.
+    """
+    columns: List[List[str]] = []
+
+    def mark(node):
+        if isinstance(node, dict):
+            return {k: mark(v) for k, v in node.items()}
+        columns.append(node)
+        return f"\0{len(columns) - 1}"
+
+    marked = mark(row)
+    if not len(columns[0]):
+        return json_bytes({**fields, key: []})
+    leaves = len(columns)
+    parts = _MARK.split(json_bytes({**fields, key: [marked, marked]}).decode("utf-8"),
+                        maxsplit=2 * leaves)
+    # head, j_1, s_1, ..., j_m, between rows, j_1, s_1, ..., j_m, tail
+    head, between, tail = parts[0], parts[2 * leaves], parts[-1]
+    order = [columns[int(j)] for j in parts[1:2 * leaves:2]]
+    template = "%s".join(s.replace("%", "%%") for s in ["", *parts[2:2 * leaves - 1:2], ""])
+    body = between.join([template % cells for cells in zip(*order)])
+    return (head + body + tail).encode("utf-8")
 
 
 def write_rows(
     fmt: str,
-    columns: Sequence[str],
-    rows: Iterable[Sequence[object]],
+    ids: Sequence[str],
+    columns: Dict[str, Sequence[object]],
     key: str,
     fields: Optional[Dict[str, object]] = None,
     id_key: str = "author_id",
 ) -> bytes:
-    """Encode one row per author, the author's id first, then ``columns``.
+    """Encode one row per author: the author's id, then ``columns``.
 
-    CSV is a header (``author_id`` and ``columns``) plus the rows: a
-    ``str`` cell passes through unchanged, ``None`` becomes an empty
-    cell, an ``int`` is written with ``str`` and a float with
-    :func:`format_number`.  JSON is ``{**fields, key: [...]}`` with one
-    object per row, the id under ``id_key`` and floats rendered as in
-    CSV; ``fields`` are written as given.
+    A column is a float array, whose values are written by
+    :func:`format_number` (CSV) or :func:`_json_number` (JSON), or a
+    sequence of ``str``, ``int`` or ``None`` cells, written as they are
+    (``None`` is an empty CSV cell and a JSON ``null``); each column is
+    rendered once, by :func:`_cells`.  CSV is a header (``author_id``
+    and the column names) plus the rows.  JSON is ``{**fields, key:
+    [...]}`` with one object per row and the id under ``id_key``;
+    ``fields`` are written as given.
     """
     _check_format(fmt)
+    cells = [_cells(col, fmt) for col in columns.values()]
     if fmt == CSV_FORMAT:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["author_id", *columns])
-        writer.writerows([_csv_cell(x) for x in row] for row in rows)
+        writer.writerows(zip(ids, *cells))
         return buf.getvalue().encode("utf-8")
-    names = (id_key, *columns)
-    objects = [dict(zip(names, map(_json_cell, row))) for row in rows]
-    return json_bytes({**(fields or {}), key: objects})
+    row = {id_key: json_texts(ids), **dict(zip(columns, cells))}
+    return json_rows(fields or {}, key, row)
 
 
 def _export_cohort(cohort: Cohort, fmt: str) -> bytes:
@@ -491,11 +564,8 @@ def _export_cohort(cohort: Cohort, fmt: str) -> bytes:
     bounds = cohort.offsets.tolist()
     citations = [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     if fmt == CSV_FORMAT:
-        rows = [
-            (author_id, ";".join(map(format_number, cites)))
-            for author_id, cites in zip(cohort.ids, citations)
-        ]
-        return write_rows(fmt, ["citations"], rows, "authors")
+        cells = [";".join(map(format_number, cites)) for cites in citations]
+        return write_rows(fmt, cohort.ids, {"citations": cells}, "authors")
     authors = []
     for author_id, cites, notes in zip(cohort.ids, citations, cohort.annotations):
         entry: Dict[str, object] = {
@@ -509,22 +579,15 @@ def _export_cohort(cohort: Cohort, fmt: str) -> bytes:
 
 
 def _export_table(table: IndexTable, fmt: str) -> bytes:
-    rows = zip(table.authors, table.levels.tolist(), table.attained.tolist())
+    columns = {ix: table.levels[:, j] for j, ix in enumerate(table.indices)}
     if fmt == CSV_FORMAT:
-        return write_rows(
-            fmt, table.indices, [(author, *levels) for author, levels, _ in rows], "authors"
-        )
-    authors = [
-        {
-            "id": author,
-            "values": {
-                ix: {"level": _json_number(level), "attained": flag}
-                for ix, level, flag in zip(table.indices, levels, flags)
-            },
-        }
-        for author, levels, flags in rows
-    ]
-    return json_bytes({"indices": list(table.indices), "authors": authors})
+        return write_rows(fmt, table.authors, columns, "authors")
+    values = {
+        ix: {"level": _cells(col, fmt), "attained": json_texts(table.attained[:, j].tolist())}
+        for j, (ix, col) in enumerate(columns.items())
+    }
+    row = {"id": json_texts(table.authors), "values": values}
+    return json_rows({"indices": list(table.indices)}, "authors", row)
 
 
 def export(obj: Union[Cohort, IndexTable], fmt: str) -> bytes:

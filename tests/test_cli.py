@@ -2,11 +2,15 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
 import pytest
 
+import srmkit
 from srmkit import CohortProfile
 from srmkit.cli import run
 
@@ -243,6 +247,21 @@ class TestOutputFiles:
         finally:
             os.umask(old)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_gets_the_output_file_bytes_under_an_ascii_locale(self, tmp_path, fmt):
+        path = tmp_path / "cohort.csv"
+        path.write_text("author_id,citations\ncafé,3;2;1\n", encoding="utf-8")
+        src = str(Path(srmkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONIOENCODING": "ascii",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "srmkit.cli", "compute", "--input", str(path),
+                "--indices", "h", "--format", fmt]
+        shown = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        assert shown.returncode == 0, shown.stderr
+        out = tmp_path / "table"
+        subprocess.run(argv + ["--output", str(out)], env=env, timeout=60, check=True)
+        assert shown.stdout == out.read_bytes()
+
     def test_boolean_citation_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "cohort.json"
         path.write_text(json.dumps({"authors": [{"id": "a", "citations": [True, 3, False]}]}))
@@ -378,6 +397,23 @@ class TestIngestErrorsAtTheCommandLine:
         path.write_bytes(data)
         assert run(["compute", "--input", str(path), "--indices", "h"]) == 1
         assert "srm: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--indices", "h", "--format", "csv"],
+        ["compute", "--indices", "h", "--format", "json"],
+        ["rank", "--index", "h", "--output", "r.csv"],
+        ["calibrate", "--profile", "p.json"],
+        ["dual-check", "--index", "h", "--seed", "1"],
+    ], ids=" ".join)
+    def test_id_that_utf8_cannot_encode_is_data_error(self, tmp_path, argv, capsys):
+        path = tmp_path / "cohort.json"
+        path.write_text('{"authors": [{"id": "\\ud800x", "citations": [3, 2, 1]}]}')
+        argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
+        assert run([argv[0], "--input", str(path), *argv[1:]]) == 1
+        assert capsys.readouterr().err == (
+            "srm: error: author id '\\ud800x' cannot be written as UTF-8\n"
+        )
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_long_csv_record_is_accepted(self, tmp_path, capsys):
         path = tmp_path / "long.csv"
@@ -593,12 +629,79 @@ X2,2,3,1.21098828,0.732050808,0.095445115,0.00995049384
   "index": "h"
 }
 """,
+    ("calibrate", "fitted"): """\
+{
+  "beta_bar": 0.667505419900654,
+  "cohort_size": 2,
+  "fits": [
+    {
+      "author_id": "X1",
+      "beta_hat": 0.9241833528564696,
+      "n_excluded": 0,
+      "n_points": 4,
+      "q_hat": 9.225180436700724,
+      "r2": 0.8541148696970258
+    },
+    {
+      "author_id": "X2",
+      "beta_hat": 0.41082748694483845,
+      "n_excluded": 0,
+      "n_points": 5,
+      "q_hat": 3.4046537882188224,
+      "r2": 0.7093851264991965
+    }
+  ],
+  "metadata": {},
+  "version": 1
+}
+""",
+    ("calibrate", "skipped"): """\
+{
+  "beta_bar": 0.667505419900654,
+  "cohort_size": 2,
+  "fits": [
+    {
+      "author_id": "X1",
+      "beta_hat": 0.9241833528564696,
+      "n_excluded": 0,
+      "n_points": 4,
+      "q_hat": 9.225180436700724,
+      "r2": 0.8541148696970258
+    },
+    {
+      "author_id": "X2",
+      "beta_hat": 0.41082748694483845,
+      "n_excluded": 0,
+      "n_points": 5,
+      "q_hat": 3.4046537882188224,
+      "r2": 0.7093851264991965
+    }
+  ],
+  "metadata": {
+    "skipped": [
+      "X3"
+    ]
+  },
+  "version": 1
+}
+""",
 }
 
 
-@pytest.mark.parametrize("command, fmt", sorted(_GOLDEN), ids="-".join)
+@pytest.mark.parametrize("command, fmt", sorted(k for k in _GOLDEN if k[0] != "calibrate"),
+                         ids="-".join)
 def test_output_bytes_are_pinned(cohort_csv, capsys, command, fmt):
     """Layout, key order, indentation and number rendering of each output."""
     assert run([command, "--input", str(cohort_csv), *_GOLDEN_ARGS[command],
                 "--format", fmt]) == 0
     assert capsys.readouterr().out == _GOLDEN[command, fmt]
+
+
+@pytest.mark.parametrize("case, extra", [("fitted", ""), ("skipped", "X3,5;0\n")])
+def test_profile_bytes_are_pinned(tmp_path, case, extra):
+    """Full-precision floats, and the metadata with and without skipped authors."""
+    path = tmp_path / "cohort.csv"
+    path.write_text(CSV_FIXTURE + extra)
+    profile = tmp_path / "profile.json"
+    assert run(["calibrate", "--input", str(path), "--profile", str(profile)]) == 0
+    assert profile.read_text() == _GOLDEN["calibrate", case]

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from srmkit import (
+    CalibrationFit,
     Cohort,
+    CohortProfile,
+    IndexTable,
     ValidationError,
     classify_merit,
     compute_table,
@@ -18,7 +21,8 @@ from srmkit import (
     shift_citations,
     srm_closed_form,
 )
-from srmkit.cohort import RankedAuthor, format_number
+from srmkit.calibration import PROFILE_VERSION
+from srmkit.cohort import RankedAuthor, _json_number, format_number, write_rows
 from srmkit.curves import SrmValue
 
 from conftest import random_curve
@@ -358,6 +362,14 @@ class TestColumnarCohort:
         with pytest.raises(ValidationError, match=message):
             Cohort(ids, np.ones(len(ids)), offsets, annotations=annotations)
 
+    def test_id_that_utf8_cannot_encode_is_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            Cohort.from_curves(["ok", "\ud800x"], [construct_curve([3, 1])] * 2)
+        assert str(err.value) == "author id '\\ud800x' cannot be written as UTF-8"
+        doc = '{"authors": [{"id": "\\ud800x", "citations": [3, 2, 1]}]}'
+        with pytest.raises(ValidationError, match="cannot be written as UTF-8"):
+            ingest(doc, "json")
+
     def test_ingest_packs_sorted_positive_segments(self):
         cohort = ingest("author_id,citations\na,0;3;1;3\nb,\nc,0;0\nd,2\n", "csv")
         assert cohort.values.tolist() == [3.0, 3.0, 1.0, 2.0]
@@ -487,3 +499,139 @@ class TestIngestRobustness:
     def test_integer_beyond_the_digit_limit_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="not valid JSON"):
             ingest('{"authors": [{"id": "a", "citations": [%s]}]}' % ("9" * 5000), "json")
+
+
+# The encoding of every row-shaped output before it was built from columns:
+# one dict or tuple per row, floats through format_number or _json_number,
+# then json.dumps or csv.writer.  The column encoder must give the same bytes.
+
+def _old_json(doc):
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _old_rows(fmt, names, rows, key, fields=None, id_key="author_id"):
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["author_id", *names])
+        writer.writerows([format_number(x) if isinstance(x, float) else x for x in row]
+                         for row in rows)
+        return buf.getvalue().encode("utf-8")
+    objects = [
+        dict(zip((id_key, *names), [_json_number(x) if isinstance(x, float) else x for x in row]))
+        for row in rows
+    ]
+    return _old_json({**(fields or {}), key: objects})
+
+
+def _old_table(table, fmt):
+    rows = list(zip(table.authors, table.levels.tolist(), table.attained.tolist()))
+    if fmt == "csv":
+        return _old_rows(fmt, table.indices, [(a, *levels) for a, levels, _ in rows], "authors")
+    authors = [
+        {"id": a, "values": {ix: {"level": _json_number(level), "attained": flag}
+                             for ix, level, flag in zip(table.indices, levels, flags)}}
+        for a, levels, flags in rows
+    ]
+    return _old_json({"indices": list(table.indices), "authors": authors})
+
+
+def _old_profile(profile):
+    fits = [
+        {"author_id": f.author_id, "beta_hat": f.beta_hat, "q_hat": f.q_hat, "r2": f.r2,
+         "n_points": f.n_points, "n_excluded": f.n_excluded}
+        for f in profile.fits
+    ]
+    return _old_json({"version": PROFILE_VERSION, "beta_bar": profile.beta_bar,
+                      "cohort_size": profile.cohort_size, "fits": fits,
+                      "metadata": profile.metadata})
+
+
+_ODD_VALUES = [0.0, -0.0, 999999999.0, 1e9, 1234567891.0, 1e16, 5e-324, 1e308, math.inf,
+               0.1 + 0.2, -3.0, -math.inf, 2.5]
+_ODD_IDS = ["a,b", "a, b", 'say "hi", "yo"', "two\nlines", "cr\r", "café", "日本", " pad ",
+            "back\\slash", "%s", "\0", "plain"]  # "\0<k>" is a mark of json_rows
+_LABELS = ["h", "w", "h_alpha:2", "phi:1.62", "c_max", "h_r", "pubs", "h2", "phi:0.3"]
+_GAPS = ["gap_1", "gap_0.1", "gap_0.01", "gap_10"]
+
+
+def _odd_ids(rng, n):
+    return [f"{_ODD_IDS[int(rng.integers(len(_ODD_IDS)))]}{k}" for k in range(n)]
+
+
+def _float_column(rng, n):
+    """Whole numbers below 1e9, odd values, or both with random floats."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return rng.integers(0, 1_000_000_000, size=n).astype(float)
+    odd = np.array(_ODD_VALUES)[rng.integers(len(_ODD_VALUES), size=n)]
+    if kind == 1:
+        return odd
+    if kind == 2:  # whole and small, with one odd value at a random row
+        column = rng.integers(-5, 50, size=n).astype(float)
+        if n:
+            column[int(rng.integers(n))] = odd[0]
+        return column
+    return np.where(rng.random(n) < 0.5, odd, rng.uniform(-1e3, 1e3, size=n))
+
+
+def _sizes(rng):
+    return [0, 1, 2, *rng.integers(3, 40, size=12).tolist()]
+
+
+class TestColumnEncoder:
+    """Every row-shaped output is byte-equal to the old row-by-row encoding."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_export(self, fmt):
+        rng = np.random.default_rng(5101)
+        for n in _sizes(rng):
+            labels = rng.permutation(_LABELS)[:int(rng.integers(1, len(_LABELS) + 1))].tolist()
+            table = IndexTable(
+                authors=tuple(_odd_ids(rng, n)),
+                indices=tuple(labels),
+                levels=np.column_stack([_float_column(rng, n) for _ in labels]),
+                attained=rng.random((n, len(labels))) < 0.7,
+            )
+            assert export(table, fmt) == _old_table(table, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_write_rows(self, fmt):
+        rng = np.random.default_rng(5102)
+        for n in _sizes(rng):
+            ids = _odd_ids(rng, n)
+            columns = {
+                "value": _float_column(rng, n),
+                "rank": rng.integers(1, 10**12, size=n).tolist(),
+                "merit_class": _odd_ids(rng, n),
+                "min_margin": _float_column(rng, n) if rng.integers(2) else [None] * n,
+            }
+            columns.update((gap, _float_column(rng, n)) for gap in _GAPS[:int(rng.integers(5))])
+            fields = {"index": str(rng.choice(_LABELS)), "cutoffs": [0.1, 0.3]}
+            id_key = str(rng.choice(["id", "author_id"]))
+            rows = list(zip(ids, *(
+                c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()
+            )))
+            want = _old_rows(fmt, list(columns), rows, "ranking", fields, id_key)
+            assert write_rows(fmt, ids, columns, "ranking", fields, id_key) == want
+
+    def test_profile_to_json(self):
+        rng = np.random.default_rng(5103)
+
+        def real():
+            if rng.integers(3):
+                return float(rng.normal(0.0, 10.0 ** int(rng.integers(-3, 4))))
+            return float(np.array(_ODD_VALUES)[rng.integers(len(_ODD_VALUES))])
+
+        for n in _sizes(rng):
+            fits = tuple(
+                CalibrationFit(author_id=author_id, beta_hat=real(), q_hat=real(),
+                               r2=float(rng.choice([0.0, 1.0, rng.random(), 0.1 + 0.2])),
+                               n_points=int(rng.integers(2, 10**6)),
+                               n_excluded=int(rng.integers(0, 3)))
+                for author_id in _odd_ids(rng, n)
+            )
+            skipped = {"skipped": _odd_ids(rng, int(rng.integers(1, 4)))}
+            profile = CohortProfile(beta_bar=real(), fits=fits,
+                                    metadata=skipped if rng.integers(2) else {})
+            assert profile.to_json() == _old_profile(profile)
