@@ -9,9 +9,7 @@ a dual evaluation through journal-weight densities, and a batch CLI.
 
 from .calibration import (
     MATH_FINANCE_SENIOR_BETA,
-    CalibrationFit,
     CohortProfile,
-    aggregate_beta,
     calibrate_cohort,
     fit_author,
     phi_index,
@@ -19,8 +17,6 @@ from .calibration import (
 from .cohort import (
     Cohort,
     IndexTable,
-    MeritClassification,
-    RankedAuthor,
     classify_merit,
     compute_table,
     export,

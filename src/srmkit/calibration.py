@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import compress
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +33,8 @@ PROFILE_VERSION = 1
 
 @dataclass(frozen=True)
 class CalibrationFit:
-    """Per-author log-log least-squares fit of x_i = q / i**b.
+    """One author's log-log least-squares fit of x_i = q / i**b, as
+    :func:`fit_author` returns it.
 
     ``n_points`` counts the publications used (those with at least one
     citation); ``n_excluded`` flags how many fell below 1 citation and
@@ -46,24 +48,38 @@ class CalibrationFit:
     n_points: int
     n_excluded: int = 0
 
-    def __post_init__(self):
-        if self.n_points < 2:
-            raise ValidationError("a fit needs at least 2 points")
-        if not (0.0 <= self.r2 <= 1.0):
-            raise ValidationError(f"r2 must lie in [0, 1], got {self.r2!r}")
+
+#: The fit columns of a profile after ``author_id``, and their dtypes.
+_FIT_COLUMNS = {"beta_hat": float, "q_hat": float, "r2": float, "n_points": np.int64,
+                "n_excluded": np.int64}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CohortProfile:
-    """Calibration output: the cohort exponent and its per-author fits."""
+    """Calibration output: the cohort exponent and its per-author fits.
+
+    The fits are columns: row k is the fit of author ``author_id[k]``,
+    with the fields of a :class:`CalibrationFit` in the read-only arrays
+    ``beta_hat``, ``q_hat``, ``r2`` (float64), ``n_points`` and
+    ``n_excluded`` (int64).  The arrays are taken over, not copied.
+    """
 
     beta_bar: float
-    fits: Tuple[CalibrationFit, ...]
+    author_id: Tuple[str, ...]
+    beta_hat: np.ndarray
+    q_hat: np.ndarray
+    r2: np.ndarray
+    n_points: np.ndarray
+    n_excluded: np.ndarray
     metadata: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in _FIT_COLUMNS:
+            getattr(self, name).setflags(write=False)
 
     @property
     def cohort_size(self) -> int:
-        return len(self.fits)
+        return len(self.author_id)
 
     def to_json(self) -> bytes:
         fields = {
@@ -72,10 +88,8 @@ class CohortProfile:
             "cohort_size": self.cohort_size,
             "metadata": self.metadata,
         }
-        row = {
-            name: json_texts([getattr(f, name) for f in self.fits])
-            for name in ("author_id", "beta_hat", "q_hat", "r2", "n_points", "n_excluded")
-        }
+        row = {name: json_texts(getattr(self, name).tolist()) for name in _FIT_COLUMNS}
+        row["author_id"] = json_texts(self.author_id)
         return json_rows(fields, "fits", row)
 
     @classmethod
@@ -87,28 +101,29 @@ class CohortProfile:
             raise ValidationError(f"profile is not valid JSON: {exc}") from None
         if not isinstance(doc, dict) or doc.get("version") != PROFILE_VERSION:
             raise ValidationError(f"expected a profile document with version {PROFILE_VERSION}")
-        fits = tuple(
-            CalibrationFit(
-                author_id=str(f["author_id"]),
-                beta_hat=float(f["beta_hat"]),
-                q_hat=float(f["q_hat"]),
-                r2=float(f["r2"]),
-                n_points=int(f["n_points"]),
-                n_excluded=int(f.get("n_excluded", 0)),
-            )
-            for f in doc.get("fits", [])
-        )
-        return cls(
-            beta_bar=float(doc["beta_bar"]),
-            fits=fits,
-            metadata=dict(doc.get("metadata", {})),
-        )
+        # author_id, beta_hat, q_hat, r2, n_points, n_excluded
+        columns: Tuple[list, ...] = ([], [], [], [], [], [])
+        for f in doc.get("fits", []):
+            fit = (str(f["author_id"]), float(f["beta_hat"]), float(f["q_hat"]),
+                   float(f["r2"]), int(f["n_points"]), int(f.get("n_excluded", 0)))
+            if fit[4] < 2:
+                raise ValidationError("a fit needs at least 2 points")
+            if not 0.0 <= fit[3] <= 1.0:
+                raise ValidationError(f"r2 must lie in [0, 1], got {fit[3]!r}")
+            for column, value in zip(columns, fit):
+                column.append(value)
+        beta_bar = float(doc["beta_bar"])
+        metadata = dict(doc.get("metadata", {}))
+        ids, *numbers = columns
+        arrays = (np.array(c, dtype=t) for c, t in zip(numbers, _FIT_COLUMNS.values()))
+        return cls(beta_bar, tuple(ids), *arrays, metadata)
 
 
 def _fit_segments(
     values: np.ndarray, offsets: np.ndarray, ids: Sequence[str]
-) -> Tuple[List[CalibrationFit], List[str]]:
-    """OLS fits of every segment of CSR records, and the ids of the
+) -> Tuple[Dict[str, object], List[str]]:
+    """OLS fits of every segment of CSR records, as the columns of a
+    :class:`CohortProfile` keyed by field name, and the ids of the
     authors with fewer than 2 usable points.
 
     Segment k holds author ``ids[k]``'s values, sorted nonincreasing, so
@@ -117,15 +132,17 @@ def _fit_segments(
     block, with the means taken first and the products centred on them:
     the arithmetic of a per-author fit with ``np.mean`` and ``np.sum``.
     """
-    fits: List[CalibrationFit] = []
+    fit_ids: List[str] = []
     skipped: List[str] = []
+    # per block: beta_hat, intercept, r2, n_points, n_excluded; the empty
+    # first block gives the columns their dtypes when no author is fitted
+    blocks = [tuple(np.empty(0, dtype=t) for t in _FIT_COLUMNS.values())]
     for lo, hi in segment_blocks(offsets):
         bounds = offsets[lo:hi + 1] - offsets[lo]
         block = values[offsets[lo]:offsets[hi]]
         n = segment_counts(block >= 1.0, bounds)
         fitted = n >= 2
-        block_ids = list(zip(ids[lo:hi], fitted.tolist()))
-        skipped.extend(a for a, ok in block_ids if not ok)
+        skipped.extend(compress(ids[lo:hi], (~fitted).tolist()))
         if not fitted.any():
             continue
         m = n[fitted]
@@ -158,22 +175,19 @@ def _fit_segments(
         flat = ss_tot == 0.0
         r2 = 1.0 - ss_res / np.where(flat, 1.0, ss_tot)
         r2[flat] = 1.0
-        fit_ids = [a for a, ok in block_ids if ok]
-        fits.extend(
-            CalibrationFit(
-                author_id=author_id,
-                beta_hat=-b,
-                q_hat=math.exp(c),
-                r2=min(max(r, 0.0), 1.0),
-                n_points=k,
-                n_excluded=total - k,
-            )
-            for author_id, b, c, r, k, total in zip(
-                fit_ids, slope.tolist(), intercept.tolist(), r2.tolist(), m.tolist(),
-                np.diff(bounds)[fitted].tolist(),
-            )
-        )
-    return fits, skipped
+        fit_ids.extend(compress(ids[lo:hi], fitted.tolist()))
+        blocks.append((-slope, intercept, np.clip(r2, 0.0, 1.0), m, np.diff(bounds)[fitted] - m))
+    beta_hat, intercept, r2, n_points, n_excluded = map(np.concatenate, zip(*blocks))
+    columns = {
+        "author_id": tuple(fit_ids),
+        "beta_hat": beta_hat,
+        # math.exp, not np.exp: the two differ in the last bit on some intercepts
+        "q_hat": np.array(list(map(math.exp, intercept.tolist()))),
+        "r2": r2,
+        "n_points": n_points,
+        "n_excluded": n_excluded,
+    }
+    return columns, skipped
 
 
 def fit_author(curve: CitationCurve, author_id: str = "") -> CalibrationFit:
@@ -184,28 +198,13 @@ def fit_author(curve: CitationCurve, author_id: str = "") -> CalibrationFit:
     (their logarithm would flip sign conventions) and counted in
     ``n_excluded``; fewer than 2 usable points is an error.
     """
-    fits, _ = _fit_segments(curve.values, np.array([0, curve.p]), [author_id])
-    if not fits:
+    columns, _ = _fit_segments(curve.values, np.array([0, curve.p]), [author_id])
+    if not columns["author_id"]:
         n = int(np.sum(curve.values >= 1.0))
         raise InsufficientDataError(
             f"author {author_id or '?'}: {n} publication(s) with >= 1 citation; need 2"
         )
-    return fits[0]
-
-
-def aggregate_beta(
-    fits: Sequence[CalibrationFit],
-    metadata: Optional[dict] = None,
-) -> CohortProfile:
-    """Average the fitted exponents into a cohort profile.
-
-    ``beta_bar`` is the plain arithmetic mean of the ``beta_hat``;
-    ``metadata`` is stored with the profile as given.
-    """
-    if not fits:
-        raise ValidationError("cannot aggregate an empty list of fits")
-    beta_bar = float(np.array([f.beta_hat for f in fits]).mean())
-    return CohortProfile(beta_bar=beta_bar, fits=tuple(fits), metadata=dict(metadata or {}))
+    return CalibrationFit(author_id, *(columns[name][0].item() for name in _FIT_COLUMNS))
 
 
 def phi_index(curve: CitationCurve, beta_bar: float) -> SrmValue:
@@ -226,13 +225,15 @@ def phi_index(curve: CitationCurve, beta_bar: float) -> SrmValue:
 def calibrate_cohort(cohort: Cohort) -> CohortProfile:
     """Fit every author and average the exponents.
 
+    ``beta_bar`` is the plain arithmetic mean of the ``beta_hat``.
     Authors whose records cannot be fitted (fewer than 2 publications
     with a citation) are skipped and listed under ``skipped`` in the
     profile metadata.
     """
     if not len(cohort):
         raise ValidationError("cannot calibrate an empty cohort")
-    fits, skipped = _fit_segments(cohort.values, cohort.offsets, cohort.ids)
-    if not fits:
+    columns, skipped = _fit_segments(cohort.values, cohort.offsets, cohort.ids)
+    if not columns["author_id"]:
         raise InsufficientDataError("no author in the cohort had enough data to fit")
-    return aggregate_beta(fits, metadata={"skipped": skipped} if skipped else None)
+    return CohortProfile(beta_bar=float(columns["beta_hat"].mean()), **columns,
+                         metadata={"skipped": skipped} if skipped else {})

@@ -272,15 +272,14 @@ def _cmd_rank(cfg: RunConfig) -> int:
     ):
         raise _UsageError("--classes must be strictly increasing fractions in (0, 1)")
     table = co.compute_table(_load_cohort(cfg), [spec])
-    ranking = co.rank_authors(table, spec)
-    classes = co.classify_merit(ranking, cutoffs)
-    ids = [e.id for e in ranking]
+    order, ranks = co.rank_authors(table, spec)
+    ids = list(map(table.authors.__getitem__, order.tolist()))
     columns = {
-        "value": np.array([e.value for e in ranking]),
-        "rank": [e.rank for e in ranking],
-        "merit_class": [classes.assignment[a] for a in ids],
+        "value": table.levels[order, 0],
+        "rank": ranks.tolist(),
+        "merit_class": co.classify_merit(ranks, cutoffs),
     }
-    fields = {"index": spec.label, "cutoffs": list(classes.cutoffs)}
+    fields = {"index": spec.label, "cutoffs": cutoffs}
     _emit(cfg, co.write_rows(_resolve_format(cfg), ids, columns, "ranking", fields, id_key="id"))
     return 0
 

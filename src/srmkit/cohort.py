@@ -165,28 +165,6 @@ class IndexTable:
         return self.indices.index(index)
 
 
-@dataclass(frozen=True)
-class RankedAuthor:
-    id: str
-    value: float
-    rank: int
-
-
-@dataclass
-class MeritClassification:
-    """Quantile merit classes over a ranking.
-
-    ``cutoffs`` are strictly increasing fractions in (0, 1); with k
-    cutoffs the labels are class-1 .. class-(k+1).  An author of
-    competition rank r among n falls in the first class whose
-    cutoff * n >= r, so a block of tied authors (sharing the minimum
-    rank) always lands whole in the better class touched.
-    """
-
-    cutoffs: Tuple[float, ...]
-    assignment: Dict[str, str]
-
-
 def _decode(data: Union[bytes, str]) -> str:
     if isinstance(data, bytes):
         try:
@@ -399,55 +377,53 @@ def compute_table(cohort: Cohort, indices: Sequence[Union[str, IndexSpec]]) -> I
     return IndexTable(authors=cohort.ids, indices=labels, levels=levels, attained=attained)
 
 
-def rank_authors(table: IndexTable, index: Union[str, IndexSpec]) -> List[RankedAuthor]:
+def rank_authors(
+    table: IndexTable, index: Union[str, IndexSpec]
+) -> Tuple[np.ndarray, np.ndarray]:
     """Descending competition ranking of one table column.
 
-    Tied authors share the minimum rank of their block; order within a
-    tie is by author id, so the output is deterministic.
+    Returns ``(order, ranks)``, two int64 arrays: the author at ranking
+    position j is table row ``order[j]``, of competition rank
+    ``ranks[j]``.  Tied authors share the minimum rank of their block;
+    order within a tie is by author id, so the output is deterministic.
     """
     label = index.label if isinstance(index, IndexSpec) else parse_index(index).label
-    column = table.levels[:, table._col(label)].tolist()
-    ordered = sorted(zip(table.authors, column), key=lambda item: (-item[1], item[0]))
-    out: List[RankedAuthor] = []
-    for pos, (author_id, level) in enumerate(ordered, start=1):
-        if out and level == out[-1].value:
-            rank = out[-1].rank
-        else:
-            rank = pos
-        out.append(RankedAuthor(id=author_id, value=level, rank=rank))
-    return out
+    column = table.levels[:, table._col(label)]
+    n = column.size
+    # the position of each id in code point order (numpy strings would drop trailing NULs)
+    id_position = np.empty(n, dtype=np.int64)
+    id_position[sorted(range(n), key=table.authors.__getitem__)] = np.arange(n)
+    order = np.lexsort((id_position, -column))
+    ranked = column[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    ranks = np.maximum.accumulate(np.where(starts, np.arange(1, n + 1), 0))
+    return order, ranks
 
 
-def classify_merit(
-    ranking: Sequence[RankedAuthor],
-    cutoffs: Sequence[float] = (0.1, 0.3),
-) -> MeritClassification:
-    """Assign quantile merit classes to a ranking.
+def classify_merit(ranks: Sequence[int], cutoffs: Sequence[float] = (0.1, 0.3)) -> List[str]:
+    """Quantile merit classes of the competition ranks of a ranking.
 
-    An author of competition rank r among n falls in the first class
-    whose quantile boundary reaches the block of authors starting at
-    position r, i.e. the first cutoff with cutoff * n > r - 1 (at
-    integer boundaries this is the familiar cutoff * n >= r); authors
-    beyond every cutoff form the last class.  Tied authors share a
-    rank, hence a class: a tie block straddling a boundary is wholly
-    promoted to the better class, and the top block always lands in
-    class-1 even when cutoff * n < 1.
+    ``cutoffs`` are strictly increasing fractions in (0, 1); with k
+    cutoffs the labels are class-1 .. class-(k+1), returned in the order
+    of ``ranks``.  An author of competition rank r among n falls in the
+    first class whose quantile boundary reaches the block of authors
+    starting at position r, i.e. the first cutoff with cutoff * n > r - 1
+    (at integer boundaries this is the familiar cutoff * n >= r); authors
+    beyond every cutoff form the last class.  Tied authors share a rank,
+    hence a class: a tie block straddling a boundary is wholly promoted
+    to the better class, and the top block always lands in class-1 even
+    when cutoff * n < 1.
     """
     cuts = tuple(float(c) for c in cutoffs)
     if not cuts or any(not (0.0 < c < 1.0) for c in cuts):
         raise ValidationError("cutoffs must be fractions strictly inside (0, 1)")
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValidationError("cutoffs must be strictly increasing")
-    n = len(ranking)
-    assignment: Dict[str, str] = {}
-    for entry in ranking:
-        label = f"class-{len(cuts) + 1}"
-        for j, c in enumerate(cuts, start=1):
-            if c * n > entry.rank - 1:
-                label = f"class-{j}"
-                break
-        assignment[entry.id] = label
-    return MeritClassification(cutoffs=cuts, assignment=assignment)
+    labels = [f"class-{j}" for j in range(1, len(cuts) + 2)]
+    ranks = np.asarray(ranks)
+    below = np.searchsorted(np.array(cuts) * ranks.size, ranks - 1, side="right")
+    return [labels[j] for j in below.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -51,14 +51,15 @@ def checked_number(x, what: str) -> float:
 class CitationCurve:
     """Nonincreasing step curve of citations per publication rank.
 
-    Instances are immutable values; every entry is finite, nonnegative
-    and at least ``tail``, and trailing entries equal to ``tail`` are
-    folded into the tail so the effective publication count ``p`` is
-    well defined.  Use :func:`construct_curve` to build one from raw,
-    unsorted citation counts.
+    Instances are immutable values, equal by ``==`` but not hashable;
+    every entry is finite, nonnegative and at least ``tail``, and
+    trailing entries equal to ``tail`` are folded into the tail so the
+    effective publication count ``p`` is well defined.  Use
+    :func:`construct_curve` to build one from raw, unsorted citation
+    counts.
     """
 
-    __slots__ = ("_values", "_tail", "_hash")
+    __slots__ = ("_values", "_tail")
 
     def __init__(self, values: Sequence[float] = (), tail: float = 0.0):
         arr = np.asarray(values, dtype=float)
@@ -81,7 +82,6 @@ class CitationCurve:
         arr.setflags(write=False)
         self._values = arr
         self._tail = float(tail)
-        self._hash = hash((self._tail, arr.tobytes()))
 
     @property
     def values(self) -> np.ndarray:
@@ -126,9 +126,6 @@ class CitationCurve:
         if not isinstance(other, CitationCurve):
             return NotImplemented
         return self._tail == other._tail and np.array_equal(self._values, other._values)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self) -> str:
         body = ", ".join(f"{v:g}" for v in self._values[:8])
@@ -354,7 +351,3 @@ class SrmValue:
     def __post_init__(self):
         if math.isnan(self.level) or self.level < 0:
             raise ValidationError(f"index level must be >= 0 or +inf, got {self.level!r}")
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.level)

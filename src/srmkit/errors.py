@@ -31,12 +31,14 @@ class TableEntryError(SrmError):
 def reading(what: str):
     """Report a malformed document as ValidationError, not a raw lookup error.
 
-    Too deep a nesting (``RecursionError``) counts as malformed too.
+    Too deep a nesting (``RecursionError``) counts as malformed too, and
+    so does a number out of its field's range (``OverflowError``).
     Usable as a context manager or a decorator.
     """
     try:
         yield
     except ValidationError:
         raise
-    except (LookupError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, RecursionError,
+            OverflowError) as exc:
         raise ValidationError(f"malformed {what}: {type(exc).__name__}: {exc}") from None

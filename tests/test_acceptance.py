@@ -286,8 +286,9 @@ def test_criterion_10_calibration_recovery():
         ]
         profile = calibrate_cohort(Cohort.from_curves([f"a{i}" for i in range(20)], curves))
         assert abs(profile.beta_bar - 1.62) <= 1e-9
-        for i, fit in enumerate(profile.fits):
-            assert abs(fit.q_hat - (80.0 + 5 * i)) / (80.0 + 5 * i) <= 1e-6
+        assert profile.cohort_size == 20
+        for i in range(profile.cohort_size):
+            assert abs(profile.q_hat[i] - (80.0 + 5 * i)) / (80.0 + 5 * i) <= 1e-6
         # integer-rounded record: bias bounded and equal to the
         # independent normal-equations solution
         curve = construct_curve([round(1e4 / r**1.3) for r in range(1, 31)])

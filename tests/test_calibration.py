@@ -9,7 +9,6 @@ from srmkit import (
     InsufficientDataError,
     UnsupportedOperationError,
     ValidationError,
-    aggregate_beta,
     calibrate_cohort,
     construct_curve,
     family_for,
@@ -17,13 +16,23 @@ from srmkit import (
     phi_index,
     srm_generic,
 )
-from srmkit.calibration import MATH_FINANCE_SENIOR_BETA
+from srmkit.calibration import _FIT_COLUMNS, MATH_FINANCE_SENIOR_BETA, CalibrationFit
 
 from conftest import random_curve
 
 
 def power_law_curve(q, beta, p):
     return construct_curve([q / i**beta for i in range(1, p + 1)])
+
+
+def profile_of(curves):
+    return calibrate_cohort(Cohort.from_curves([f"a{i}" for i in range(len(curves))], curves))
+
+
+def fit_row(profile, k):
+    """Row k of a profile's fit columns, as the fit_author result it equals."""
+    return CalibrationFit(profile.author_id[k],
+                          *(getattr(profile, name)[k].item() for name in _FIT_COLUMNS))
 
 
 def normal_equations_fit(curve):
@@ -87,31 +96,29 @@ class TestFitAuthor:
 
 class TestAggregate:
     def test_plain_mean(self):
-        fits = [
-            fit_author(power_law_curve(50, 1.0, 5), "a"),
-            fit_author(power_law_curve(50, 2.0, 5), "b"),
-        ]
-        profile = aggregate_beta(fits)
+        profile = profile_of([power_law_curve(50, 1.0, 5), power_law_curve(50, 2.0, 5)])
         assert profile.beta_bar == pytest.approx(1.5, abs=1e-12)
         assert profile.cohort_size == 2
 
     def test_single_fit(self):
-        fits = [fit_author(power_law_curve(50, 1.7, 6), "a")]
-        assert aggregate_beta(fits).beta_bar == pytest.approx(1.7, abs=1e-9)
+        assert profile_of([power_law_curve(50, 1.7, 6)]).beta_bar == pytest.approx(1.7, abs=1e-9)
 
     def test_monte_carlo_cohort_mean(self):
         rng = np.random.default_rng(7)
         betas = rng.uniform(1.4, 1.8, size=20)
-        fits = [
-            fit_author(power_law_curve(200.0, b, 15), f"a{i}") for i, b in enumerate(betas)
-        ]
-        profile = aggregate_beta(fits)
+        profile = profile_of([power_law_curve(200.0, b, 15) for b in betas])
         se = (0.4 / math.sqrt(12.0)) / math.sqrt(20.0)
         assert abs(profile.beta_bar - 1.6) <= 3 * se
 
+    def test_beta_bar_is_the_mean_of_the_fits(self):
+        rng = np.random.default_rng(8)
+        curves = [random_curve(rng, min_p=2, max_p=30, max_c=500) for _ in range(60)]
+        profile = profile_of(curves)
+        assert profile.beta_bar == float(profile.beta_hat.mean())
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            aggregate_beta([])
+            profile_of([])
 
 
 class TestPhiIndex:
@@ -199,7 +206,12 @@ class TestCalibrateCohort:
         assert profile.metadata == {"skipped": ["a5", "a6"]}
         restored = CohortProfile.from_json(profile.to_json())
         assert restored.beta_bar == profile.beta_bar
-        assert restored.fits == profile.fits
+        assert restored.author_id == profile.author_id
+        for name in _FIT_COLUMNS:
+            column = getattr(restored, name)
+            assert column.dtype == getattr(profile, name).dtype
+            assert np.array_equal(column, getattr(profile, name))
+            assert not column.flags.writeable
         assert restored.metadata == profile.metadata
 
     def test_bad_profile_json_rejected(self):
@@ -231,7 +243,7 @@ class TestBatchFits:
         curves += [construct_curve([4, 4, 4]), construct_curve([7, 0.5, 0.2])]
         ids = [f"a{k}" for k in range(len(curves))]
         profile = calibrate_cohort(Cohort.from_curves(ids, curves))
-        by_id = {f.author_id: f for f in profile.fits}
+        by_id = {author_id: fit_row(profile, k) for k, author_id in enumerate(profile.author_id)}
         skipped = profile.metadata.get("skipped", [])
         for author_id, curve in zip(ids, curves):
             usable = curve.values[curve.values >= 1.0]
@@ -255,9 +267,9 @@ class TestBatchFits:
 
         cohort = ingest("author_id,citations\na,9;3;1\nb,2\nc,5;5\n", "csv")
         profile = calibrate_cohort(cohort)
-        assert [f.author_id for f in profile.fits] == ["a", "c"]
+        assert profile.author_id == ("a", "c")
         assert profile.metadata["skipped"] == ["b"]
-        assert profile.fits[0] == fit_author(cohort.curve(0), "a")
+        assert fit_row(profile, 0) == fit_author(cohort.curve(0), "a")
 
 
 class TestMalformedProfile:
@@ -277,3 +289,45 @@ class TestMalformedProfile:
     def test_non_utf8_profile_is_a_validation_error(self):
         with pytest.raises(ValidationError):
             CohortProfile.from_json(b'{"version": 1, "beta_bar": "\xff"}')
+
+
+_GOOD_FIT = {"author_id": "a", "beta_hat": 1.5, "q_hat": 40.0, "r2": 0.9, "n_points": 5,
+             "n_excluded": 0}
+_NULL_MESSAGE = ("malformed profile: TypeError: float() argument must be a string or a real "
+                 "number, not 'NoneType'")
+
+
+class TestMalformedFits:
+    """A bad fit is reported with the message of the first bad fit, and
+    ``srm compute --profile`` prints it and exits 1."""
+
+    @pytest.mark.parametrize("fits, message", [
+        ([dict(_GOOD_FIT, r2=1.5)], "r2 must lie in [0, 1], got 1.5"),
+        ([dict(_GOOD_FIT, r2=math.nan)], "r2 must lie in [0, 1], got nan"),
+        ([dict(_GOOD_FIT, n_points=1)], "a fit needs at least 2 points"),
+        ([dict(_GOOD_FIT, n_points=1, r2=1.5)], "a fit needs at least 2 points"),
+        ([dict(_GOOD_FIT, beta_hat=None)], _NULL_MESSAGE),
+        ([_GOOD_FIT, dict(_GOOD_FIT, r2=-0.25),
+          {k: v for k, v in _GOOD_FIT.items() if k != "q_hat"}],
+         "r2 must lie in [0, 1], got -0.25"),
+        ([dict(_GOOD_FIT, n_points=math.inf)],
+         "malformed profile: OverflowError: cannot convert float infinity to integer"),
+        ([dict(_GOOD_FIT, n_excluded=2**63)],
+         "malformed profile: OverflowError: Python int too large to convert to C long"),
+    ])
+    def test_first_bad_fit_is_reported(self, fits, message, tmp_path, capsys):
+        import json
+
+        from srmkit.cli import run
+
+        doc = json.dumps({"version": 1, "beta_bar": 1.5, "fits": fits, "metadata": {}})
+        with pytest.raises(ValidationError) as err:
+            CohortProfile.from_json(doc)
+        assert str(err.value) == message
+        profile = tmp_path / "profile.json"
+        profile.write_text(doc)
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("author_id,citations\nX1,8;6;4;2\n")
+        assert run(["compute", "--input", str(cohort), "--indices", "phi",
+                    "--profile", str(profile)]) == 1
+        assert capsys.readouterr().err == f"srm: error: {message}\n"

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from srmkit import (
-    CalibrationFit,
     Cohort,
     CohortProfile,
     IndexTable,
@@ -21,8 +20,8 @@ from srmkit import (
     shift_citations,
     srm_closed_form,
 )
-from srmkit.calibration import PROFILE_VERSION
-from srmkit.cohort import RankedAuthor, _json_number, format_number, write_rows
+from srmkit.calibration import _FIT_COLUMNS, PROFILE_VERSION
+from srmkit.cohort import _json_number, format_number, write_rows
 from srmkit.curves import SrmValue
 
 from conftest import random_curve
@@ -98,6 +97,19 @@ class TestComputeTable:
             compute_table(fixture_records(), ["h", "h"])
 
 
+def ranked(table, index):
+    """(id, value, rank) at each ranking position, from rank_authors' columns."""
+    order, ranks = rank_authors(table, index)
+    column = table.levels[:, table.indices.index(index)]
+    return [(table.authors[k], float(column[k]), r) for k, r in zip(order.tolist(), ranks.tolist())]
+
+
+def classes_of(table, index, cutoffs):
+    """Author id -> merit class label."""
+    order, ranks = rank_authors(table, index)
+    return dict(zip([table.authors[k] for k in order.tolist()], classify_merit(ranks, cutoffs)))
+
+
 class TestRanking:
     def test_competition_ranks_with_ties(self):
         records = Cohort.from_curves(
@@ -105,8 +117,7 @@ class TestRanking:
             [construct_curve([4, 4, 4, 4]), construct_curve([3, 3, 3]),
              construct_curve([4, 4, 4, 4])],
         )
-        ranking = rank_authors(compute_table(records, ["h"]), "h")
-        assert [(r.id, r.value, r.rank) for r in ranking] == [
+        assert ranked(compute_table(records, ["h"]), "h") == [
             ("a", 4.0, 1),
             ("c", 4.0, 1),
             ("b", 3.0, 3),
@@ -114,14 +125,19 @@ class TestRanking:
 
     def test_single_author(self):
         records = Cohort.from_curves(["solo"], [construct_curve([2])])
-        ranking = rank_authors(compute_table(records, ["h"]), "h")
-        assert ranking[0].rank == 1
+        order, ranks = rank_authors(compute_table(records, ["h"]), "h")
+        assert ranks[0] == 1
+
+    def test_returns_int64_columns(self):
+        order, ranks = rank_authors(compute_table(fixture_records(), ["h"]), "h")
+        assert order.dtype == ranks.dtype == np.int64
+        assert order.tolist() == [0, 1] and ranks.tolist() == [1, 2]
 
     def test_different_indices_can_disagree(self):
         csv_data = "author_id,citations\nA,8;6;4;2\nB,4;2;2;2;2\nC,6;4;3;2;1\n"
         table = compute_table(ingest(csv_data, "csv"), ["h", "w"])
-        by_h = [r.id for r in rank_authors(table, "h")]
-        by_w = [r.id for r in rank_authors(table, "w")]
+        by_h = [a for a, _, _ in ranked(table, "h")]
+        by_w = [a for a, _, _ in ranked(table, "w")]
         assert by_w == ["C", "A", "B"]
         assert by_h != by_w
 
@@ -130,13 +146,13 @@ class TestRanking:
             [f"a{i}" for i in range(40)],
             [random_curve(rng, max_p=15, max_c=50) for i in range(40)],
         )
-        ranking = rank_authors(compute_table(records, ["h"]), "h")
-        assert sorted(r.id for r in ranking) == sorted(records.ids)
-        assert all(1 <= r.rank <= 40 for r in ranking)
-        for hi, lo in zip(ranking, ranking[1:]):
-            assert hi.value >= lo.value
-            if hi.value > lo.value:
-                assert hi.rank < lo.rank
+        ranking = ranked(compute_table(records, ["h"]), "h")
+        assert sorted(a for a, _, _ in ranking) == sorted(records.ids)
+        assert all(1 <= r <= 40 for _, _, r in ranking)
+        for (_, hi_value, hi_rank), (_, lo_value, lo_rank) in zip(ranking, ranking[1:]):
+            assert hi_value >= lo_value
+            if hi_value > lo_value:
+                assert hi_rank < lo_rank
 
     def test_missing_column(self):
         table = compute_table(fixture_records(), ["h"])
@@ -145,25 +161,34 @@ class TestRanking:
 
 
 def ranking_of(values):
+    """Scalar oracle: (id, value, rank) by value descending, then id."""
     entries = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
     out = []
     for pos, (author, value) in enumerate(entries, start=1):
-        rank = out[-1].rank if out and out[-1].value == value else pos
-        out.append(RankedAuthor(id=author, value=float(value), rank=rank))
+        rank = out[-1][2] if out and out[-1][1] == value else pos
+        out.append((author, float(value), rank))
     return out
+
+
+def merit_of(rank, n, cutoffs):
+    """Scalar oracle: the first cutoff with cutoff * n > rank - 1."""
+    j = next((j for j, c in enumerate(cutoffs, start=1) if c * n > rank - 1), len(cutoffs) + 1)
+    return f"class-{j}"
+
+
+def ranks_of(ranking):
+    return [r for _, _, r in ranking]
 
 
 class TestMeritClasses:
     def test_ten_authors_default_cutoffs(self):
         ranking = ranking_of({f"a{i:02d}": 100 - i for i in range(10)})
-        classes = classify_merit(ranking, (0.1, 0.3))
-        labels = [classes.assignment[r.id] for r in ranking]
+        labels = classify_merit(ranks_of(ranking), (0.1, 0.3))
         assert labels == ["class-1"] + ["class-2"] * 2 + ["class-3"] * 7
 
     def test_all_tied_authors_share_the_top_class(self):
         ranking = ranking_of({f"a{i}": 5 for i in range(8)})
-        classes = classify_merit(ranking, (0.1, 0.3))
-        assert set(classes.assignment.values()) == {"class-1"}
+        assert set(classify_merit(ranks_of(ranking), (0.1, 0.3))) == {"class-1"}
 
     def test_tie_block_is_never_split(self):
         # 20 authors, boundary after 2: the block tied at rank 2 spills
@@ -171,29 +196,88 @@ class TestMeritClasses:
         values = {f"a{i:02d}": 100 - i for i in range(20)}
         values["a02"] = values["a01"]
         ranking = ranking_of(values)
-        classes = classify_merit(ranking, (0.1, 0.3))
-        assert classes.assignment["a01"] == classes.assignment["a02"] == "class-1"
-        assert classes.assignment["a03"] == "class-2"
+        labels = classify_merit(ranks_of(ranking), (0.1, 0.3))
+        classes = dict(zip([a for a, _, _ in ranking], labels))
+        assert classes["a01"] == classes["a02"] == "class-1"
+        assert classes["a03"] == "class-2"
 
     def test_raising_citations_never_demotes(self, rng):
         ids = [f"a{i}" for i in range(12)]
         for _ in range(30):
             curves = [random_curve(rng, min_p=1, max_p=10, max_c=30) for i in range(12)]
             table = compute_table(Cohort.from_curves(ids, curves), ["h"])
-            ranking = rank_authors(table, "h")
-            before = classify_merit(ranking, (0.25,)).assignment
+            before = classes_of(table, "h", (0.25,))
             curves[3] = shift_citations(curves[3], 5)
-            after = classify_merit(
-                rank_authors(compute_table(Cohort.from_curves(ids, curves), ["h"]), "h"), (0.25,)
-            ).assignment
+            after = classes_of(compute_table(Cohort.from_curves(ids, curves), ["h"]), "h", (0.25,))
             assert int(after["a3"][-1]) <= int(before["a3"][-1])
 
     def test_invalid_cutoffs(self):
-        ranking = ranking_of({"a": 1, "b": 2})
+        ranks = ranks_of(ranking_of({"a": 1, "b": 2}))
         with pytest.raises(ValidationError):
-            classify_merit(ranking, (0.3, 0.1))
+            classify_merit(ranks, (0.3, 0.1))
         with pytest.raises(ValidationError):
-            classify_merit(ranking, (0.0, 0.5))
+            classify_merit(ranks, (0.0, 0.5))
+
+
+_RANK_IDS = ["a", "a\0", "a\0\0", "b", "é", "日本", "\0", "Z", "a\x01", "ab"]
+
+
+class TestRankingMatchesTheScalarRule:
+    """rank_authors plus classify_merit equal ranking_of plus merit_of."""
+
+    def _check(self, ids, values, cutoffs):
+        table = IndexTable(authors=tuple(ids), indices=("w",),
+                           levels=np.array(values, dtype=float).reshape(-1, 1),
+                           attained=np.ones((len(ids), 1), dtype=bool))
+        want = ranking_of(dict(zip(ids, values)))
+        assert ranked(table, "w") == want
+        order, ranks = rank_authors(table, "w")
+        assert classify_merit(ranks, cutoffs) == [
+            merit_of(r, len(ids), cutoffs) for r in ranks_of(want)
+        ]
+
+    def test_random_cohorts(self):
+        rng = np.random.default_rng(5201)
+        pools = [
+            [0.0, math.inf, 3.0],  # long tie runs, zero and infinite levels
+            [0.0, 1.0, 2.0, 2.5, 7.0, 1e308, math.inf],
+            None,  # continuous levels: few ties
+        ]
+        for n in [0, 1, 2, 3, *rng.integers(4, 300, size=40).tolist()]:
+            for pool in pools:
+                ids = [_RANK_IDS[int(rng.integers(len(_RANK_IDS)))] + str(k // 3) + "\0" * (k % 3)
+                       for k in range(n)]
+                ids = list(dict.fromkeys(ids))
+                if pool is None:
+                    values = rng.uniform(0.0, 50.0, size=len(ids)).round(1).tolist()
+                else:
+                    values = np.array(pool)[rng.integers(len(pool), size=len(ids))].tolist()
+                k = int(rng.integers(1, 5))
+                cutoffs = tuple(sorted(set(rng.uniform(0.01, 0.99, size=k).round(3).tolist())))
+                self._check(ids, values, cutoffs)
+
+    @pytest.mark.parametrize("n, cutoffs", [
+        (0, (0.1, 0.3)),
+        (1, (0.1, 0.3)),      # c * n < 1: the top block is still class-1
+        (5, (0.1, 0.15)),     # every c * n < 1
+        (20, (0.1, 0.25, 0.5)),  # c * n whole: 2, 5, 10
+        (10, (0.1, 0.3)),     # 0.1 * 10 and 0.3 * 10 are 1 and 3 in floating point
+        (40, (0.05, 0.5, 0.75)),
+        (7, (0.5,)),
+    ])
+    def test_boundary_cutoffs(self, n, cutoffs):
+        rng = np.random.default_rng(5202 + n)
+        for _ in range(20):
+            ids = [("é" if k % 2 else "a") + str(k // 6) + "\0" * (k % 3) for k in range(n)]
+            values = rng.integers(0, 4, size=n).astype(float).tolist()
+            self._check(ids, values, cutoffs)
+
+    def test_trailing_nul_ids_keep_code_point_order(self):
+        ids = ["x\0", "x", "x\0\0", "w\uffff", "y"]
+        self._check(ids, [1.0] * 5, (0.2, 0.6))
+        assert [a for a, _, _ in ranked(IndexTable(
+            authors=tuple(ids), indices=("w",), levels=np.ones((5, 1)),
+            attained=np.ones((5, 1), dtype=bool)), "w")] == ["w\uffff", "x", "x\0", "x\0\0", "y"]
 
 
 class TestExport:
@@ -537,11 +621,8 @@ def _old_table(table, fmt):
 
 
 def _old_profile(profile):
-    fits = [
-        {"author_id": f.author_id, "beta_hat": f.beta_hat, "q_hat": f.q_hat, "r2": f.r2,
-         "n_points": f.n_points, "n_excluded": f.n_excluded}
-        for f in profile.fits
-    ]
+    columns = [profile.author_id] + [getattr(profile, name).tolist() for name in _FIT_COLUMNS]
+    fits = [dict(zip(("author_id", *_FIT_COLUMNS), row)) for row in zip(*columns)]
     return _old_json({"version": PROFILE_VERSION, "beta_bar": profile.beta_bar,
                       "cohort_size": profile.cohort_size, "fits": fits,
                       "metadata": profile.metadata})
@@ -624,14 +705,17 @@ class TestColumnEncoder:
             return float(np.array(_ODD_VALUES)[rng.integers(len(_ODD_VALUES))])
 
         for n in _sizes(rng):
-            fits = tuple(
-                CalibrationFit(author_id=author_id, beta_hat=real(), q_hat=real(),
-                               r2=float(rng.choice([0.0, 1.0, rng.random(), 0.1 + 0.2])),
-                               n_points=int(rng.integers(2, 10**6)),
-                               n_excluded=int(rng.integers(0, 3)))
-                for author_id in _odd_ids(rng, n)
-            )
+            ids = _odd_ids(rng, n)
+            fits = [
+                (real(), real(), float(rng.choice([0.0, 1.0, rng.random(), 0.1 + 0.2])),
+                 int(rng.integers(2, 10**6)), int(rng.integers(0, 3)))
+                for _ in ids
+            ]
+            columns = {
+                name: np.array([fit[j] for fit in fits], dtype=dtype)
+                for j, (name, dtype) in enumerate(_FIT_COLUMNS.items())
+            }
             skipped = {"skipped": _odd_ids(rng, int(rng.integers(1, 4)))}
-            profile = CohortProfile(beta_bar=real(), fits=fits,
+            profile = CohortProfile(beta_bar=real(), author_id=tuple(ids), **columns,
                                     metadata=skipped if rng.integers(2) else {})
             assert profile.to_json() == _old_profile(profile)

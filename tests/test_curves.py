@@ -89,6 +89,12 @@ class TestConstructCurve:
         with pytest.raises(ValidationError, match="nonincreasing"):
             CitationCurve([2, 5])
 
+    def test_curves_compare_by_value_and_are_unhashable(self):
+        curve = construct_curve([8, 6, 4, 2])
+        assert curve == CitationCurve([8.0, 6.0, 4.0, 2.0, 0.0])
+        with pytest.raises(TypeError):
+            hash(curve)
+
 
 class TestShift:
     def test_zero_shift_is_identity(self):
@@ -266,4 +272,4 @@ class TestSrmValue:
             SrmValue(-1.0)
 
     def test_allows_infinity(self):
-        assert not SrmValue(math.inf, attained=False).finite
+        assert not math.isfinite(SrmValue(math.inf, attained=False).level)
