@@ -41,12 +41,11 @@ class CalibrationFit:
     were left out of the fit rather than clamped.
     """
 
-    author_id: str
     beta_hat: float
     q_hat: float
     r2: float
     n_points: int
-    n_excluded: int = 0
+    n_excluded: int
 
 
 #: The fit columns of a profile after ``author_id``, and their dtypes.
@@ -190,21 +189,22 @@ def _fit_segments(
     return columns, skipped
 
 
-def fit_author(curve: CitationCurve, author_id: str = "") -> CalibrationFit:
+def fit_author(curve: CitationCurve) -> CalibrationFit:
     """OLS fit of ln(x_i) on ln(i) over ranks with x_i >= 1.
 
     beta_hat is the negated slope, q_hat the exponential of the
     intercept.  Publications with fewer than 1 citation are excluded
     (their logarithm would flip sign conventions) and counted in
-    ``n_excluded``; fewer than 2 usable points is an error.
+    ``n_excluded``; fewer than 2 usable points is an error, and so is a
+    positive tail, which the power-law model has no term for.
     """
-    columns, _ = _fit_segments(curve.values, np.array([0, curve.p]), [author_id])
+    if curve.tail > 0:
+        raise UnsupportedOperationError("calibration is defined for curves with tail 0")
+    columns, _ = _fit_segments(curve.values, np.array([0, curve.p]), [""])
     if not columns["author_id"]:
         n = int(np.sum(curve.values >= 1.0))
-        raise InsufficientDataError(
-            f"author {author_id or '?'}: {n} publication(s) with >= 1 citation; need 2"
-        )
-    return CalibrationFit(author_id, *(columns[name][0].item() for name in _FIT_COLUMNS))
+        raise InsufficientDataError(f"{n} publication(s) with >= 1 citation; need 2")
+    return CalibrationFit(*(columns[name][0].item() for name in _FIT_COLUMNS))
 
 
 def phi_index(curve: CitationCurve, beta_bar: float) -> SrmValue:
@@ -228,10 +228,16 @@ def calibrate_cohort(cohort: Cohort) -> CohortProfile:
     ``beta_bar`` is the plain arithmetic mean of the ``beta_hat``.
     Authors whose records cannot be fitted (fewer than 2 publications
     with a citation) are skipped and listed under ``skipped`` in the
-    profile metadata.
+    profile metadata.  A record with a positive tail is rejected, as
+    :func:`fit_author` rejects it.
     """
     if not len(cohort):
         raise ValidationError("cannot calibrate an empty cohort")
+    tailed = np.flatnonzero(cohort.tails > 0)
+    if tailed.size:
+        raise UnsupportedOperationError(
+            f"author {cohort.ids[tailed[0]]!r}: calibration is defined for curves with tail 0"
+        )
     columns, skipped = _fit_segments(cohort.values, cohort.offsets, cohort.ids)
     if not columns["author_id"]:
         raise InsufficientDataError("no author in the cohort had enough data to fit")

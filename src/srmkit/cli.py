@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -113,18 +113,11 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return out
 
 
+#: Config file key -> RunConfig field: every field but the subcommand,
+#: under the name of its flag.
 _CONFIG_KEYS = {
-    "input": "input",
-    "output": "output",
-    "format": "fmt",
-    "indices": "indices",
-    "index": "index",
-    "profile": "profile",
-    "classes": "classes",
-    "deltas": "deltas",
-    "samples": "samples",
-    "seed": "seed",
-    "extent": "extent",
+    "format" if f.name == "fmt" else f.name: f.name
+    for f in fields(RunConfig) if f.name != "subcommand"
 }
 
 

@@ -117,12 +117,7 @@ class Cohort:
         self.annotations = annotations
 
     @classmethod
-    def from_curves(
-        cls,
-        ids: Sequence[str],
-        curves: Sequence[CitationCurve],
-        annotations: Optional[Sequence[Dict[str, object]]] = None,
-    ) -> "Cohort":
+    def from_curves(cls, ids: Sequence[str], curves: Sequence[CitationCurve]) -> "Cohort":
         """Pack citation curves, with any tails, and their ids."""
         if len(ids) != len(curves):
             raise ValidationError("curves and ids must have the same length")
@@ -130,7 +125,7 @@ class Cohort:
         np.cumsum([c.p for c in curves], out=offsets[1:])
         values = np.concatenate([c.values for c in curves]) if curves else np.empty(0)
         tails = np.array([c.tail for c in curves], dtype=float)
-        return cls(ids, values, offsets, tails=tails, annotations=annotations)
+        return cls(ids, values, offsets, tails=tails)
 
     @property
     def lengths(self) -> np.ndarray:
@@ -401,7 +396,7 @@ def rank_authors(
     return order, ranks
 
 
-def classify_merit(ranks: Sequence[int], cutoffs: Sequence[float] = (0.1, 0.3)) -> List[str]:
+def classify_merit(ranks: Sequence[int], cutoffs: Sequence[float]) -> List[str]:
     """Quantile merit classes of the competition ranks of a ranking.
 
     ``cutoffs`` are strictly increasing fractions in (0, 1); with k
@@ -536,6 +531,11 @@ def write_rows(
 
 
 def _export_cohort(cohort: Cohort, fmt: str) -> bytes:
+    tailed = np.flatnonzero(cohort.tails > 0)
+    if tailed.size:  # neither format has a place for it
+        raise ValidationError(
+            f"cannot export author {cohort.ids[tailed[0]]!r}: its record has a positive tail"
+        )
     values = cohort.values.tolist()
     bounds = cohort.offsets.tolist()
     citations = [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
@@ -570,8 +570,10 @@ def export(obj: Union[Cohort, IndexTable], fmt: str) -> bytes:
     """Serialize a cohort or an index table.
 
     Exports mirror the ingest formats, so feeding a cohort export back
-    through :func:`ingest` reproduces the records.  JSON table exports
-    keep the attained flag; CSV tables carry the levels only.
+    through :func:`ingest` reproduces the records; a cohort with a
+    positive tail is rejected, as neither format can carry it.  JSON
+    table exports keep the attained flag; CSV tables carry the levels
+    only.
     """
     _check_format(fmt)
     if isinstance(obj, IndexTable):

@@ -110,18 +110,6 @@ class CitationCurve:
         out[: self.p] = self._values
         return out
 
-    def value_at(self, x: float) -> float:
-        """Pointwise value of the step function at x."""
-        if x <= 0:
-            return 0.0
-        i = math.ceil(x)
-        if i <= self.p:
-            return float(self._values[i - 1])
-        return self._tail
-
-    def as_list(self) -> list:
-        return [float(v) for v in self._values]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CitationCurve):
             return NotImplemented
@@ -135,13 +123,12 @@ class CitationCurve:
         return f"CitationCurve([{body}]{tail})"
 
 
-def checked_citations(raw: Sequence[float], tail: float = 0.0) -> list:
+def checked_citations(raw: Sequence[float]) -> list:
     """Validate raw citation counts and return them as floats, in input order.
 
-    Entries must be numbers but not booleans, finite, and at least
-    ``tail`` (itself already validated); an integer too large for a
-    float counts as infinite.  The first bad entry is reported by its
-    position.
+    Entries must be numbers but not booleans, finite and nonnegative; an
+    integer too large for a float counts as infinite.  The first bad
+    entry is reported by its position.
     """
     cleaned = []
     for pos, v in enumerate(raw):
@@ -155,11 +142,7 @@ def checked_citations(raw: Sequence[float], tail: float = 0.0) -> list:
             x = math.inf
         except (TypeError, ValueError):
             raise ValidationError(f"citation at position {pos} is not a number: {v!r}") from None
-        if not tail <= x < math.inf:
-            if 0 <= x < math.inf:
-                raise ValidationError(
-                    f"citation {x:g} at position {pos} is below the tail {tail:g}"
-                )
+        if not 0 <= x < math.inf:
             raise ValidationError(
                 f"citation at position {pos} is {v!r}; citations must be finite and >= 0"
             )
@@ -167,17 +150,17 @@ def checked_citations(raw: Sequence[float], tail: float = 0.0) -> list:
     return cleaned
 
 
-def construct_curve(raw: Sequence[float], tail: float = 0.0) -> CitationCurve:
-    """Build a canonical citation curve from raw citation counts.
+def construct_curve(raw: Sequence[float]) -> CitationCurve:
+    """Build a canonical citation curve, with tail 0, from raw citation counts.
 
-    Entries are validated by :func:`checked_citations`, sorted
-    nonincreasing, and trailing entries equal to ``tail`` are folded
-    into the tail.  An entry strictly below ``tail`` is rejected.
+    Entries are validated by :func:`checked_citations` and sorted
+    nonincreasing; zeros fold into the tail.  A record with a positive
+    tail is a :class:`CitationCurve` built directly, or a
+    :func:`shift_citations` of one.
     """
-    tail = checked_number(tail, "tail")
-    cleaned = checked_citations(raw, tail)
+    cleaned = checked_citations(raw)
     cleaned.sort(reverse=True)
-    return CitationCurve(cleaned, tail)
+    return CitationCurve(cleaned)
 
 
 def shift_citations(curve: CitationCurve, m: float) -> CitationCurve:

@@ -9,29 +9,28 @@ H+(Z, t) = sup{q : gamma(Z, q) <= t} is the best level reachable with
 average t under the weighting Z, and min over densities of
 H+(Z, E[ZX]) upper-bounds the primal index.
 
-Two integration semantics are provided.  The default integrates the
-true curves f_q, which is what the constructed minimizing densities
-are tuned to (their dual values close onto the primal index).  With
-``rank_step=True`` the integrand is the rank-sampled step version of
-f_q (constant on each publication-rank interval, equal to f_q at the
-rank).  That is the exact dual counterpart of the engine's integer-rank
-dominance check: whenever the curve dominates f_q at the checked ranks
-it dominates the step version everywhere mass can sit, so weak duality
-against the engine's index holds with the rank-step transform for every
-density supported on the dominance domain, while with the true curves
-it can fail for the staircase and power shapes (whose rank samples sit
-strictly below the curve on the interior of rank intervals).
+``gamma`` and ``h_plus`` integrate the true curves f_q, which is what
+the constructed minimizing densities are tuned to (their dual values
+close onto the primal index).  ``weak_duality_margin`` integrates the
+rank-sampled step version of f_q instead (constant on each
+publication-rank interval, equal to f_q at the rank).  That is the exact
+dual counterpart of the engine's integer-rank dominance check: whenever
+the curve dominates f_q at the checked ranks it dominates the step
+version everywhere mass can sit, so weak duality against the engine's
+index holds with the rank-step transform for every density supported on
+the dominance domain, while with the true curves it can fail for the
+staircase and power shapes (whose rank samples sit strictly below the
+curve on the interior of rank intervals).
 
 Rank-step evaluation is batch-first.  A density enters it as the row of
 its unit rank-cell masses m_1..m_ceil(N), so K densities are one
 K x ceil(N) matrix; ``random_simplex_candidates`` returns such a matrix,
 and ``weak_duality_margin`` weighs every row in a few numpy passes over
 the row-wise prefix sums of m_i and i * m_i.  A single ``DualDensity``
-is the one-row case: ``h_plus(..., rank_step=True)`` and
-``expected_value`` run the same code on its ``rank_mass``.  Each row is
-built with DualDensity's own arithmetic and searched with numpy's own
-bisection, so a matrix row gives the same bits as the density it
-stands for.  ``gamma(..., rank_step=True)`` stays a scalar formula.
+is the one-row matrix ``z.rank_mass[None]``, which ``expected_value``
+weighs with the same code.  Each row is built with DualDensity's own
+arithmetic and searched with numpy's own bisection, so a matrix row
+gives the same bits as the density it stands for.
 """
 
 from __future__ import annotations
@@ -85,9 +84,8 @@ class DualDensity:
     Both are read-only float64 arrays.  Construction also fixes, once,
     the integrals every dual evaluation reads: ``cum_mass`` and
     ``cum_moment``, (1/N) times the integrals of Z and x*Z up to each
-    breakpoint; ``rank_mass``, the mass of each unit rank cell (i-1, i];
-    and its prefix sums ``rank_cum_mass`` (of m_i) and
-    ``rank_cum_moment`` (of i * m_i), both starting at 0.
+    breakpoint, and ``rank_mass``, the mass of each unit rank cell
+    (i-1, i].
     """
 
     breakpoints: np.ndarray
@@ -95,8 +93,6 @@ class DualDensity:
     cum_mass: np.ndarray = field(init=False, repr=False)
     cum_moment: np.ndarray = field(init=False, repr=False)
     rank_mass: np.ndarray = field(init=False, repr=False)
-    rank_cum_mass: np.ndarray = field(init=False, repr=False)
-    rank_cum_moment: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         bp = np.array(self.breakpoints, dtype=float)
@@ -121,21 +117,10 @@ class DualDensity:
         edges = np.minimum(ranks, n)
         j = np.searchsorted(bp, edges) - 1
         masses = np.diff(cum_m[j] + hs[j] * (edges - bp[j]) / n, prepend=0.0)
-        rank_cum_m = np.concatenate(([0.0], np.cumsum(masses)))
-        rank_cum_im = np.concatenate(([0.0], np.cumsum(masses * ranks)))
         for name, a in (("breakpoints", bp), ("heights", hs), ("cum_mass", cum_m),
-                        ("cum_moment", cum_v), ("rank_mass", masses),
-                        ("rank_cum_mass", rank_cum_m), ("rank_cum_moment", rank_cum_im)):
+                        ("cum_moment", cum_v), ("rank_mass", masses)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    def __eq__(self, other):
-        if not isinstance(other, DualDensity):
-            return NotImplemented
-        return bool(
-            np.array_equal(self.breakpoints, other.breakpoints)
-            and np.array_equal(self.heights, other.heights)
-        )
 
     @property
     def extent(self) -> float:
@@ -220,7 +205,15 @@ def expected_value(z: DualDensity, curve: CitationCurve, measure: ReferenceMeasu
     tail weighting whatever mass lies past the record).
     """
     _check_measure(z, measure)
-    return float(_expected_values(z.rank_mass[None], z.rank_cum_mass[None], curve, measure)[0])
+    masses = z.rank_mass[None]
+    return float(_expected_values(masses, _prefix_sums(masses), curve, measure)[0])
+
+
+def _prefix_sums(masses: np.ndarray) -> np.ndarray:
+    """Row-wise prefix sums of a matrix of rank-cell masses, each from 0."""
+    cum = np.zeros((len(masses), masses.shape[1] + 1))
+    np.cumsum(masses, axis=1, out=cum[:, 1:])
+    return cum
 
 
 def _expected_values(
@@ -241,19 +234,11 @@ def _expected_values(
     return out
 
 
-def gamma(
-    z: DualDensity,
-    q: float,
-    family: PerformanceFamily,
-    measure: ReferenceMeasure,
-    rank_step: bool = False,
-) -> float:
+def gamma(z: DualDensity, q: float, family: PerformanceFamily, measure: ReferenceMeasure) -> float:
     """E[Z f_q], the smallest Z-average of citations certifying level q.
 
     Exact closed-form integration per shape; a divergent power-shape
     integral (beta >= 1 with mass touching 0) is reported as +inf.
-    With ``rank_step=True`` the integrand is f_q sampled at publication
-    ranks, held constant on each rank interval.
     """
     _check_measure(z, measure)
     if not (q >= 0):
@@ -261,16 +246,6 @@ def gamma(
     if q == 0:
         return 0.0
     n = measure.extent
-    if rank_step:
-        masses, cum_m, cum_im = z.rank_mass, z.rank_cum_mass, z.rank_cum_moment
-        k = len(masses)
-        if family.shape == RECTANGLE:
-            kk = min(int(math.floor(family.width.value(q))), k)
-            return family.height.value(q) * float(cum_m[kk])
-        if family.shape == STAIRCASE:
-            kk = min(int(math.floor(q)), k)
-            return (q + 1.0) * float(cum_m[kk]) - float(cum_im[kk])
-        return q * float(np.dot(masses, np.arange(1, k + 1, dtype=float) ** (-family.beta)))
     if family.shape == RECTANGLE:
         w = min(family.width.value(q), n)
         return family.height.value(q) * float(_mass_at(z, w))
@@ -466,13 +441,7 @@ def _h_plus_rows(
     return np.where(out < 0.0, 0.0, out)
 
 
-def h_plus(
-    z: DualDensity,
-    t: float,
-    family: PerformanceFamily,
-    measure: ReferenceMeasure,
-    rank_step: bool = False,
-) -> float:
+def h_plus(z: DualDensity, t: float, family: PerformanceFamily, measure: ReferenceMeasure) -> float:
     """sup{q >= 0 : gamma(Z, q) <= t}, the right inverse of gamma.
 
     The supremum runs over real q regardless of the family's own level
@@ -485,9 +454,6 @@ def h_plus(
     level is feasible.
     """
     _check_measure(z, measure)
-    if rank_step:
-        t = np.array([float(t)])
-        return float(_h_plus_rows(z.rank_mass[None], z.rank_cum_mass[None], t, family)[0])
     if math.isnan(t):
         raise ValidationError("threshold must not be NaN")
     if t < 0:
@@ -541,8 +507,7 @@ def weak_duality_margin(
             f"densities have {masses.shape[1]} rank cells but the measure extent "
             f"{measure.extent} has {cells}"
         )
-    cum = np.zeros((len(masses), cells + 1))
-    np.cumsum(masses, axis=1, out=cum[:, 1:])
+    cum = _prefix_sums(masses)
     t = _expected_values(masses, cum, curve, measure)
     hp = min(_h_plus_rows(masses, cum, t, family).tolist())
     phi = srm_generic(curve, family).level

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,14 @@ def random_curve(rng, max_p=50, max_c=1000, min_p=0):
     if p == 0:
         return construct_curve([])
     return construct_curve(rng.integers(1, max_c + 1, size=p))
+
+
+def value_at(curve, x):
+    """Pointwise value of the curve's step function at x."""
+    if x <= 0:
+        return 0.0
+    i = math.ceil(x)
+    return float(curve.values[i - 1]) if i <= curve.p else curve.tail
 
 
 def dominating_pair(rng, max_p=50, max_c=1000):

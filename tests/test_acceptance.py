@@ -89,11 +89,11 @@ def test_criterion_3_oracle_equivalence():
             for label in INTEGER_INDICES:
                 generic = srm_generic(curve, families[label]).level
                 closed = srm_closed_form(curve, specs[label]).level
-                assert generic == closed, (label, curve.as_list())
+                assert generic == closed, (label, curve.values.tolist())
             for label in REAL_INDICES:
                 generic = srm_generic(curve, families[label]).level
                 closed = srm_closed_form(curve, specs[label]).level
-                assert abs(generic - closed) <= 1e-9, (label, curve.as_list())
+                assert abs(generic - closed) <= 1e-9, (label, curve.values.tolist())
 
 
 def test_criterion_4_monotone_and_quasi_concave():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from srmkit import (
+    CitationCurve,
     Cohort,
     CohortProfile,
     InsufficientDataError,
@@ -14,6 +15,7 @@ from srmkit import (
     family_for,
     fit_author,
     phi_index,
+    shift_citations,
     srm_generic,
 )
 from srmkit.calibration import _FIT_COLUMNS, MATH_FINANCE_SENIOR_BETA, CalibrationFit
@@ -31,8 +33,7 @@ def profile_of(curves):
 
 def fit_row(profile, k):
     """Row k of a profile's fit columns, as the fit_author result it equals."""
-    return CalibrationFit(profile.author_id[k],
-                          *(getattr(profile, name)[k].item() for name in _FIT_COLUMNS))
+    return CalibrationFit(*(getattr(profile, name)[k].item() for name in _FIT_COLUMNS))
 
 
 def normal_equations_fit(curve):
@@ -50,7 +51,7 @@ def normal_equations_fit(curve):
 
 class TestFitAuthor:
     def test_noiseless_power_law_is_recovered_exactly(self):
-        fit = fit_author(power_law_curve(100.0, 1.5, 20), author_id="a")
+        fit = fit_author(power_law_curve(100.0, 1.5, 20))
         assert fit.beta_hat == pytest.approx(1.5, abs=1e-9)
         assert fit.q_hat == pytest.approx(100.0, rel=1e-9)
         assert fit.r2 == pytest.approx(1.0, abs=1e-12)
@@ -92,6 +93,13 @@ class TestFitAuthor:
             fit_author(construct_curve([10]))
         with pytest.raises(InsufficientDataError):
             fit_author(construct_curve([10, 0.5]))
+
+    def test_positive_tail_rejected(self):
+        # the model has no tail term: fitting the listed values alone gave beta_hat 0.485
+        with pytest.raises(UnsupportedOperationError, match="tail 0"):
+            fit_author(shift_citations(construct_curve([5, 3]), 2))
+        with pytest.raises(UnsupportedOperationError, match="tail 0"):
+            fit_author(CitationCurve([], 1))
 
 
 class TestAggregate:
@@ -142,7 +150,7 @@ class TestPhiIndex:
 
     def test_tail_rejected(self):
         with pytest.raises(UnsupportedOperationError):
-            phi_index(construct_curve([5], tail=1), 1.62)
+            phi_index(CitationCurve([5], 1), 1.62)
 
     def test_bad_beta_rejected(self):
         with pytest.raises(ValidationError):
@@ -198,6 +206,13 @@ class TestCalibrateCohort:
             calibrate_cohort(Cohort.from_curves([], []))
         with pytest.raises(InsufficientDataError):
             calibrate_cohort(Cohort.from_curves(["only"], [construct_curve([3])]))
+
+    def test_positive_tail_rejected_by_author(self):
+        curves = [power_law_curve(50.0, 1.5, 10), construct_curve([3]),
+                  shift_citations(construct_curve([5, 3]), 2), CitationCurve([4], 1)]
+        cohort = Cohort.from_curves(["good", "thin", "shifted", "flat"], curves)
+        with pytest.raises(UnsupportedOperationError, match="author 'shifted'.*tail 0"):
+            calibrate_cohort(cohort)
 
     def test_profile_json_round_trip(self):
         curves = [power_law_curve(50.0 + i, 1.4 + 0.05 * i, 12) for i in range(5)]
@@ -260,7 +275,7 @@ class TestBatchFits:
             slope, intercept = np.polyfit(lx, np.log(usable), 1)
             assert abs(fit.beta_hat + slope) <= 1e-9
             assert abs(math.log(fit.q_hat) - intercept) <= 1e-9
-            assert fit == fit_author(curve, author_id)
+            assert fit == fit_author(curve)
 
     def test_cohort_argument_carries_its_ids(self):
         from srmkit import ingest
@@ -269,7 +284,7 @@ class TestBatchFits:
         profile = calibrate_cohort(cohort)
         assert profile.author_id == ("a", "c")
         assert profile.metadata["skipped"] == ["b"]
-        assert fit_row(profile, 0) == fit_author(cohort.curve(0), "a")
+        assert fit_row(profile, 0) == fit_author(cohort.curve(0))
 
 
 class TestMalformedProfile:

@@ -27,7 +27,7 @@ from srmkit import engine
 from srmkit.calibration import phi_index
 from srmkit.curves import evaluate_family
 
-from conftest import dominating_pair, random_curve
+from conftest import dominating_pair, random_curve, value_at
 
 X1 = construct_curve([8, 6, 4, 2])
 X2 = construct_curve([4, 2, 2, 2, 2])
@@ -48,7 +48,7 @@ def brute_integer_srm(curve, label, q_max=1100):
             math.floor(q if fam.shape != "rectangle" else fam.width.value(q))
         )
         ok = all(
-            curve.value_at(i) >= evaluate_family(fam, q, i) for i in range(1, n + 1)
+            value_at(curve, i) >= evaluate_family(fam, q, i) for i in range(1, n + 1)
         )
         if ok:
             best = q
@@ -141,7 +141,7 @@ class TestClosedForms:
             feasible = [
                 q
                 for q in grid
-                if all(curve.value_at(i) >= q for i in range(1, int(math.floor(q)) + 1))
+                if all(value_at(curve, i) >= q for i in range(1, int(math.floor(q)) + 1))
             ]
             oracle = max(feasible)
             assert srm_closed_form(curve, "h_r").level == pytest.approx(oracle, abs=1 / 256)

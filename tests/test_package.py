@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -72,6 +74,100 @@ def test_every_export_has_a_caller():
     assert sorted(exported - used - set(ORACLES)) == []
 
 
+def _exported_classes():
+    return [value for value in vars(srmkit).values()
+            if inspect.isclass(value) and value.__module__.startswith("srmkit.")]
+
+
+def _public_members(cls):
+    """Methods, properties, classmethods, dataclass fields and public
+    ``__slots__`` that the class itself defines."""
+    names = set(vars(cls))
+    if dataclasses.is_dataclass(cls):
+        names |= {f.name for f in dataclasses.fields(cls)}
+    return sorted(n for n in names if not n.startswith("_"))
+
+
+def _calls(tree):
+    """(callee name, call node) for every call; ``cls(...)`` inside a
+    class body is a call of that class."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                found.append((owner if name == "cls" and owner else name, child))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(tree, None)
+    return found
+
+
+def _passes(call, position, name):
+    """Whether a call binds the parameter ``name`` (at ``position`` among
+    the positional parameters, or None when keyword-only)."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _defaulted_parameters(fn, bound):
+    """(position, name) of each parameter with a default; ``bound`` drops
+    the leading self of a method looked up on its class."""
+    params = list(inspect.signature(fn).parameters.values())[1 if bound else 0:]
+    positional = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+    return [(positional.index(p.name) if p.name in positional else None, p.name)
+            for p in params if p.default is not p.empty]
+
+
+def test_every_public_member_and_parameter_has_a_caller():
+    """Each public member of an exported class is read as an attribute by
+    the library, or named by a string constant there (as a ``getattr``
+    over a table of field names reads it), or called or passed by an
+    acceptance criterion.  Each defaulted parameter of an exported
+    function, class or public method is passed, by keyword or by
+    position, by some call in those files."""
+    package = Path(srmkit.__file__).parent
+    library = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
+               if path.name != "__init__.py"]
+    acceptance = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
+    read = _called_names(acceptance)
+    for tree in library:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = [f"{cls.__name__}.{name}" for cls in _exported_classes()
+              for name in _public_members(cls) if name not in read]
+
+    callables = [(name, value, False) for name, value in vars(srmkit).items()
+                 if inspect.isfunction(value) and name not in ORACLES]
+    callables += [(cls.__name__, cls, False) for cls in _exported_classes()
+                  if "__init__" in vars(cls)]
+    for cls in _exported_classes():
+        for name in _public_members(cls):
+            static = vars(cls).get(name)
+            if isinstance(static, (classmethod, staticmethod)) or inspect.isfunction(static):
+                callables.append((f"{cls.__name__}.{name}", getattr(cls, name),
+                                  inspect.isfunction(static)))
+    calls = {}
+    for tree in (*library, acceptance):
+        for name, call in _calls(tree):
+            calls.setdefault(name, []).append(call)
+    unpassed = [
+        f"{label}({param})"
+        for label, fn, bound in callables
+        for position, param in _defaulted_parameters(fn, bound)
+        if not any(_passes(c, position, param) for c in calls.get(label.split(".")[-1], []))
+    ]
+    assert unread + unpassed == []
+
+
 def test_no_unused_imports():
     """Every name a module imports is read somewhere in that module."""
     package = Path(srmkit.__file__).parent
@@ -95,3 +191,24 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in loaded]
     assert unused == []
+
+
+def test_no_unread_private_names():
+    """Every module-level private function, class or constant is read
+    somewhere in the library."""
+    package = Path(srmkit.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = set().union(*map(_used_names, trees.values()))
+    unread = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{filename}:{node.lineno}: {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert unread == []
