@@ -182,10 +182,9 @@ def _resolve_format(cfg: RunConfig) -> str:
 
 def _load_cohort(cfg: RunConfig) -> co.Cohort:
     path = _require(cfg.input, "--input")
-    with open(path, "rb") as fh:
-        data = fh.read()
     fmt = co.JSON_FORMAT if path.lower().endswith(".json") else co.CSV_FORMAT
-    return co.ingest(data, fmt)
+    with open(path, "rb") as fh:
+        return co.ingest(fh.read(), fmt)  # ingest holds the only reference to the bytes
 
 
 def _load_profile_beta(cfg: RunConfig) -> float:

@@ -9,6 +9,15 @@ File formats (mirrored on export):
 
 Numbers are rendered with up to 9 significant digits and +inf as the
 literal string "inf".
+
+Citations that are plain integer text are read in one numpy pass,
+without a Python number per citation: ASCII decimal integers below
+10**15, no sign, point or exponent, joined by the format's separator,
+with JSON whitespace around any of them.  In JSON this must hold for
+the ``citations`` array of every ``authors`` entry, with no leading
+zero, and the input must not hold the escape ``\\u0000``.  Any other
+input is read one number at a time; both ways give the same values and
+the same error messages.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import io
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -160,6 +170,12 @@ class IndexTable:
         return self.indices.index(index)
 
 
+# a "citations" array of plain integer text; the group is the text between its brackets
+_PLAIN_ARRAY = re.compile(r'"citations"[ \t\n\r]*:[ \t\n\r]*\[([0-9, \t\n\r]*)\]')
+_PLAIN_BOUND = 10 ** 15
+_PLAIN_CHUNK = 1 << 20  # characters of array text parsed at a time
+
+
 def _decode(data: Union[bytes, str]) -> str:
     if isinstance(data, bytes):
         try:
@@ -172,6 +188,50 @@ def _decode(data: Union[bytes, str]) -> str:
 def _all_valid(flat: np.ndarray) -> bool:
     # the comparisons of checked_citations: 0 <= x < inf rejects nan as well
     return bool(np.all((flat >= 0) & (flat < math.inf)))
+
+
+def _plain_integers(text: str, sep: str, leading_zeros: bool) -> Optional[np.ndarray]:
+    """The numbers of plain integer text as float64, or None for any other text.
+
+    Plain integer text is ASCII decimal integers joined by ``sep``: no
+    sign, point or exponent, every integer below 10**15 (so float64
+    holds it exactly, as ``float`` would give it), and a leading zero
+    only if ``leading_zeros``.  JSON whitespace (space, tab, line feed,
+    carriage return) may stand around any integer; text of whitespace
+    alone holds no integer.  One pass of ``np.fromstring`` parses it.
+    numpy reads whitespace between two separators, or before the first,
+    as a 0, and passes over a separator at the end; text that it reads
+    either way has as many separators as digit runs, or more, so the
+    text is taken only when it has one separator fewer than digit runs.
+    """
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if raw.translate(None, b"0123456789 \t\n\r" + sep.encode("ascii")):
+        return None
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    digit = np.subtract(codes, 48, dtype=np.uint8) < 10
+    runs = int(np.count_nonzero(digit[1:] > digit[:-1])) + int(digit[:1].sum())
+    if np.count_nonzero(codes == ord(sep)) != max(runs - 1, 0):
+        return None
+    if not runs:
+        return np.empty(0)
+    if not leading_zeros:
+        zero_led = (codes[:-1] == 48) & digit[1:]  # a 0 followed by a digit ...
+        zero_led[1:] &= ~digit[:-2]  # ... that starts its run
+        if zero_led.any():
+            return None
+    with warnings.catch_warnings():
+        # older numpy warns, newer numpy raises, when text is left unread
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            ints = np.fromstring(raw, dtype=np.int64, sep=sep)
+        except (DeprecationWarning, ValueError):
+            return None
+    if ints.max() >= _PLAIN_BOUND:  # an overflow reads as the int64 maximum
+        return None
+    return ints.astype(float)
 
 
 def _csv_rows(text: str):
@@ -212,6 +272,9 @@ def _csv_rows(text: str):
 def _csv_values(ids: List[str], cells: List[str], linenos: List[int]) -> np.ndarray:
     """Every citation of every cell, validated, as one flat array."""
     joined = ";".join(filter(None, cells))
+    flat = _plain_integers(joined, ";", leading_zeros=True)
+    if flat is not None:
+        return flat
     try:
         flat = np.array(joined.split(";") if joined else [], dtype=float)
         if _all_valid(flat):
@@ -279,17 +342,15 @@ def _json_values(ids: List[str], lists: List[list]) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _ingest_json(text: str):
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"input is not valid JSON: {exc}") from None
-    del text  # the only reference: free the input while the citations are packed
-    if not isinstance(doc, dict) or not isinstance(doc.get("authors"), list):
-        raise ValidationError("JSON input must be an object with an 'authors' list")
+def _json_entries(authors: list):
+    """Author ids, citation lists and annotations of the well-formed
+    entries, up to the first malformed one, whose error is returned
+    rather than raised: a bad citation of an earlier entry is reported
+    first.
+    """
     ids, lists, annotations = [], [], []
-    pending = None  # raised once the citations of earlier entries have passed
-    for pos, entry in enumerate(doc["authors"]):
+    pending = None
+    for pos, entry in enumerate(authors):
         where = f"authors[{pos}]"
         if not isinstance(entry, dict) or "id" not in entry:
             pending = ValidationError(f"{where}: each author needs an 'id'")
@@ -309,6 +370,73 @@ def _ingest_json(text: str):
             pending = ValidationError("author id must be nonempty")
             break
         annotations.append(dict(notes))
+    return ids, lists, annotations, pending
+
+
+def _plain_json(text: str):
+    """Read a JSON cohort whose ``citations`` arrays are all plain
+    integer text, or return None.
+
+    Each array :data:`_PLAIN_ARRAY` finds is replaced by a mark, the
+    string "\\0<k>", and json.loads reads what is left.  Only when the
+    marks are exactly the ``citations`` of the ``authors`` entries, in
+    order, and every entry is well formed, is the text of the arrays
+    parsed, by :func:`_plain_integers`, about a megabyte at a time.
+    Text that holds the marks' escape is never read this way.
+    """
+    if "\\u0000" in text:
+        return None
+    spans, skeleton, end = [], [], 0
+    for k, match in enumerate(_PLAIN_ARRAY.finditer(text)):
+        a, b = match.span(1)
+        spans.append((a, b))
+        skeleton += (text[end:a - 1], f'"\\u0000{k}"')  # the mark takes the place of [...]
+        end = b + 1
+    if not spans:  # nothing to cut: json.loads would read the whole input twice
+        return None
+    skeleton.append(text[end:])
+    try:
+        doc = json.loads("".join(skeleton))
+    except (ValueError, RecursionError):
+        return None
+    authors = doc.get("authors") if isinstance(doc, dict) else None
+    if not isinstance(authors, list) or [
+        entry.get("citations") if isinstance(entry, dict) else None for entry in authors
+    ] != [f"\0{k}" for k in range(len(spans))]:
+        return None
+    for entry in authors:
+        entry["citations"] = []  # its numbers come from the array text
+    ids, _, annotations, pending = _json_entries(authors)
+    if pending is not None:
+        return None
+    counts = [text.count(",", a, b) + 1 if text[a:b].strip() else 0 for a, b in spans]
+    flat = np.empty(sum(counts))
+    pos, batch, size = 0, [], 0
+    for k, ((a, b), count) in enumerate(zip(spans, counts), start=1):
+        if count:
+            batch.append(text[a:b])
+            size += b - a
+        if size >= _PLAIN_CHUNK or k == len(spans):
+            values = _plain_integers(",".join(batch), ",", leading_zeros=False)
+            if values is None:
+                return None
+            flat[pos:pos + values.size] = values
+            pos += values.size
+            batch, size = [], 0
+    return ids, flat, counts, annotations
+
+
+def _ingest_json(text: str):
+    read = _plain_json(text)
+    if read is not None:
+        return read
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"input is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("authors"), list):
+        raise ValidationError("JSON input must be an object with an 'authors' list")
+    ids, lists, annotations, pending = _json_entries(doc["authors"])
     flat = _json_values(ids, lists)
     if pending is not None:
         raise pending
@@ -344,8 +472,10 @@ def ingest(data: Union[bytes, str], fmt: str) -> Cohort:
     position in it.
     """
     _check_format(fmt)
+    text = _decode(data)
+    del data  # the caller's bytes may go once the text is decoded
     read = _ingest_csv if fmt == CSV_FORMAT else _ingest_json
-    ids, flat, counts, annotations = read(_decode(data))
+    ids, flat, counts, annotations = read(text)
     values, offsets = _pack(flat, counts)
     return Cohort(ids, values, offsets, annotations=annotations)
 

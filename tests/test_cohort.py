@@ -20,9 +20,10 @@ from srmkit import (
     shift_citations,
     srm_closed_form,
 )
+from srmkit import cohort as cohort_module
 from srmkit.calibration import _FIT_COLUMNS, PROFILE_VERSION
 from srmkit.cohort import _json_number, format_number, write_rows
-from srmkit.curves import SrmValue
+from srmkit.curves import SrmValue, checked_citations
 
 from conftest import random_curve
 
@@ -595,6 +596,209 @@ class TestIngestRobustness:
     def test_integer_beyond_the_digit_limit_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="not valid JSON"):
             ingest('{"authors": [{"id": "a", "citations": [%s]}]}' % ("9" * 5000), "json")
+
+
+# ---------------------------------------------------------------------------
+# plain integer citation text: ingest reads it in one numpy pass
+# ---------------------------------------------------------------------------
+
+
+def _oracle(text, fmt):
+    """ids, values, offsets and annotations read one number at a time:
+    json.loads or csv.reader, then checked_citations and a sort."""
+    if fmt == "json":
+        records = [(str(e["id"]), e.get("citations", []), dict(e.get("annotations", {})))
+                   for e in json.loads(text)["authors"]]
+    else:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row][1:]
+        records = [(author.strip(), [float(x) for x in cell.strip().split(";")] if cell.strip()
+                    else [], {}) for author, cell in rows]
+    values, offsets = [], [0]
+    for _, citations, _ in records:
+        values += sorted((x for x in checked_citations(citations) if x > 0), reverse=True)
+        offsets.append(len(values))
+    return tuple(r[0] for r in records), values, offsets, tuple(r[2] for r in records)
+
+
+def _read(text, fmt):
+    cohort = ingest(text, fmt)
+    return cohort.ids, cohort.values.tolist(), cohort.offsets.tolist(), cohort.annotations
+
+
+_PLAIN_IDS = ["a", 'say "citations": [1]', "x,y", "café", "two\nlines", "  pad"]
+
+
+def _plain_records(rng):
+    """Random authors with whole citation counts from 0 to 10**15 - 1."""
+    records = []
+    for k in range(int(rng.integers(1, 25))):
+        pools = [rng.integers(0, 20, size=12), rng.integers(0, 10 ** 15, size=12),
+                 np.array([0, 9, 10, 99, 100, 10 ** 15 - 1])]
+        pool = np.concatenate(pools[:int(rng.integers(1, 4))])
+        citations = rng.choice(pool, size=int(rng.integers(0, 12))).tolist()
+        notes = [{}, {"field": "probability", "years": [1990, 2001]}][int(rng.integers(2))]
+        records.append((f"{_PLAIN_IDS[int(rng.integers(len(_PLAIN_IDS)))]}{k}", citations, notes))
+    return records
+
+
+def _spaced(rng, texts, sep):
+    """``texts`` joined by ``sep``, with JSON whitespace around each."""
+    space = lambda: "".join(rng.choice(list(" \t\n\r"), size=int(rng.integers(0, 3))))
+    return sep.join(space() + t + space() for t in texts)
+
+
+def _json_layouts(rng, records):
+    doc = {"authors": [{"id": i, "citations": c, "annotations": n} for i, c, n in records]}
+    entries = ",".join(
+        '{"id": %s, "citations": [%s], "annotations": %s}'
+        % (json.dumps(i), _spaced(rng, list(map(str, c)), ","), json.dumps(n))
+        for i, c, n in records
+    )
+    return {
+        "compact": json.dumps(doc, separators=(",", ":")),
+        "indent=2": json.dumps(doc, indent=2),
+        "\\t\\n\\r": '{"authors":\t[\r\n' + entries + "\n]}",
+        "CRLF": json.dumps(doc, indent=2).replace("\n", "\r\n"),
+    }
+
+
+def _csv_layouts(rng, records):
+    layouts = {}
+    for name, terminator, spaced in [("compact", "\n", False), ("\\t\\n\\r", "\n", True),
+                                     ("CRLF", "\r\n", False)]:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator=terminator,
+                            quoting=csv.QUOTE_ALL if spaced else csv.QUOTE_MINIMAL)
+        writer.writerow(["author_id", "citations"])
+        for author_id, citations, _ in records:
+            texts = list(map(str, citations))
+            writer.writerow([author_id, _spaced(rng, texts, ";") if spaced else ";".join(texts)])
+        layouts[name] = buf.getvalue()
+    return layouts
+
+
+def _plain_inputs(seed, trials):
+    """Random plain integer cohorts in every layout of both formats."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        records = _plain_records(rng)
+        yield from (("json", name, text) for name, text in _json_layouts(rng, records).items())
+        yield from (("csv", name, text) for name, text in _csv_layouts(rng, records).items())
+
+
+@pytest.fixture
+def lane(monkeypatch):
+    """What the numpy pass answered, by function: _plain_json for JSON,
+    _plain_integers for CSV; None is "not plain integer text"."""
+    answers = {"_plain_json": [], "_plain_integers": []}
+    for name, seen in answers.items():
+        def spy(*args, real=getattr(cohort_module, name), seen=seen, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+        monkeypatch.setattr(cohort_module, name, spy)
+    return answers
+
+
+def _in_doc(array):
+    return '{"authors": [{"id": "a", "citations": [3, 1]}, {"id": "b", "citations": %s}]}' % array
+
+
+def _in_csv(cell):
+    return f"author_id,citations\na,3;1\nb,{cell}\n"
+
+
+class TestPlainIntegerLane:
+    def test_random_cohorts_match_the_scalar_oracle(self):
+        for fmt, layout, text in _plain_inputs(1301, 40):
+            want = _oracle(text, fmt)
+            assert _read(text, fmt) == want, (fmt, layout)
+            assert _read(text.encode("utf-8"), fmt) == want, (fmt, layout)
+
+    def test_plain_input_never_builds_python_numbers(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("plain integer text reached the Python number path")
+
+        wants = [(fmt, text, _oracle(text, fmt)) for fmt, _, text in _plain_inputs(1302, 10)]
+        # JSON array text is parsed a megabyte at a time: these span several parses
+        text = json.dumps({"authors": [{"id": f"r{k}", "citations": list(range(k, 200_000 + k))}
+                                       for k in range(4)]})
+        wants.append(("json", text, _oracle(text, "json")))
+        for name in ("_json_values", "_all_valid", "checked_citations"):
+            monkeypatch.setattr(cohort_module, name, refuse)
+        for fmt, text, want in wants:
+            assert _read(text, fmt) == want
+
+    def test_input_with_no_plain_array_is_parsed_once(self, monkeypatch):
+        doc = '{"authors": [{"id": "a", "citations": [1.5, 2]}]}'
+        want = _oracle(doc, "json")
+        calls = []
+        real = json.loads
+        monkeypatch.setattr(cohort_module.json, "loads", lambda s: calls.append(s) or real(s))
+        assert _read(doc, "json") == want
+        assert calls == [doc]
+
+
+class TestPlainIntegerLanePins:
+    """Where the numpy pass must, or must not, read the input; either
+    way ingest gives the oracle's values or the scalar path's message."""
+
+    @pytest.mark.parametrize("fmt, text, plain, message", [
+        ("json", _in_doc("[01]"), False, "input is not valid JSON: Expecting ',' delimiter"),
+        ("json", _in_doc("[1,,2]"), False, "input is not valid JSON: Expecting value"),
+        ("json", _in_doc("[1,,2 3]"), False, "input is not valid JSON: Expecting value"),
+        ("json", _in_doc("[1 2]"), False, "input is not valid JSON: Expecting ',' delimiter"),
+        ("json", _in_doc("[,1]"), False, "input is not valid JSON: Expecting value"),
+        ("json", _in_doc("[1,]"), False, "input is not valid JSON: Expecting value"),
+        ("json", _in_doc("[ , ]"), False, "input is not valid JSON: Expecting value"),
+        ("json", _in_doc("[-0]"), False, None),
+        ("json", _in_doc("[1.0]"), False, None),
+        ("json", _in_doc("[1e2]"), False, None),
+        ("json", _in_doc("[ 5]"), True, None),
+        ("json", _in_doc("[]"), True, None),
+        ("json", _in_doc("[ \r\n\t]"), True, None),
+        ("json", _in_doc("[0, 10, 999999999999999]"), True, None),
+        ("json", '{"authors": [{"id": "a", "citations": []}]}', True, None),
+        ("json", _in_doc("[1000000000000000]"), False, None),
+        ("json", _in_doc("[9007199254740993]"), False, None),
+        ("json", _in_doc("[%s]" % ("9" * 5000)), False,
+         "input is not valid JSON: Exceeds the limit (4300 digits)"),
+        ("json", '{"authors": [{"id": "a", "citations": [1],'
+                 ' "annotations": {"citations": [2]}}]}', False, None),
+        ("json", '{"authors": [{"id": "a", "abc\\"citations": [1]}]}', False, None),
+        ("json", '{"authors": [{"id": "a", "citations": [1], "citations": [2, 3]}]}', False, None),
+        ("json", '{"authors": [{"id": "a\\u0000b", "citations": [1]}]}', False, None),
+        ("json", '{"authors": [{"id": "a", "citations": "\\u00000",'
+                 ' "annotations": {"citations": [5]}}]}', False,
+         "authors[0]: 'citations' must be a list"),
+        ("json", '{"authors": [{"id": "x", "citations": [9]}],'
+                 ' "authors": [{"id": "a", "citations": [1]}]}', False, None),
+        ("json", '{"authors": [{"id": "a", "citations": [1]}, {"id": "b"}]}', False, None),
+        ("json", '{"authors": [{"id": "a", "citations": [1]},]}', False,
+         "input is not valid JSON: Expecting value"),
+        ("json", '{"authors": [{"id": "a", "citations": [1], "annotations": 3}]}', False,
+         "authors[0]: 'annotations' must be an object"),
+        ("csv", _in_csv("٣"), False, None),
+        ("csv", _in_csv("1_000"), False, None),
+        ("csv", _in_csv("+5"), False, None),
+        ("csv", _in_csv("-5"), False, "line 3: author 'b': citation at position 0 is -5.0"),
+        ("csv", _in_csv(";5"), False, "line 3: bad citation value '' for author 'b'"),
+        ("csv", _in_csv("5;"), False, "line 3: bad citation value '' for author 'b'"),
+        ("csv", _in_csv("1000000000000000"), False, None),
+        ("csv", _in_csv("9007199254740993"), False, None),
+        ("csv", _in_csv("18446744073709551617"), False, None),  # 2**64 + 1
+        ("csv", _in_csv("007;10"), True, None),
+        ("csv", "author_id,citations\na,\n", True, None),
+        ("csv", _in_csv('" 1 ;\t2\r\n;3"'), True, None),
+    ], ids=lambda value: value[:60] if isinstance(value, str) else None)
+    def test_pin(self, lane, fmt, text, plain, message):
+        if message is None:
+            assert _read(text, fmt) == _oracle(text, fmt)
+        else:
+            with pytest.raises(ValidationError) as err:
+                ingest(text, fmt)
+            assert str(err.value).startswith(message)
+        answers = lane["_plain_json" if fmt == "json" else "_plain_integers"]
+        assert [answer is not None for answer in answers] == [plain]
 
 
 # The encoding of every row-shaped output before it was built from columns:
