@@ -10,10 +10,11 @@ File formats (mirrored on export):
 Numbers are rendered with up to 9 significant digits and +inf as the
 literal string "inf".
 
-Citations that are plain integer text are read in one numpy pass,
-without a Python number per citation: ASCII decimal integers below
-10**15, no sign, point or exponent, joined by the format's separator,
-with JSON whitespace around any of them.  In JSON this must hold for
+Citations that are plain integer text are read by numpy, about a
+megabyte of text per pass and on up to one thread per CPU, without a
+Python number per citation: ASCII decimal integers below 10**15, no
+sign, point or exponent, joined by the format's separator, with JSON
+whitespace around any of them.  In JSON this must hold for
 the ``citations`` array of every ``authors`` entry, with no leading
 zero, and the input must not hold the escape ``\\u0000``.  Any other
 input is read one number at a time; both ways give the same values and
@@ -26,10 +27,13 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import threading
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from json.encoder import encode_basestring_ascii
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -170,10 +174,11 @@ class IndexTable:
         return self.indices.index(index)
 
 
-# a "citations" array of plain integer text; the group is the text between its brackets
-_PLAIN_ARRAY = re.compile(r'"citations"[ \t\n\r]*:[ \t\n\r]*\[([0-9, \t\n\r]*)\]')
+# a "citations" array's head; group 1 is its bracket, and the match ends
+# at the array's first character that is not whitespace
+_CITATIONS = re.compile(r'"citations"[ \t\n\r]*:[ \t\n\r]*(\[)[ \t\n\r]*')
 _PLAIN_BOUND = 10 ** 15
-_PLAIN_CHUNK = 1 << 20  # characters of array text parsed at a time
+_PLAIN_CHUNK = 1 << 20  # characters of text parsed at a time
 
 
 def _decode(data: Union[bytes, str]) -> str:
@@ -190,48 +195,190 @@ def _all_valid(flat: np.ndarray) -> bool:
     return bool(np.all((flat >= 0) & (flat < math.inf)))
 
 
-def _plain_integers(text: str, sep: str, leading_zeros: bool) -> Optional[np.ndarray]:
-    """The numbers of plain integer text as float64, or None for any other text.
+def _plain_counts(raw: bytes, lengths: List[int], sep: str, leading_zeros: bool):
+    """The checks of :func:`_plain_integers` that come before numpy reads
+    ``raw``, texts of ``lengths`` characters joined by ``sep``: how many
+    integers each text holds, as an int64 array, or None.  Its arrays are
+    freed before numpy reads the text, as a function of its own.
+    """
+    if raw.translate(None, b"0123456789 \t\n\r" + sep.encode("ascii")):
+        return None
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    digit = np.subtract(codes, 48, dtype=np.uint8) < 10
+    runs = int(np.count_nonzero(digit[1:] > digit[:-1])) + int(digit[:1].sum())
+    is_sep = codes == ord(sep)
+    if np.count_nonzero(is_sep) != max(runs - 1, 0):
+        return None
+    if not runs:
+        return np.zeros(len(lengths), dtype=np.int64)
+    if not leading_zeros:
+        zero_led = codes[:-1] == 48  # a 0 followed by a digit ...
+        zero_led &= digit[1:]
+        zero_led[1:] &= ~digit[:-2]  # ... that starts its run
+        if zero_led.any():
+            return None
+    seps = np.flatnonzero(is_sep)
+    joins = np.cumsum(np.array(lengths[:-1], dtype=np.int64) + 1) - 1
+    places = np.searchsorted(seps, joins)  # of the joining separators among all
+    return np.diff(places, prepend=-1, append=seps.size)
+
+
+def _plain_integers(texts: List[str], sep: str, leading_zeros: bool):
+    """The numbers of plain integer texts joined by ``sep``, and how many
+    of them each text holds, as two int64 arrays; or None for any other
+    texts.
 
     Plain integer text is ASCII decimal integers joined by ``sep``: no
     sign, point or exponent, every integer below 10**15 (so float64
     holds it exactly, as ``float`` would give it), and a leading zero
     only if ``leading_zeros``.  JSON whitespace (space, tab, line feed,
     carriage return) may stand around any integer; text of whitespace
-    alone holds no integer.  One pass of ``np.fromstring`` parses it.
-    numpy reads whitespace between two separators, or before the first,
-    as a 0, and passes over a separator at the end; text that it reads
-    either way has as many separators as digit runs, or more, so the
-    text is taken only when it has one separator fewer than digit runs.
+    alone holds no integer.  One pass of ``np.fromstring`` parses the
+    joined texts, so a text of whitespace alone is plain only if it is
+    the only one.  numpy reads whitespace between two separators, or
+    before the first, as a 0, and passes over a separator at the end;
+    text that it reads either way has as many separators as digit runs,
+    or more, so the text is taken only when it has one separator fewer
+    than digit runs.  Then each text holds one value more than its own
+    separators.  Call it with DeprecationWarning turned into an error, as
+    :class:`_ChunkParser` does: older numpy warns where newer numpy
+    raises when text is left unread.
     """
     try:
-        raw = text.encode("ascii")
+        raw = sep.join(texts).encode("ascii")
     except UnicodeEncodeError:
         return None
-    if raw.translate(None, b"0123456789 \t\n\r" + sep.encode("ascii")):
+    counts = _plain_counts(raw, list(map(len, texts)), sep, leading_zeros)
+    if counts is None:
         return None
-    codes = np.frombuffer(raw, dtype=np.uint8)
-    digit = np.subtract(codes, 48, dtype=np.uint8) < 10
-    runs = int(np.count_nonzero(digit[1:] > digit[:-1])) + int(digit[:1].sum())
-    if np.count_nonzero(codes == ord(sep)) != max(runs - 1, 0):
+    if not counts.any():  # whitespace alone
+        return np.empty(0, dtype=np.int64), counts
+    try:
+        ints = np.fromstring(raw, dtype=np.int64, sep=sep)
+    except (DeprecationWarning, ValueError):
         return None
-    if not runs:
-        return np.empty(0)
-    if not leading_zeros:
-        zero_led = (codes[:-1] == 48) & digit[1:]  # a 0 followed by a digit ...
-        zero_led[1:] &= ~digit[:-2]  # ... that starts its run
-        if zero_led.any():
-            return None
-    with warnings.catch_warnings():
-        # older numpy warns, newer numpy raises, when text is left unread
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            ints = np.fromstring(raw, dtype=np.int64, sep=sep)
-        except (DeprecationWarning, ValueError):
-            return None
     if ints.max() >= _PLAIN_BOUND:  # an overflow reads as the int64 maximum
         return None
-    return ints.astype(float)
+    return ints, counts
+
+
+class _ChunkParser:
+    """Reads chunks of plain integer texts, by :func:`_plain_integers`,
+    into one float64 array, in the order the chunks are added.
+
+    Once a second chunk is added, worker threads parse chunks while the
+    caller goes on; in :meth:`results` the caller parses what is left
+    beside them, so one thread per CPU this process may run on parses
+    (numpy releases the GIL while it parses).  A lone chunk, or every
+    chunk on one CPU, is parsed by the caller alone.  A parsed chunk is
+    copied into the array once every chunk before it is, so no more than
+    one parsed chunk per thread waits.  ``bound`` is at least the number
+    of values of all the chunks: the array is allocated once, at that
+    size, and its pages past the values are never written.
+
+    As a context manager it turns DeprecationWarning into an error
+    around the parses; the warnings filters are shared by all threads,
+    so they are set once, in the caller's thread.  On exit it stops its
+    workers, and a worker's error is raised in the caller.
+    """
+
+    def __init__(self, sep: str, leading_zeros: bool, bound: int):
+        self.args = (sep, leading_zeros)
+        self.flat = np.empty(bound)
+        self.size = 0  # values copied into flat
+        self.counts: List[np.ndarray] = []  # per text, of the chunks copied
+        self.chunks: List[Optional[Iterable[str]]] = []
+        self.taken = 0  # chunks given to a thread to parse
+        self.closed = False  # no chunk will be added
+        self.turn = threading.Condition()  # guards chunks, taken and closed
+        self.waiting: Dict[int, object] = {}  # parsed chunks not yet copied
+        self.placed = 0  # chunks copied, or passed over once one declined
+        self.declined = False
+        self.lock = threading.Lock()  # guards the copying
+        self.errors: List[Exception] = []
+        self.workers: List[threading.Thread] = []
+
+    def __enter__(self) -> "_ChunkParser":
+        self.filters = warnings.catch_warnings()
+        self.filters.__enter__()
+        warnings.simplefilter("error", DeprecationWarning)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        try:
+            self._stop()
+        finally:
+            self.filters.__exit__(*exc)
+
+    def add(self, texts: Iterable[str]) -> None:
+        """Queue one chunk: its texts, each with some non-whitespace."""
+        with self.turn:
+            self.chunks.append(texts)
+            self.turn.notify()
+        if len(self.chunks) == 2:
+            self.workers = [threading.Thread(target=self._work)
+                            for _ in range(len(os.sched_getaffinity(0)) - 1)]
+            for worker in self.workers:
+                worker.start()
+
+    def _take(self) -> Optional[int]:
+        """The next chunk to parse; None once there is none, or once a
+        chunk declined."""
+        with self.turn:
+            self.turn.wait_for(lambda: self.taken < len(self.chunks) or self.closed)
+            if self.taken == len(self.chunks) or self.declined:
+                return None
+            self.taken += 1
+            return self.taken - 1
+
+    def _parse(self, k: int) -> None:
+        read = _plain_integers(list(self.chunks[k]), *self.args)
+        self.chunks[k] = None  # its text may go
+        with self.lock:
+            self.waiting[k] = read
+            while self.placed in self.waiting:
+                read = self.waiting.pop(self.placed)
+                self.placed += 1
+                self.declined |= read is None
+                if not self.declined:
+                    ints, counts = read
+                    self.flat[self.size:self.size + ints.size] = ints
+                    self.size += ints.size
+                    self.counts.append(counts)
+
+    def _work(self) -> None:
+        while (k := self._take()) is not None:
+            try:
+                self._parse(k)
+            except Exception as exc:  # raised in the caller, by _stop
+                self.errors.append(exc)
+                return
+
+    def _close(self) -> None:
+        with self.turn:
+            self.closed = True
+            self.turn.notify_all()
+
+    def _stop(self) -> None:
+        self._close()
+        for worker in self.workers:
+            worker.join()
+        self.workers = []
+        errors, self.errors = self.errors, []
+        if errors:
+            raise errors[0]
+
+    def results(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The values of every chunk and how many each text holds, in the
+        order the chunks were added; None if any chunk declined."""
+        self._close()
+        while (k := self._take()) is not None:
+            self._parse(k)
+        self._stop()
+        if self.declined:
+            return None
+        counts = np.concatenate(self.counts) if self.counts else np.empty(0, dtype=np.int64)
+        return self.flat[:self.size], counts
 
 
 def _csv_rows(text: str):
@@ -269,12 +416,28 @@ def _csv_rows(text: str):
     return ids, cells, linenos, None
 
 
+def _plain_csv(cells: List[str]):
+    """The citations of CSV cells that are all plain integer text, as one
+    flat array, and how many each cell holds; or None."""
+    lengths = np.fromiter(map(len, cells), np.int64, len(cells))
+    texts = list(filter(None, cells))
+    size = int(lengths.sum())
+    chunks = max(-(-size // _PLAIN_CHUNK), 1)  # of about _PLAIN_CHUNK characters
+    with _ChunkParser(";", leading_zeros=True, bound=(size + len(texts)) // 2) as parser:
+        for k in range(chunks):
+            parser.add(texts[k * len(texts) // chunks:(k + 1) * len(texts) // chunks])
+        read = parser.results()
+    if read is None:
+        return None
+    flat, counted = read
+    counts = np.zeros(len(cells), dtype=np.int64)
+    counts[lengths > 0] = counted
+    return flat, counts.tolist()
+
+
 def _csv_values(ids: List[str], cells: List[str], linenos: List[int]) -> np.ndarray:
     """Every citation of every cell, validated, as one flat array."""
     joined = ";".join(filter(None, cells))
-    flat = _plain_integers(joined, ";", leading_zeros=True)
-    if flat is not None:
-        return flat
     try:
         flat = np.array(joined.split(";") if joined else [], dtype=float)
         if _all_valid(flat):
@@ -307,10 +470,12 @@ def _ingest_csv(text: str):
         ids, cells, linenos, pending = _csv_rows(text)
     finally:
         csv.field_size_limit(limit)
-    flat = _csv_values(ids, cells, linenos)
+    read = _plain_csv(cells)
+    if read is None:
+        read = _csv_values(ids, cells, linenos), [cell.count(";") + 1 if cell else 0 for cell in cells]
     if pending is not None:
         raise pending
-    return ids, flat, [cell.count(";") + 1 if cell else 0 for cell in cells], None
+    return ids, *read, None
 
 
 _PLAIN_NUMBERS = frozenset((int, float))
@@ -377,53 +542,61 @@ def _plain_json(text: str):
     """Read a JSON cohort whose ``citations`` arrays are all plain
     integer text, or return None.
 
-    Each array :data:`_PLAIN_ARRAY` finds is replaced by a mark, the
-    string "\\0<k>", and json.loads reads what is left.  Only when the
-    marks are exactly the ``citations`` of the ``authors`` entries, in
-    order, and every entry is well formed, is the text of the arrays
-    parsed, by :func:`_plain_integers`, about a megabyte at a time.
-    Text that holds the marks' escape is never read this way.
+    :data:`_CITATIONS` finds the head of each array, and its first "]"
+    ends it.  A :class:`_ChunkParser` parses the text of the arrays, about
+    a megabyte at a time, from the moment it is cut.  Only when every
+    array is plain integer text is each replaced by a mark, the string
+    "\\0<k>", and what is left read by json.loads; the cohort is read
+    this way only when the marks are exactly the ``citations`` of the
+    ``authors`` entries, in order, and every entry is well formed.  Text
+    that holds the marks' escape is never read this way.
     """
     if "\\u0000" in text:
         return None
-    spans, skeleton, end = [], [], 0
-    for k, match in enumerate(_PLAIN_ARRAY.finditer(text)):
-        a, b = match.span(1)
-        spans.append((a, b))
-        skeleton += (text[end:a - 1], f'"\\u0000{k}"')  # the mark takes the place of [...]
-        end = b + 1
-    if not spans:  # nothing to cut: json.loads would read the whole input twice
+    skeleton, nonempty, batch, size, end = [], [], [], 0, 0
+    # n values take 2n - 1 characters or more, and each array has a head
+    with _ChunkParser(",", leading_zeros=False, bound=len(text) // 2) as parser:
+        while (head := _CITATIONS.search(text, end)) is not None:
+            a = head.end()
+            b = text.find("]", a)
+            if b < 0:
+                return None
+            if a < b:
+                nonempty.append(len(skeleton) // 2)
+                batch.append(slice(a, b))
+                size += b - a
+                if size >= _PLAIN_CHUNK:
+                    parser.add(map(text.__getitem__, batch))  # cut by the thread that parses
+                    batch, size = [], 0
+            skeleton += (text[end:head.start(1)], f'"\\u0000{len(skeleton) // 2}"')
+            end = b + 1
+        if not skeleton:  # nothing to cut: json.loads would read the whole input twice
+            return None
+        if batch:
+            parser.add(map(text.__getitem__, batch))
+        read = parser.results()
+    if read is None:  # the skeleton is parsed only when the arrays are plain
         return None
     skeleton.append(text[end:])
     try:
         doc = json.loads("".join(skeleton))
     except (ValueError, RecursionError):
         return None
+    arrays = len(skeleton) // 2
     authors = doc.get("authors") if isinstance(doc, dict) else None
     if not isinstance(authors, list) or [
         entry.get("citations") if isinstance(entry, dict) else None for entry in authors
-    ] != [f"\0{k}" for k in range(len(spans))]:
+    ] != [f"\0{k}" for k in range(arrays)]:
         return None
     for entry in authors:
         entry["citations"] = []  # its numbers come from the array text
     ids, _, annotations, pending = _json_entries(authors)
     if pending is not None:
         return None
-    counts = [text.count(",", a, b) + 1 if text[a:b].strip() else 0 for a, b in spans]
-    flat = np.empty(sum(counts))
-    pos, batch, size = 0, [], 0
-    for k, ((a, b), count) in enumerate(zip(spans, counts), start=1):
-        if count:
-            batch.append(text[a:b])
-            size += b - a
-        if size >= _PLAIN_CHUNK or k == len(spans):
-            values = _plain_integers(",".join(batch), ",", leading_zeros=False)
-            if values is None:
-                return None
-            flat[pos:pos + values.size] = values
-            pos += values.size
-            batch, size = [], 0
-    return ids, flat, counts, annotations
+    flat, counted = read
+    counts = np.zeros(arrays, dtype=np.int64)
+    counts[nonempty] = counted
+    return ids, flat, counts.tolist(), annotations
 
 
 def _ingest_json(text: str):
@@ -566,10 +739,12 @@ def json_texts(values: Sequence[object]) -> List[str]:
     :func:`json_bytes` writes it.
     """
     values = list(values)
+    if all(isinstance(v, str) for v in values):  # what json.dumps calls for a str
+        return list(map(encode_basestring_ascii, values))
     if any(isinstance(v, str) for v in values):
         return list(map(json.dumps, values))
     # one call of the C encoder; no number, bool or null text holds ", "
-    return json.dumps(values)[1:-1].split(", ") if values else []
+    return json.dumps(values)[1:-1].split(", ")
 
 
 def _cells(column: Sequence[object], fmt: str) -> Sequence[object]:

@@ -389,6 +389,8 @@ def _closed_forms(values, offsets, specs, levels, attained) -> None:
     p = np.diff(offsets)
     nonempty = p > 0
     ranks = segment_ranks(offsets)
+    if {"h", "h_r"} & {spec.name for spec in specs}:  # one count serves both
+        h = segment_counts(values >= ranks, offsets)
     for col, spec in enumerate(specs):
         name = spec.name
         if name == "c_max":
@@ -396,9 +398,8 @@ def _closed_forms(values, offsets, specs, levels, attained) -> None:
         elif name == "pubs":
             levels[:, col] = p
         elif name == "h":
-            levels[:, col] = segment_counts(values >= ranks, offsets)
+            levels[:, col] = h
         elif name == "h_r":
-            h = segment_counts(values >= ranks, offsets)
             has = h > 0
             x_h = values[starts[has] + h[has] - 1]
             levels[has, col] = np.minimum(x_h, h[has] + 1.0)

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from srmkit import (
 )
 from srmkit import cohort as cohort_module
 from srmkit.calibration import _FIT_COLUMNS, PROFILE_VERSION
-from srmkit.cohort import _json_number, format_number, write_rows
+from srmkit.cohort import _json_number, format_number, json_texts, write_rows
 from srmkit.curves import SrmValue, checked_citations
 
 from conftest import random_curve
@@ -801,6 +803,119 @@ class TestPlainIntegerLanePins:
         assert [answer is not None for answer in answers] == [plain]
 
 
+@pytest.fixture(params=[1, 4], ids=["one CPU", "four CPUs"])
+def cpus(request, monkeypatch):
+    """The CPUs ingest may use (four is more than this host may have),
+    with ingest's kernel parsing about 64 characters at a time.  Returns
+    the CPU count, the kernel's calls so far (a list) and the threads
+    started so far (a list)."""
+    monkeypatch.setattr(cohort_module.os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    monkeypatch.setattr(cohort_module, "_PLAIN_CHUNK", 64)
+    calls, started = [], []
+
+    def spy(*args, real=cohort_module._plain_integers):
+        calls.append(args)
+        return real(*args)
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(cohort_module, "_plain_integers", spy)
+    monkeypatch.setattr(cohort_module.threading, "Thread", Recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # let the threads interleave often
+    yield request.param, calls, started
+    sys.setswitchinterval(interval)
+
+
+def _last_chunk_doc(token):
+    entries = ['{"id": "r%d", "citations": [%s]}' % (k, ", ".join(map(str, range(k, k + 30))))
+               for k in range(20)]
+    return '{"authors": [%s, %s]}' % (", ".join(entries)[:-2], token + "]}")
+
+
+def _last_chunk_csv(token):
+    rows = [f"r{k},{';'.join(map(str, range(k, k + 30)))}" for k in range(20)]
+    return "author_id,citations\n" + "\n".join(rows) + f";{token}\n"
+
+
+class TestPlainIntegerLaneInChunks:
+    """The numpy pass over many small chunks, on one thread or several,
+    reads what the scalar path reads."""
+
+    def test_random_cohorts_match_the_scalar_oracle(self, cpus):
+        count, calls, started = cpus
+        for fmt, layout, text in _plain_inputs(1303, 25):
+            chunks, workers = len(calls), len(started)
+            assert _read(text, fmt) == _oracle(text, fmt), (fmt, layout)
+            # a second chunk starts a worker per CPU but the caller's
+            chunks, workers = len(calls) - chunks, len(started) - workers
+            assert workers == (count - 1 if chunks > 1 else 0), (fmt, layout)
+        assert len(calls) > 2 * len(started) > 0 or count == 1
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_a_lone_chunk_starts_no_thread(self, cpus, monkeypatch):
+        count, calls, started = cpus
+        monkeypatch.setattr(cohort_module, "_PLAIN_CHUNK", 1 << 20)
+        for fmt, layout, text in _plain_inputs(1304, 10):
+            assert _read(text, fmt) == _oracle(text, fmt), (fmt, layout)
+        assert calls and started == []
+
+    @pytest.mark.parametrize("fmt, token, message", [
+        ("json", "1.5", None),
+        ("json", "-1", "authors[19] (author 'r19'): citation at position 30 is -1; "),
+        ("json", "01", "input is not valid JSON: Expecting ',' delimiter: line 1 column 2948"),
+        ("json", "1e3", None),
+        ("json", "1000000000000000", None),
+        ("csv", "1.5", None),
+        ("csv", "-1", "line 21: author 'r19': citation at position 30 is -1.0; "),
+        ("csv", "01", None),
+        ("csv", "1e3", None),
+        ("csv", "1000000000000000", None),
+    ])
+    def test_bad_token_in_the_last_chunk(self, cpus, lane, fmt, token, message):
+        count, calls, started = cpus
+        text = (_last_chunk_doc if fmt == "json" else _last_chunk_csv)(token)
+        if message is None:
+            assert _read(text, fmt) == _oracle(text, fmt)
+        else:
+            with pytest.raises(ValidationError) as err:
+                ingest(text, fmt)
+            assert str(err.value).startswith(message)
+        # every chunk but the last is plain; the CSV kernel accepts a leading zero
+        declined = [answer is None for answer in lane["_plain_integers"]]
+        assert len(declined) > 10 and declined.count(True) == int((fmt, token) != ("csv", "01"))
+        if fmt == "json":
+            assert lane["_plain_json"] == [None]
+        assert len(started) == count - 1
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_an_error_in_a_parse_is_raised_in_the_caller(self, cpus, monkeypatch, fmt):
+        count, calls, started = cpus
+        failed = threading.Event()
+
+        def fail(*args, real=cohort_module._plain_integers):
+            # on several CPUs a worker fails first; on one, the caller's third parse
+            if threading.current_thread() is not threading.main_thread():
+                failed.set()
+                raise MemoryError("parse failed")
+            if count > 1:
+                assert failed.wait(timeout=30)
+            elif len(calls) == 3:
+                raise MemoryError("parse failed")
+            return real(*args)
+
+        monkeypatch.setattr(cohort_module, "_plain_integers", fail)
+        text = (_last_chunk_doc if fmt == "json" else _last_chunk_csv)("1")
+        with pytest.raises(MemoryError, match="parse failed"):
+            ingest(text, fmt)
+        assert failed.is_set() == (count > 1)
+        assert not any(thread.is_alive() for thread in started)
+
+
 # The encoding of every row-shaped output before it was built from columns:
 # one dict or tuple per row, floats through format_number or _json_number,
 # then json.dumps or csv.writer.  The column encoder must give the same bytes.
@@ -878,6 +993,12 @@ def _sizes(rng):
 
 class TestColumnEncoder:
     """Every row-shaped output is byte-equal to the old row-by-row encoding."""
+
+    def test_json_texts_of_strings(self):
+        odd = [*_ODD_IDS, "".join(map(chr, range(32))), "\x7f\x80\xff", "\u2028\u2029",
+               "\ud800", "\U0001f600 \U0010ffff", ""]
+        for column in (odd, [*odd, None], []):
+            assert json_texts(column) == [json.dumps(v) for v in column]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_table_export(self, fmt):

@@ -2,7 +2,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import srmkit
@@ -20,6 +23,17 @@ def test_no_module_level_memo_caches():
             if callable(getattr(value, "cache_clear", None))
         ]
     assert cached == []
+
+
+def test_import_starts_no_thread():
+    """Importing the command line starts no thread and does not load
+    concurrent.futures: ingest starts its workers only for large input."""
+    code = ("import sys, threading, srmkit.cli; "
+            "print('concurrent.futures' in sys.modules, threading.active_count())")
+    env = {**os.environ, "PYTHONPATH": str(Path(srmkit.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert out.stdout.split() == ["False", "1"]
 
 
 ORACLES = {
