@@ -100,6 +100,11 @@ class CohortProfile:
             raise ValidationError(f"profile is not valid JSON: {exc}") from None
         if not isinstance(doc, dict) or doc.get("version") != PROFILE_VERSION:
             raise ValidationError(f"expected a profile document with version {PROFILE_VERSION}")
+        if type(doc["version"]) is not int:  # true and 1.0 equal 1 as well
+            raise ValidationError(
+                f"malformed profile: version must be the integer {PROFILE_VERSION},"
+                f" not {doc['version']!r}"
+            )
         # author_id, beta_hat, q_hat, r2, n_points, n_excluded
         columns: Tuple[list, ...] = ([], [], [], [], [], [])
         for f in doc.get("fits", []):
@@ -111,7 +116,10 @@ class CohortProfile:
                 raise ValidationError(f"r2 must lie in [0, 1], got {fit[3]!r}")
             for column, value in zip(columns, fit):
                 column.append(value)
-        beta_bar = float(doc["beta_bar"])
+        beta_bar = doc["beta_bar"]
+        if type(beta_bar) not in (int, float):  # float() would take a str or a bool
+            raise ValidationError(f"malformed profile: beta_bar must be a number, not {beta_bar!r}")
+        beta_bar = float(beta_bar)
         metadata = dict(doc.get("metadata", {}))
         ids, *numbers = columns
         arrays = (np.array(c, dtype=t) for c, t in zip(numbers, _FIT_COLUMNS.values()))

@@ -23,7 +23,7 @@ from . import cohort as co
 from . import duality as du
 from .calibration import CohortProfile, calibrate_cohort
 from .curves import AUTHOR_SUPPORT_ONLY
-from .engine import IndexSpec, family_for, parse_index
+from .engine import IndexSpec, _with_param, family_for, parse_index
 from .errors import SrmError, UnknownIndexError
 
 _PROG = "srm"
@@ -196,13 +196,11 @@ def _load_profile_beta(cfg: RunConfig) -> float:
 def _resolve_index(cfg: RunConfig, text: str) -> IndexSpec:
     try:
         spec = parse_index(text)
+        if spec.name == "phi" and spec.param is None:
+            spec = IndexSpec("phi", _load_profile_beta(cfg))
+        return _with_param(spec)
     except UnknownIndexError as exc:
         raise _UsageError(str(exc)) from None
-    if spec.name == "phi" and spec.param is None:
-        spec = IndexSpec("phi", _load_profile_beta(cfg))
-    if spec.name == "h_alpha" and spec.param is None:
-        raise _UsageError("index 'h_alpha' needs an alpha, e.g. h_alpha:2")
-    return spec
 
 
 def _parse_floats(text: str, flag: str) -> List[float]:

@@ -182,7 +182,11 @@ def srm_generic(curve: CitationCurve, family: PerformanceFamily) -> SrmValue:
 # ---------------------------------------------------------------------------
 
 CATALOG_NAMES = ("c_max", "pubs", "h", "h2", "h_alpha", "w", "h_r", "phi")
-_PARAMETRIC = {"h_alpha": "alpha", "phi": "beta"}
+# the indices that take a parameter, and the error when it is missing
+_PARAMETRIC = {
+    "h_alpha": "index 'h_alpha' needs an alpha, e.g. h_alpha:2",
+    "phi": "index 'phi' needs a beta, e.g. phi:1.62",
+}
 
 
 @dataclass(frozen=True)
@@ -223,13 +227,17 @@ def parse_index(text: Union[str, IndexSpec]) -> IndexSpec:
     return spec
 
 
+def _with_param(spec: IndexSpec) -> IndexSpec:
+    """``spec``, checked to have the parameter its index needs."""
+    if spec.param is None and spec.name in _PARAMETRIC:
+        raise UnknownIndexError(_PARAMETRIC[spec.name])
+    return spec
+
+
 def family_for(index: Union[str, IndexSpec]) -> PerformanceFamily:
     """The performance family whose SRM is the named catalog index."""
-    spec = parse_index(index)
+    spec = _with_param(parse_index(index))
     name = spec.name
-    if name in _PARAMETRIC and spec.param is None:
-        kind = _PARAMETRIC[name]
-        raise UnknownIndexError(f"index {name!r} needs a {kind}, e.g. {name}:1.62")
     if name == "c_max":
         return rectangle_family(spec.label, LevelRule("linear", 1.0), LevelRule("const", 1.0))
     if name == "pubs":
@@ -252,12 +260,6 @@ def family_for(index: Union[str, IndexSpec]) -> PerformanceFamily:
     return power_family(spec.param, name=spec.label)
 
 
-_MISSING_PARAM = {
-    "h_alpha": "index 'h_alpha' needs an alpha, e.g. h_alpha:2",
-    "phi": "index 'phi' needs a beta, e.g. phi:1.62",
-}
-
-
 def _h_like(values: np.ndarray, thresholds: np.ndarray) -> int:
     # values nonincreasing, thresholds nondecreasing: the feasible ranks form a prefix
     return int(np.sum(values >= thresholds))
@@ -273,7 +275,7 @@ def srm_closed_form(curve: CitationCurve, index: Union[str, IndexSpec]) -> SrmVa
     formulas presume a finite-support record, so a curve with a
     positive tail falls back to the generic search.
     """
-    spec = parse_index(index)
+    spec = _with_param(parse_index(index))
     if curve.tail > 0:
         return srm_generic(curve, family_for(spec))
     vals = curve.values
@@ -289,8 +291,6 @@ def srm_closed_form(curve: CitationCurve, index: Union[str, IndexSpec]) -> SrmVa
     if name == "h2":
         return SrmValue(float(_h_like(vals, ranks * ranks)))
     if name == "h_alpha":
-        if spec.param is None:
-            raise UnknownIndexError(_MISSING_PARAM[name])
         return SrmValue(float(_h_like(vals, spec.param * ranks)))
     if name == "w":
         if p == 0:
@@ -303,8 +303,6 @@ def srm_closed_form(curve: CitationCurve, index: Union[str, IndexSpec]) -> SrmVa
             return SrmValue(0.0)
         x_h = float(vals[h - 1])
         return SrmValue(min(x_h, h + 1.0), attained=x_h < h + 1.0)
-    if spec.param is None:
-        raise UnknownIndexError(_MISSING_PARAM[name])
     if p == 0:
         return SrmValue(0.0)
     with np.errstate(over="ignore"):  # x_i * i**beta may overflow to inf, never the minimum
@@ -368,10 +366,7 @@ def srm_closed_form_batch(
     of ranks where the prefix minimum reaches the rank because
     x_i + i - 1 >= i - 1 for every i.
     """
-    specs = [parse_index(ix) for ix in indices]
-    for spec in specs:
-        if spec.name in _MISSING_PARAM and spec.param is None:
-            raise UnknownIndexError(_MISSING_PARAM[spec.name])
+    specs = [_with_param(parse_index(ix)) for ix in indices]
     values = np.asarray(values, dtype=float)
     offsets = np.asarray(offsets, dtype=np.int64)
     n = offsets.size - 1

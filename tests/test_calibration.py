@@ -292,6 +292,11 @@ class TestMalformedProfile:
         {"version": 1},
         {"version": 1, "beta_bar": 1.5, "fits": [{"beta_hat": 1.0}]},
         {"version": 1, "beta_bar": "steep"},
+        {"version": 1, "beta_bar": "1.5"},
+        {"version": 1, "beta_bar": True},
+        {"version": 1, "beta_bar": None},
+        {"version": True, "beta_bar": 1.5},
+        {"version": 1.0, "beta_bar": 1.5},
         {"version": 1, "beta_bar": 1.5, "fits": 3},
         {"version": 1, "beta_bar": 1.5, "metadata": [1, 2]},
     ])

@@ -362,6 +362,9 @@ class TestRejectedOptions:
     @pytest.mark.parametrize("doc", [
         {"version": 1, "fits": []},
         {"version": 1, "beta_bar": 1.5, "fits": [{"beta_hat": 1.5}]},
+        {"version": 1, "beta_bar": "1.5", "fits": []},
+        {"version": 1, "beta_bar": True, "fits": []},
+        {"version": True, "beta_bar": 1.5, "fits": []},
     ])
     def test_malformed_profile_is_data_error(self, cohort_csv, tmp_path, doc, capsys):
         profile = tmp_path / "profile.json"

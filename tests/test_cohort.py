@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import threading
 
@@ -649,18 +650,31 @@ def _spaced(rng, texts, sep):
     return sep.join(space() + t + space() for t in texts)
 
 
+_CITATION_MARK = re.compile(r'"\\u0000(\d+)"')  # json.dumps' text of the string "\0<j>"
+
+
 def _json_layouts(rng, records):
-    doc = {"authors": [{"id": i, "citations": c, "annotations": n} for i, c, n in records]}
+    """A JSON document of the records in four layouts; each citation is
+    written as its str(), so a record may hold number text json.dumps
+    would not write (``1E+2``, ``-0``)."""
+    texts = [str(x) for _, c, _ in records for x in c]
+    marks = iter(range(len(texts)))
+    doc = {"authors": [{"id": i, "citations": [f"\0{next(marks)}" for _ in c], "annotations": n}
+                       for i, c, n in records]}
+
+    def dumps(**layout):
+        return _CITATION_MARK.sub(lambda m: texts[int(m.group(1))], json.dumps(doc, **layout))
+
     entries = ",".join(
         '{"id": %s, "citations": [%s], "annotations": %s}'
         % (json.dumps(i), _spaced(rng, list(map(str, c)), ","), json.dumps(n))
         for i, c, n in records
     )
     return {
-        "compact": json.dumps(doc, separators=(",", ":")),
-        "indent=2": json.dumps(doc, indent=2),
+        "compact": dumps(separators=(",", ":")),
+        "indent=2": dumps(indent=2),
         "\\t\\n\\r": '{"authors":\t[\r\n' + entries + "\n]}",
-        "CRLF": json.dumps(doc, indent=2).replace("\n", "\r\n"),
+        "CRLF": dumps(indent=2).replace("\n", "\r\n"),
     }
 
 
@@ -686,6 +700,30 @@ def _plain_inputs(seed, trials):
         records = _plain_records(rng)
         yield from (("json", name, text) for name, text in _json_layouts(rng, records).items())
         yield from (("csv", name, text) for name, text in _csv_layouts(rng, records).items())
+
+
+def _non_plain_token(rng, fmt):
+    """Number text the numpy pass must decline, and the scalar checks
+    accept: a half-integer, an exponent, an integer of 10**15 or more (or
+    beyond 2**53), or one of the format's own forms."""
+    own = ["-0"] if fmt == "json" else ["+5", "1_000", "007"]
+    pool = [f"{int(rng.integers(0, 1000))}.5", "1e3", "1E+2", str(int(rng.integers(10 ** 15, 2 ** 53))),
+            str(2 ** 53 + int(rng.integers(1, 10 ** 6))), *own]
+    return pool[int(rng.integers(len(pool)))]
+
+
+def _non_plain_inputs(seed, trials):
+    """Random cohorts with number text the numpy pass declines among
+    plain integers, in every layout of both formats; every cohort holds
+    a half-integer, so no input is plain."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        for fmt, layouts in (("json", _json_layouts), ("csv", _csv_layouts)):
+            records = [(author_id, [_non_plain_token(rng, fmt) if rng.random() < 0.5 else str(x)
+                                    for x in citations], notes)
+                       for author_id, citations, notes in _plain_records(rng)]
+            records[int(rng.integers(len(records)))][1].append("2.5")  # "007;2.5" in CSV
+            yield from ((fmt, name, text) for name, text in layouts(rng, records).items())
 
 
 @pytest.fixture
@@ -725,7 +763,7 @@ class TestPlainIntegerLane:
         text = json.dumps({"authors": [{"id": f"r{k}", "citations": list(range(k, 200_000 + k))}
                                        for k in range(4)]})
         wants.append(("json", text, _oracle(text, "json")))
-        for name in ("_json_values", "_all_valid", "checked_citations"):
+        for name in ("_json_values", "_csv_values", "checked_citations"):
             monkeypatch.setattr(cohort_module, name, refuse)
         for fmt, text, want in wants:
             assert _read(text, fmt) == want
@@ -738,6 +776,19 @@ class TestPlainIntegerLane:
         monkeypatch.setattr(cohort_module.json, "loads", lambda s: calls.append(s) or real(s))
         assert _read(doc, "json") == want
         assert calls == [doc]
+
+
+class TestScalarReader:
+    """Input the numpy pass declines is read by the scalar checks."""
+
+    def test_random_non_plain_cohorts_match_the_oracle(self, lane):
+        for fmt, layout, text in _non_plain_inputs(1305, 15):
+            want = _oracle(text, fmt)
+            for data in (text, text.encode("utf-8")):
+                for answers in lane.values():
+                    answers.clear()
+                assert _read(data, fmt) == want, (fmt, layout)
+                assert lane["_plain_json" if fmt == "json" else "_plain_integers"] == [None]
 
 
 class TestPlainIntegerLanePins:
@@ -891,6 +942,13 @@ class TestPlainIntegerLaneInChunks:
             assert lane["_plain_json"] == [None]
         assert len(started) == count - 1
         assert not any(thread.is_alive() for thread in started)
+
+    def test_a_platform_without_cpu_affinity(self, monkeypatch):
+        # os.sched_getaffinity is Linux only; elsewhere ingest counts the machine's CPUs
+        monkeypatch.delattr(cohort_module.os, "sched_getaffinity")
+        monkeypatch.setattr(cohort_module, "_PLAIN_CHUNK", 64)
+        for fmt, layout, text in _plain_inputs(1306, 10):
+            assert _read(text, fmt) == _oracle(text, fmt), (fmt, layout)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_an_error_in_a_parse_is_raised_in_the_caller(self, cpus, monkeypatch, fmt):

@@ -299,6 +299,27 @@ def test_batch_closed_forms_need_their_parameters():
             srm_closed_form_batch(X1.values, np.array([0, X1.p]), [IndexSpec(name)])
 
 
+@pytest.mark.parametrize("name, message", [
+    ("h_alpha", "index 'h_alpha' needs an alpha, e.g. h_alpha:2"),
+    ("phi", "index 'phi' needs a beta, e.g. phi:1.62"),
+])
+def test_a_missing_parameter_has_one_message(name, message, tmp_path, capsys):
+    from srmkit.cli import run
+    from srmkit.engine import srm_closed_form_batch
+
+    calls = [lambda: family_for(name), lambda: srm_closed_form(X1, name),
+             lambda: srm_closed_form_batch(X1.values, np.array([0, X1.p]), [name])]
+    for call in calls:
+        with pytest.raises(UnknownIndexError) as err:
+            call()
+        assert str(err.value) == message
+    if name == "h_alpha":  # the command line resolves a bare phi from --profile
+        path = tmp_path / "cohort.csv"
+        path.write_text("author_id,citations\na,3;1\n")
+        assert run(["compute", "--input", str(path), "--indices", name]) == 2
+        assert capsys.readouterr().err == f"srm: error: {message}\n"
+
+
 class TestHugeValues:
     """The generic search on records whose values reach the float range."""
 
