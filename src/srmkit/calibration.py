@@ -51,6 +51,10 @@ class CalibrationFit:
 #: The fit columns of a profile after ``author_id``, and their dtypes.
 _FIT_COLUMNS = {"beta_hat": float, "q_hat": float, "r2": float, "n_points": np.int64,
                 "n_excluded": np.int64}
+#: The JSON types each field of a profile's fit may take, and their name.
+_FIT_TYPES = {"author_id": ((str,), "a string"), "beta_hat": ((int, float), "a number"),
+              "q_hat": ((int, float), "a number"), "r2": ((int, float), "a number"),
+              "n_points": ((int,), "an integer"), "n_excluded": ((int,), "an integer")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +112,13 @@ class CohortProfile:
         # author_id, beta_hat, q_hat, r2, n_points, n_excluded
         columns: Tuple[list, ...] = ([], [], [], [], [], [])
         for f in doc.get("fits", []):
-            fit = (str(f["author_id"]), float(f["beta_hat"]), float(f["q_hat"]),
-                   float(f["r2"]), int(f["n_points"]), int(f.get("n_excluded", 0)))
+            raw = (f["author_id"], f["beta_hat"], f["q_hat"], f["r2"], f["n_points"],
+                   f.get("n_excluded", 0))
+            # a null, and an integer field's inf or nan, fail in these conversions
+            fit = (raw[0], *map(float, raw[1:4]), *map(int, raw[4:]))
+            for (name, (types, kind)), value in zip(_FIT_TYPES.items(), raw):
+                if type(value) not in types:  # not isinstance: a bool is an int
+                    raise ValidationError(f"malformed profile: {name} must be {kind}, not {value!r}")
             if fit[4] < 2:
                 raise ValidationError("a fit needs at least 2 points")
             if not 0.0 <= fit[3] <= 1.0:

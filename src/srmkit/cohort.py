@@ -10,19 +10,22 @@ File formats (mirrored on export):
 Numbers are rendered with up to 9 significant digits and +inf as the
 literal string "inf".
 
-Citations that are plain integer text are read by numpy, about a
-megabyte of text per pass and on up to one thread per CPU, without a
+Citations that are plain integer text are read by numpy, without a
 Python number per citation: ASCII decimal integers below 10**15, no
 sign, point or exponent, joined by the format's separator, with JSON
-whitespace around any of them.  In JSON this must hold for
-the ``citations`` array of every ``authors`` entry, with no leading
-zero, and the input must not hold the escape ``\\u0000``.  Any other
-input is read by the scalar checks of :func:`checked_citations`, one
-Python number per citation; both ways give the same values and the same
-error messages.  The scalar way costs more: with every citation of the
-benchmark's seed-11 inputs shifted by 0.5, ingest of 4.5e5 CSV
-citations took 170-190 ms and of 3.0e6 JSON citations 0.76-0.81 s on
-a 2-core machine, against 60 ms and 0.1 s for their integer text.
+whitespace around any of them.  In JSON this must hold for the
+``citations`` array of every ``authors`` entry, with no leading zero,
+and the input must not hold the escape ``\\u0000``.  The text is cut
+into chunks of about a megabyte and read in two passes, each on up to
+one thread per CPU: the first counts every chunk's integers, so one
+array of exactly their number is allocated, and the second parses each
+chunk into its own slice of it.  Any other input is read by the scalar
+checks of :func:`checked_citations`, one Python number per citation;
+both ways give the same values and the same error messages.  The scalar
+way costs more: with every citation of the benchmark's seed-11 inputs
+shifted by 0.5, ingest of 4.5e5 CSV citations took 170-190 ms and of
+3.0e6 JSON citations 0.76-0.81 s on a 2-core machine, against 60 ms
+and 0.1 s for their integer text.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ import os
 import re
 import threading
 import warnings
+from array import array
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -194,12 +198,27 @@ def _decode(data: Union[bytes, str]) -> str:
     return data
 
 
-def _plain_counts(raw: bytes, lengths: List[int], sep: str, leading_zeros: bool):
-    """The checks of :func:`_plain_integers` that come before numpy reads
-    ``raw``, texts of ``lengths`` characters joined by ``sep``: how many
-    integers each text holds, as an int64 array, or None.  Its arrays are
-    freed before numpy reads the text, as a function of its own.
+def _plain_counts(texts: List[str], sep: str, leading_zeros: bool) -> Optional[np.ndarray]:
+    """How many integers each of ``texts`` holds, as an int64 array, or
+    None if the texts joined by ``sep`` are not plain integer text.
+
+    Plain integer text is ASCII decimal integers joined by ``sep``: no
+    sign, point or exponent, every integer below 10**15 (so float64
+    holds it exactly, as ``float`` would give it; :func:`_plain_parse`
+    checks this), and a leading zero only if ``leading_zeros``.  JSON
+    whitespace (space, tab, line feed, carriage return) may stand around
+    any integer; text of whitespace alone holds no integer, and is plain
+    only if it is the only text.  numpy reads whitespace between two
+    separators, or before the first, as a 0, and passes over a separator
+    at the end; text that it reads either way has as many separators as
+    digit runs, or more, so the text is taken only when it has one
+    separator fewer than digit runs.  Then each text holds one value
+    more than its own separators.
     """
+    try:
+        raw = sep.join(texts).encode("ascii")
+    except UnicodeEncodeError:
+        return None
     if raw.translate(None, b"0123456789 \t\n\r" + sep.encode("ascii")):
         return None
     codes = np.frombuffer(raw, dtype=np.uint8)
@@ -209,7 +228,7 @@ def _plain_counts(raw: bytes, lengths: List[int], sep: str, leading_zeros: bool)
     if np.count_nonzero(is_sep) != max(runs - 1, 0):
         return None
     if not runs:
-        return np.zeros(len(lengths), dtype=np.int64)
+        return np.zeros(len(texts), dtype=np.int64)
     if not leading_zeros:
         zero_led = codes[:-1] == 48  # a 0 followed by a digit ...
         zero_led &= digit[1:]
@@ -217,168 +236,97 @@ def _plain_counts(raw: bytes, lengths: List[int], sep: str, leading_zeros: bool)
         if zero_led.any():
             return None
     seps = np.flatnonzero(is_sep)
-    joins = np.cumsum(np.array(lengths[:-1], dtype=np.int64) + 1) - 1
+    joins = np.cumsum(np.fromiter(map(len, texts), np.int64, len(texts))[:-1] + 1) - 1
     places = np.searchsorted(seps, joins)  # of the joining separators among all
     return np.diff(places, prepend=-1, append=seps.size)
 
 
-def _plain_integers(texts: List[str], sep: str, leading_zeros: bool):
-    """The numbers of plain integer texts joined by ``sep``, and how many
-    of them each text holds, as two int64 arrays; or None for any other
-    texts.
-
-    Plain integer text is ASCII decimal integers joined by ``sep``: no
-    sign, point or exponent, every integer below 10**15 (so float64
-    holds it exactly, as ``float`` would give it), and a leading zero
-    only if ``leading_zeros``.  JSON whitespace (space, tab, line feed,
-    carriage return) may stand around any integer; text of whitespace
-    alone holds no integer.  One pass of ``np.fromstring`` parses the
-    joined texts, so a text of whitespace alone is plain only if it is
-    the only one.  numpy reads whitespace between two separators, or
-    before the first, as a 0, and passes over a separator at the end;
-    text that it reads either way has as many separators as digit runs,
-    or more, so the text is taken only when it has one separator fewer
-    than digit runs.  Then each text holds one value more than its own
-    separators.  Call it with DeprecationWarning turned into an error, as
-    :class:`_ChunkParser` does: older numpy warns where newer numpy
-    raises when text is left unread.
+def _plain_parse(texts: List[str], sep: str, out: np.ndarray) -> Optional[np.ndarray]:
+    """Parse ``texts``, which :func:`_plain_counts` took, joined by ``sep``
+    into ``out``, sized to their integers; return ``out``, or None if
+    numpy leaves text unread or an integer is 10**15 or more.  Call it
+    with DeprecationWarning turned into an error: older numpy warns where
+    newer numpy raises when text is left unread.
     """
+    if not out.size:  # whitespace alone, or no text
+        return out
     try:
-        raw = sep.join(texts).encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    counts = _plain_counts(raw, list(map(len, texts)), sep, leading_zeros)
-    if counts is None:
-        return None
-    if not counts.any():  # whitespace alone
-        return np.empty(0, dtype=np.int64), counts
-    try:
-        ints = np.fromstring(raw, dtype=np.int64, sep=sep)
+        ints = np.fromstring(sep.join(texts).encode("ascii"), dtype=np.int64, sep=sep)
     except (DeprecationWarning, ValueError):
         return None
     if ints.max() >= _PLAIN_BOUND:  # an overflow reads as the int64 maximum
         return None
-    return ints, counts
+    out[:] = ints
+    return out
 
 
-class _ChunkParser:
-    """Reads chunks of plain integer texts, by :func:`_plain_integers`,
-    into one float64 array, in the order the chunks are added.
+def _in_parallel(call: Callable[[int], object], n: int) -> Optional[list]:
+    """``[call(k) for k in range(n)]``, or None if a call returns None.
 
-    Once a second chunk is added, worker threads parse chunks while the
-    caller goes on; in :meth:`results` the caller parses what is left
-    beside them, so one thread per CPU this process may run on parses
-    (numpy releases the GIL while it parses).  A lone chunk, or every
-    chunk on one CPU, is parsed by the caller alone.  A parsed chunk is
-    copied into the array once every chunk before it is, so no more than
-    one parsed chunk per thread waits.  ``bound`` is at least the number
-    of values of all the chunks: the array is allocated once, at that
-    size, and its pages past the values are never written.
-
-    As a context manager it turns DeprecationWarning into an error
-    around the parses; the warnings filters are shared by all threads,
-    so they are set once, in the caller's thread.  On exit it stops its
-    workers, and a worker's error is raised in the caller.
+    The caller and one thread per further CPU this process may run on,
+    up to one per call, take the calls in turn (numpy releases the GIL
+    while it reads text).  Once a call returns None or raises, no further
+    call starts; the first error is raised here, after every thread ends.
     """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # the CPUs it may run on, where the platform says (Linux)
+    results = [None] * n
+    todo = iter(range(n))
+    lock = threading.Lock()
+    stops: List[Optional[Exception]] = []  # each error, and a None per call that gave None or raised
 
-    def __init__(self, sep: str, leading_zeros: bool, bound: int):
-        self.args = (sep, leading_zeros)
-        self.flat = np.empty(bound)
-        self.size = 0  # values copied into flat
-        self.counts: List[np.ndarray] = []  # per text, of the chunks copied
-        self.chunks: List[Optional[Iterable[str]]] = []
-        self.taken = 0  # chunks given to a thread to parse
-        self.closed = False  # no chunk will be added
-        self.turn = threading.Condition()  # guards chunks, taken and closed
-        self.waiting: Dict[int, object] = {}  # parsed chunks not yet copied
-        self.placed = 0  # chunks copied, or passed over once one declined
-        self.declined = False
-        self.lock = threading.Lock()  # guards the copying
-        self.errors: List[Exception] = []
-        self.workers: List[threading.Thread] = []
-
-    def __enter__(self) -> "_ChunkParser":
-        self.filters = warnings.catch_warnings()
-        self.filters.__enter__()
-        warnings.simplefilter("error", DeprecationWarning)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        try:
-            self._stop()
-        finally:
-            self.filters.__exit__(*exc)
-
-    def add(self, texts: Iterable[str]) -> None:
-        """Queue one chunk: its texts, each with some non-whitespace."""
-        with self.turn:
-            self.chunks.append(texts)
-            self.turn.notify()
-        if len(self.chunks) == 2:  # the CPUs it may run on, where the platform says (Linux)
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            self.workers = [threading.Thread(target=self._work) for _ in range(cpus - 1)]
-            for worker in self.workers:
-                worker.start()
-
-    def _take(self) -> Optional[int]:
-        """The next chunk to parse; None once there is none, or once a
-        chunk declined."""
-        with self.turn:
-            self.turn.wait_for(lambda: self.taken < len(self.chunks) or self.closed)
-            if self.taken == len(self.chunks) or self.declined:
-                return None
-            self.taken += 1
-            return self.taken - 1
-
-    def _parse(self, k: int) -> None:
-        read = _plain_integers(list(self.chunks[k]), *self.args)
-        self.chunks[k] = None  # its text may go
-        with self.lock:
-            self.waiting[k] = read
-            while self.placed in self.waiting:
-                read = self.waiting.pop(self.placed)
-                self.placed += 1
-                self.declined |= read is None
-                if not self.declined:
-                    ints, counts = read
-                    self.flat[self.size:self.size + ints.size] = ints
-                    self.size += ints.size
-                    self.counts.append(counts)
-
-    def _work(self) -> None:
-        while (k := self._take()) is not None:
-            try:
-                self._parse(k)
-            except Exception as exc:  # raised in the caller, by _stop
-                self.errors.append(exc)
+    def work() -> None:
+        while not stops:
+            with lock:
+                k = next(todo, None)
+            if k is None:
                 return
+            try:
+                results[k] = call(k)
+            except Exception as exc:  # raised in the caller, below
+                stops.append(exc)
+            if results[k] is None:
+                stops.append(None)
 
-    def _close(self) -> None:
-        with self.turn:
-            self.closed = True
-            self.turn.notify_all()
-
-    def _stop(self) -> None:
-        self._close()
-        for worker in self.workers:
+    workers = [threading.Thread(target=work) for _ in range(min(cpus, n) - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+    finally:
+        for worker in workers:
             worker.join()
-        self.workers = []
-        errors, self.errors = self.errors, []
-        if errors:
-            raise errors[0]
+    for error in filter(None, stops):
+        raise error
+    return None if stops else results
 
-    def results(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """The values of every chunk and how many each text holds, in the
-        order the chunks were added; None if any chunk declined."""
-        self._close()
-        while (k := self._take()) is not None:
-            self._parse(k)
-        self._stop()
-        if self.declined:
-            return None
-        counts = np.concatenate(self.counts) if self.counts else np.empty(0, dtype=np.int64)
-        return self.flat[:self.size], counts
+
+def _plain_values(texts: Callable[[int, int], List[str]], m: int, size: int, sep: str,
+                  leading_zeros: bool):
+    """The integers of ``m`` texts of ``size`` characters in all, as one
+    float64 array, and how many each text holds, as an int64 array; or
+    None if they are not plain integer text.  ``texts(i, j)`` gives texts
+    i to j - 1, which are read in chunks of about :data:`_PLAIN_CHUNK`
+    characters, in two passes by :func:`_in_parallel`: the first counts
+    every chunk's integers (:func:`_plain_counts`), which gives each
+    chunk its slice of one array of exactly their number; the second
+    parses each chunk into its slice (:func:`_plain_parse`).
+    """
+    n = max(min(-(-size // _PLAIN_CHUNK), m), 1)  # chunks, none empty but a lone one
+
+    def chunk(k: int) -> List[str]:
+        return texts(k * m // n, (k + 1) * m // n)
+
+    counts = _in_parallel(lambda k: _plain_counts(chunk(k), sep, leading_zeros), n)
+    if counts is None:
+        return None
+    bounds = np.cumsum([0] + [c.sum() for c in counts])  # chunk k's slice of flat, from bounds[k]
+    flat = np.empty(bounds[-1])
+    with warnings.catch_warnings():  # the filters are shared by all threads: set them here
+        warnings.simplefilter("error", DeprecationWarning)
+        parsed = _in_parallel(
+            lambda k: _plain_parse(chunk(k), sep, flat[bounds[k]:bounds[k + 1]]), n)
+    return None if parsed is None else (flat, np.concatenate(counts))
 
 
 def _csv_rows(text: str):
@@ -421,12 +369,8 @@ def _plain_csv(cells: List[str]):
     flat array, and how many each cell holds; or None."""
     lengths = np.fromiter(map(len, cells), np.int64, len(cells))
     texts = list(filter(None, cells))
-    size = int(lengths.sum())
-    chunks = max(-(-size // _PLAIN_CHUNK), 1)  # of about _PLAIN_CHUNK characters
-    with _ChunkParser(";", leading_zeros=True, bound=(size + len(texts)) // 2) as parser:
-        for k in range(chunks):
-            parser.add(texts[k * len(texts) // chunks:(k + 1) * len(texts) // chunks])
-        read = parser.results()
+    read = _plain_values(lambda i, j: texts[i:j], len(texts), int(lengths.sum()), ";",
+                         leading_zeros=True)
     if read is None:
         return None
     flat, counted = read
@@ -497,7 +441,10 @@ def _json_entries(authors: list):
         if not isinstance(entry, dict) or "id" not in entry:
             pending = ValidationError(f"{where}: each author needs an 'id'")
             break
-        author_id = str(entry["id"])
+        author_id = entry["id"]
+        if not isinstance(author_id, str):
+            pending = ValidationError(f"{where}: 'id' must be a string")
+            break
         citations = entry.get("citations", [])
         if not isinstance(citations, list):
             pending = ValidationError(f"{where}: 'citations' must be a list")
@@ -520,38 +467,32 @@ def _plain_json(text: str):
     integer text, or return None.
 
     :data:`_CITATIONS` finds the head of each array, and its first "]"
-    ends it.  A :class:`_ChunkParser` parses the text of the arrays, about
-    a megabyte at a time, from the moment it is cut.  Only when every
-    array is plain integer text is each replaced by a mark, the string
-    "\\0<k>", and what is left read by json.loads; the cohort is read
-    this way only when the marks are exactly the ``citations`` of the
-    ``authors`` entries, in order, and every entry is well formed.  Text
-    that holds the marks' escape is never read this way.
+    ends it; :func:`_plain_values` reads the arrays' text.  Only when
+    every array is plain integer text is each replaced by a mark, the
+    string "\\0<k>", and what is left read by json.loads; the cohort is
+    read this way only when the marks are exactly the ``citations`` of
+    the ``authors`` entries, in order, and every entry is well formed.
+    Text that holds the marks' escape is never read this way.
     """
     if "\\u0000" in text:
         return None
-    skeleton, nonempty, batch, size, end = [], [], [], 0, 0
-    # n values take 2n - 1 characters or more, and each array has a head
-    with _ChunkParser(",", leading_zeros=False, bound=len(text) // 2) as parser:
-        while (head := _CITATIONS.search(text, end)) is not None:
-            a = head.end()
-            b = text.find("]", a)
-            if b < 0:
-                return None
-            if a < b:
-                nonempty.append(len(skeleton) // 2)
-                batch.append(slice(a, b))
-                size += b - a
-                if size >= _PLAIN_CHUNK:
-                    parser.add(map(text.__getitem__, batch))  # cut by the thread that parses
-                    batch, size = [], 0
-            skeleton += (text[end:head.start(1)], f'"\\u0000{len(skeleton) // 2}"')
-            end = b + 1
-        if not skeleton:  # nothing to cut: json.loads would read the whole input twice
+    # number, start and end of each nonempty array; as Python ints, 10**5 would take megabytes
+    skeleton, spans, end = [], array("q"), 0
+    while (head := _CITATIONS.search(text, end)) is not None:
+        a = head.end()
+        b = text.find("]", a)
+        if b < 0:
             return None
-        if batch:
-            parser.add(map(text.__getitem__, batch))
-        read = parser.results()
+        if a < b:
+            spans.extend((len(skeleton) // 2, a, b))
+        skeleton += (text[end:head.start(1)], f'"\\u0000{len(skeleton) // 2}"')
+        end = b + 1
+    if not skeleton:  # nothing to cut: json.loads would read the whole input twice
+        return None
+    spans = np.frombuffer(spans, dtype=np.int64).reshape(-1, 3)
+    read = _plain_values(lambda i, j: [text[a:b] for _, a, b in spans[i:j].tolist()],
+                         len(spans), int((spans[:, 2] - spans[:, 1]).sum()), ",",
+                         leading_zeros=False)
     if read is None:  # the skeleton is parsed only when the arrays are plain
         return None
     skeleton.append(text[end:])
@@ -572,7 +513,7 @@ def _plain_json(text: str):
         return None
     flat, counted = read
     counts = np.zeros(arrays, dtype=np.int64)
-    counts[nonempty] = counted
+    counts[spans[:, 0]] = counted
     return ids, flat, counts.tolist(), annotations
 
 

@@ -401,7 +401,7 @@ def _h_plus_rows(
     k = masses.shape[1]
     rows = np.arange(len(t))
     ranks = np.arange(k + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # t / coeff may overflow to inf
         if family.shape == POWER:
             decay = np.arange(1, k + 1, dtype=float) ** (-family.beta)
             coeff = np.array([np.dot(row, decay) for row in masses])

@@ -334,6 +334,18 @@ class TestMalformedFits:
          "malformed profile: OverflowError: cannot convert float infinity to integer"),
         ([dict(_GOOD_FIT, n_excluded=2**63)],
          "malformed profile: OverflowError: Python int too large to convert to C long"),
+        ([dict(_GOOD_FIT, n_points=2.7)], "malformed profile: n_points must be an integer, not 2.7"),
+        ([dict(_GOOD_FIT, n_points="5")], "malformed profile: n_points must be an integer, not '5'"),
+        ([dict(_GOOD_FIT, n_points=True)], "malformed profile: n_points must be an integer, not True"),
+        ([dict(_GOOD_FIT, n_excluded=0.0)],
+         "malformed profile: n_excluded must be an integer, not 0.0"),
+        ([dict(_GOOD_FIT, author_id=17)], "malformed profile: author_id must be a string, not 17"),
+        ([dict(_GOOD_FIT, beta_hat="1.5")], "malformed profile: beta_hat must be a number, not '1.5'"),
+        ([dict(_GOOD_FIT, q_hat="40")], "malformed profile: q_hat must be a number, not '40'"),
+        ([dict(_GOOD_FIT, r2="0.9")], "malformed profile: r2 must be a number, not '0.9'"),
+        ([dict(_GOOD_FIT, r2=True)], "malformed profile: r2 must be a number, not True"),
+        ([_GOOD_FIT, dict(_GOOD_FIT, n_points=2.0), dict(_GOOD_FIT, author_id=None)],
+         "malformed profile: n_points must be an integer, not 2.0"),
     ])
     def test_first_bad_fit_is_reported(self, fits, message, tmp_path, capsys):
         import json

@@ -231,6 +231,15 @@ class TestDualCheck:
         for line in lines[1:]:
             assert float(line.split(",")[3]) >= -1e-9
 
+    def test_a_level_beyond_the_float_range_warns_nothing(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("author_id,citations\na,1.7e308;1.7e308;1.7e308\n")
+        out = tmp_path / "dual.csv"
+        assert run(["dual-check", "--input", str(path), "--index", "phi:1.62",
+                    "--samples", "5", "--seed", "1", "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[1].split(",")[3] == "inf"
+
 
 class TestOutputFiles:
     def test_output_mode_follows_the_umask(self, cohort_csv, tmp_path):
@@ -394,7 +403,8 @@ class TestIngestErrorsAtTheCommandLine:
         ("deep.json", b"[" * 100_000 + b"]" * 100_000),
         ("huge.json", b'{"authors": [{"id": "a", "citations": [1' + b"0" * 400 + b"]}]}"),
         ("cr.csv", b"author_id,citations\na,1\rb,2\n"),
-    ], ids=["deep", "huge", "cr"])
+        ("id.json", b'{"authors": [{"id": 17, "citations": [1]}]}'),
+    ], ids=["deep", "huge", "cr", "id"])
     def test_bad_input_is_data_error(self, tmp_path, name, data, capsys):
         path = tmp_path / name
         path.write_bytes(data)

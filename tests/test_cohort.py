@@ -517,9 +517,17 @@ class TestIngestPins:
         assert str(err.value).startswith(message)
 
     def test_json_accepted(self):
-        doc = '{"authors": [{"id": 17, "citations": ["3", " 4 ", "1_000", 2.5, 0]}]}'
+        doc = '{"authors": [{"id": "17", "citations": ["3", " 4 ", "1_000", 2.5, 0]}]}'
         cohort = ingest(doc, "json")
         assert cohort.ids == ("17",) and cohort.curve(0).values.tolist() == [1000.0, 4.0, 3.0, 2.5]
+
+    @pytest.mark.parametrize("citations", ["[1, 2]", "[2.5]"], ids=["plain", "scalar"])
+    @pytest.mark.parametrize("author_id", ["null", "true", "17", '{"k": [1]}'])
+    def test_json_id_that_is_not_a_string_is_rejected(self, author_id, citations):
+        doc = '{"authors": [{"id": "a", "citations": [1]}, {"id": %s, "citations": %s}]}'
+        with pytest.raises(ValidationError) as err:
+            ingest(doc % (author_id, citations), "json")
+        assert str(err.value) == "authors[1]: 'id' must be a string"
 
     @pytest.mark.parametrize("value, message", [
         ("true", "is True, not a number"),
@@ -729,8 +737,9 @@ def _non_plain_inputs(seed, trials):
 @pytest.fixture
 def lane(monkeypatch):
     """What the numpy pass answered, by function: _plain_json for JSON,
-    _plain_integers for CSV; None is "not plain integer text"."""
-    answers = {"_plain_json": [], "_plain_integers": []}
+    _plain_csv for CSV, and per chunk _plain_counts (the count pass) and
+    _plain_parse (the parse pass); None is "not plain integer text"."""
+    answers = {"_plain_json": [], "_plain_csv": [], "_plain_counts": [], "_plain_parse": []}
     for name, seen in answers.items():
         def spy(*args, real=getattr(cohort_module, name), seen=seen, **kwargs):
             seen.append(real(*args, **kwargs))
@@ -788,7 +797,7 @@ class TestScalarReader:
                 for answers in lane.values():
                     answers.clear()
                 assert _read(data, fmt) == want, (fmt, layout)
-                assert lane["_plain_json" if fmt == "json" else "_plain_integers"] == [None]
+                assert lane["_plain_json" if fmt == "json" else "_plain_csv"] == [None]
 
 
 class TestPlainIntegerLanePins:
@@ -850,21 +859,21 @@ class TestPlainIntegerLanePins:
             with pytest.raises(ValidationError) as err:
                 ingest(text, fmt)
             assert str(err.value).startswith(message)
-        answers = lane["_plain_json" if fmt == "json" else "_plain_integers"]
+        answers = lane["_plain_json" if fmt == "json" else "_plain_csv"]
         assert [answer is not None for answer in answers] == [plain]
 
 
 @pytest.fixture(params=[1, 4], ids=["one CPU", "four CPUs"])
 def cpus(request, monkeypatch):
     """The CPUs ingest may use (four is more than this host may have),
-    with ingest's kernel parsing about 64 characters at a time.  Returns
-    the CPU count, the kernel's calls so far (a list) and the threads
-    started so far (a list)."""
+    with ingest's kernels reading about 64 characters at a time.  Returns
+    the CPU count, the count pass's calls so far (a list, one per chunk)
+    and the threads started so far (a list)."""
     monkeypatch.setattr(cohort_module.os, "sched_getaffinity", lambda pid: set(range(request.param)))
     monkeypatch.setattr(cohort_module, "_PLAIN_CHUNK", 64)
     calls, started = [], []
 
-    def spy(*args, real=cohort_module._plain_integers):
+    def spy(*args, real=cohort_module._plain_counts):
         calls.append(args)
         return real(*args)
 
@@ -873,7 +882,7 @@ def cpus(request, monkeypatch):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(cohort_module, "_plain_integers", spy)
+    monkeypatch.setattr(cohort_module, "_plain_counts", spy)
     monkeypatch.setattr(cohort_module.threading, "Thread", Recorded)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # let the threads interleave often
@@ -901,10 +910,10 @@ class TestPlainIntegerLaneInChunks:
         for fmt, layout, text in _plain_inputs(1303, 25):
             chunks, workers = len(calls), len(started)
             assert _read(text, fmt) == _oracle(text, fmt), (fmt, layout)
-            # a second chunk starts a worker per CPU but the caller's
+            # each pass starts a worker per CPU but the caller's, up to one per further chunk
             chunks, workers = len(calls) - chunks, len(started) - workers
-            assert workers == (count - 1 if chunks > 1 else 0), (fmt, layout)
-        assert len(calls) > 2 * len(started) > 0 or count == 1
+            assert workers == 2 * (min(count, chunks) - 1), (fmt, layout)
+        assert len(calls) > len(started) > 0 or count == 1
         assert not any(thread.is_alive() for thread in started)
 
     def test_a_lone_chunk_starts_no_thread(self, cpus, monkeypatch):
@@ -935,12 +944,16 @@ class TestPlainIntegerLaneInChunks:
             with pytest.raises(ValidationError) as err:
                 ingest(text, fmt)
             assert str(err.value).startswith(message)
-        # every chunk but the last is plain; the CSV kernel accepts a leading zero
-        declined = [answer is None for answer in lane["_plain_integers"]]
-        assert len(declined) > 10 and declined.count(True) == int((fmt, token) != ("csv", "01"))
+        # every chunk but the last is plain; the CSV kernel accepts a leading zero, and only
+        # the parse pass sees that an integer is 10**15 or more
+        counted, parsed = ([answer is None for answer in lane[name]]
+                           for name in ("_plain_counts", "_plain_parse"))
+        by_parse = token == "1000000000000000" or (fmt, token) == ("csv", "01")
+        assert len(counted) > 10 and len(parsed) == (len(counted) if by_parse else 0)
+        assert (counted + parsed).count(True) == int((fmt, token) != ("csv", "01"))
         if fmt == "json":
             assert lane["_plain_json"] == [None]
-        assert len(started) == count - 1
+        assert len(started) == (1 + by_parse) * (count - 1)
         assert not any(thread.is_alive() for thread in started)
 
     def test_a_platform_without_cpu_affinity(self, monkeypatch):
@@ -951,26 +964,47 @@ class TestPlainIntegerLaneInChunks:
             assert _read(text, fmt) == _oracle(text, fmt), (fmt, layout)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_an_error_in_a_parse_is_raised_in_the_caller(self, cpus, monkeypatch, fmt):
-        count, calls, started = cpus
-        failed = threading.Event()
+    def test_the_parse_pass_declines_a_middle_chunk(self, cpus, lane, fmt):
+        # 10**15 passes the count pass; the parse pass declines it, in chunk 2 of 20 (author r2)
+        count, _, started = cpus
+        text = (_last_chunk_doc if fmt == "json" else _last_chunk_csv)("1")
+        old = "r2,2;3;4;" if fmt == "csv" else "[2, 3, 4,"
+        assert text.count(old) == 1
+        text = text.replace(old, old.replace("4", "1000000000000000"))
+        assert _read(text, fmt) == _oracle(text, fmt)
+        counted, parsed = lane["_plain_counts"], lane["_plain_parse"]
+        assert len(counted) == 20 and None not in counted
+        assert [answer is None for answer in parsed].count(True) == 1
+        if count == 1:  # chunks 0 and 1 are parsed, chunk 2 declines and no further chunk starts
+            assert [answer is None for answer in parsed] == [False, False, True]
+        assert len(started) == 2 * (count - 1)
+        assert not any(thread.is_alive() for thread in started)
 
-        def fail(*args, real=cohort_module._plain_integers):
-            # on several CPUs a worker fails first; on one, the caller's third parse
+    @pytest.mark.parametrize("kernel", ["_plain_counts", "_plain_parse"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_an_error_in_a_pass_is_raised_in_the_caller(self, cpus, monkeypatch, fmt, kernel):
+        count, _, started = cpus
+        failed = threading.Event()
+        seen = []
+
+        def fail(*args, real=getattr(cohort_module, kernel)):
+            # on several CPUs a worker fails first; on one, the caller's third call
+            seen.append(args)
             if threading.current_thread() is not threading.main_thread():
                 failed.set()
                 raise MemoryError("parse failed")
             if count > 1:
                 assert failed.wait(timeout=30)
-            elif len(calls) == 3:
+            elif len(seen) == 3:
                 raise MemoryError("parse failed")
             return real(*args)
 
-        monkeypatch.setattr(cohort_module, "_plain_integers", fail)
+        monkeypatch.setattr(cohort_module, kernel, fail)
         text = (_last_chunk_doc if fmt == "json" else _last_chunk_csv)("1")
         with pytest.raises(MemoryError, match="parse failed"):
             ingest(text, fmt)
         assert failed.is_set() == (count > 1)
+        assert len(seen) == 3 or count > 1
         assert not any(thread.is_alive() for thread in started)
 
 
