@@ -6,6 +6,14 @@ ordinary least squares.  The cohort average of the fitted exponents
 then fixes the calibrated performance family q / x**beta_bar, whose
 index (the calibrated phi-index) has the closed form
 min over ranks of x_i * i**beta_bar.
+
+The fits of a cohort are computed in blocks of records, as the closed
+forms of the engine are, each block on one of up to one thread per CPU
+and into its own rows, so the bits do not depend on the thread count.
+A profile is read back column by column: each field of the fits is
+pulled out as one list and screened at once (its JSON types, then
+``n_points >= 2`` and ``0 <= r2 <= 1`` by numpy), and only an input that
+fails a screen is checked fit by fit, to report its first bad fit.
 """
 
 from __future__ import annotations
@@ -13,14 +21,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .cohort import Cohort, json_rows, json_texts
 from .curves import CitationCurve, SrmValue, checked_number
-from .engine import IndexSpec, segment_blocks, segment_counts, segment_ranks, srm_closed_form
+from .engine import (IndexSpec, _in_parallel, segment_blocks, segment_counts, segment_ranks,
+                     srm_closed_form)
 from .errors import InsufficientDataError, UnsupportedOperationError, ValidationError, reading
 
 #: Published reference exponent for senior mathematical-finance cohorts.
@@ -109,30 +118,69 @@ class CohortProfile:
                 f"malformed profile: version must be the integer {PROFILE_VERSION},"
                 f" not {doc['version']!r}"
             )
-        # author_id, beta_hat, q_hat, r2, n_points, n_excluded
-        columns: Tuple[list, ...] = ([], [], [], [], [], [])
-        for f in doc.get("fits", []):
-            raw = (f["author_id"], f["beta_hat"], f["q_hat"], f["r2"], f["n_points"],
-                   f.get("n_excluded", 0))
-            # a null, and an integer field's inf or nan, fail in these conversions
-            fit = (raw[0], *map(float, raw[1:4]), *map(int, raw[4:]))
-            for (name, (types, kind)), value in zip(_FIT_TYPES.items(), raw):
-                if type(value) not in types:  # not isinstance: a bool is an int
-                    raise ValidationError(f"malformed profile: {name} must be {kind}, not {value!r}")
-            if fit[4] < 2:
-                raise ValidationError("a fit needs at least 2 points")
-            if not 0.0 <= fit[3] <= 1.0:
-                raise ValidationError(f"r2 must lie in [0, 1], got {fit[3]!r}")
-            for column, value in zip(columns, fit):
-                column.append(value)
+        fits = doc.get("fits", [])
+        if type(fits) is not list:
+            raise ValidationError(f"malformed profile: fits must be a list, not {fits!r}")
+        ids, *numbers = _fit_columns(fits)
         beta_bar = doc["beta_bar"]
         if type(beta_bar) not in (int, float):  # float() would take a str or a bool
             raise ValidationError(f"malformed profile: beta_bar must be a number, not {beta_bar!r}")
         beta_bar = float(beta_bar)
-        metadata = dict(doc.get("metadata", {}))
-        ids, *numbers = columns
+        metadata = doc.get("metadata", {})
+        if type(metadata) is not dict:
+            raise ValidationError(
+                f"malformed profile: metadata must be an object, not {metadata!r}")
+        # an int64 field out of range fails here, after every other check
         arrays = (np.array(c, dtype=t) for c, t in zip(numbers, _FIT_COLUMNS.values()))
         return cls(beta_bar, tuple(ids), *arrays, metadata)
+
+
+def _check_fit(fit: dict) -> None:
+    """Raise the error of one fit of a profile document, if it has one."""
+    raw = (fit["author_id"], fit["beta_hat"], fit["q_hat"], fit["r2"], fit["n_points"],
+           fit.get("n_excluded", 0))
+    # a null, and an integer field's inf or nan, fail in these conversions
+    converted = (raw[0], *map(float, raw[1:4]), *map(int, raw[4:]))
+    for (name, (types, kind)), value in zip(_FIT_TYPES.items(), raw):
+        if type(value) not in types:  # not isinstance: a bool is an int
+            raise ValidationError(f"malformed profile: {name} must be {kind}, not {value!r}")
+    if converted[4] < 2:
+        raise ValidationError("a fit needs at least 2 points")
+    if not 0.0 <= converted[3] <= 1.0:
+        raise ValidationError(f"r2 must lie in [0, 1], got {converted[3]!r}")
+
+
+def _fit_columns(fits: list) -> List[list]:
+    """The fields of a profile's fits as lists, in :data:`_FIT_TYPES`
+    order; the first bad fit's error is raised.
+
+    Each field is screened as one column: its JSON types, ``n_points >=
+    2`` and ``0 <= r2 <= 1`` (which a nan fails).  Only when a screen
+    fails are the fits checked one by one, to find the first bad one.
+    """
+    try:
+        columns = [[fit[name] for fit in fits] for name in list(_FIT_TYPES)[:-1]]
+        columns.append([fit.get("n_excluded", 0) for fit in fits])
+    except (LookupError, TypeError, AttributeError):  # a missing field, or a fit not an object
+        columns = None
+    if columns is None or not _screened(columns):
+        for fit in fits:
+            _check_fit(fit)
+    return columns
+
+
+def _screened(columns: List[list]) -> bool:
+    """True if the fit columns pass every check of :func:`_check_fit`."""
+    for column, (types, _) in zip(columns, _FIT_TYPES.values()):
+        if not set(map(type, column)) <= set(types):
+            return False
+    try:
+        numbers = [np.array(column, dtype=float) for column in columns[1:4]]
+        n_points = np.array(columns[4], dtype=np.int64)
+    except OverflowError:  # an integer too large for a float or an int64
+        return False
+    r2 = numbers[2]
+    return bool((n_points >= 2).all() and ((r2 >= 0.0) & (r2 <= 1.0)).all())
 
 
 def _fit_segments(
@@ -148,19 +196,21 @@ def _fit_segments(
     block, with the means taken first and the products centred on them:
     the arithmetic of a per-author fit with ``np.mean`` and ``np.sum``.
     """
-    fit_ids: List[str] = []
-    skipped: List[str] = []
-    # per block: beta_hat, intercept, r2, n_points, n_excluded; the empty
-    # first block gives the columns their dtypes when no author is fitted
-    blocks = [tuple(np.empty(0, dtype=t) for t in _FIT_COLUMNS.values())]
-    for lo, hi in segment_blocks(offsets):
+    blocks = list(segment_blocks(offsets))
+    # the columns of a block where no author is fitted, with their dtypes
+    unfitted = tuple(np.empty(0, dtype=t) for t in _FIT_COLUMNS.values())
+
+    def fit_block(k: int):
+        """The ids of block k's fitted and skipped authors, and the fitted
+        authors' beta_hat, intercept, r2, n_points and n_excluded."""
+        lo, hi = blocks[k]
         bounds = offsets[lo:hi + 1] - offsets[lo]
         block = values[offsets[lo]:offsets[hi]]
         n = segment_counts(block >= 1.0, bounds)
         fitted = n >= 2
-        skipped.extend(compress(ids[lo:hi], (~fitted).tolist()))
+        skipped = list(compress(ids[lo:hi], (~fitted).tolist()))
         if not fitted.any():
-            continue
+            return [], skipped, unfitted
         m = n[fitted]
         firsts = np.zeros(m.size + 1, dtype=np.int64)
         np.cumsum(m, out=firsts[1:])
@@ -191,11 +241,14 @@ def _fit_segments(
         flat = ss_tot == 0.0
         r2 = 1.0 - ss_res / np.where(flat, 1.0, ss_tot)
         r2[flat] = 1.0
-        fit_ids.extend(compress(ids[lo:hi], fitted.tolist()))
-        blocks.append((-slope, intercept, np.clip(r2, 0.0, 1.0), m, np.diff(bounds)[fitted] - m))
-    beta_hat, intercept, r2, n_points, n_excluded = map(np.concatenate, zip(*blocks))
+        fit = (-slope, intercept, np.clip(r2, 0.0, 1.0), m, np.diff(bounds)[fitted] - m)
+        return list(compress(ids[lo:hi], fitted.tolist())), skipped, fit
+
+    # the first part gives the columns their dtypes when no author is fitted
+    fit_ids, skipped, fits = zip(([], [], unfitted), *_in_parallel(fit_block, len(blocks)))
+    beta_hat, intercept, r2, n_points, n_excluded = map(np.concatenate, zip(*fits))
     columns = {
-        "author_id": tuple(fit_ids),
+        "author_id": tuple(chain.from_iterable(fit_ids)),
         "beta_hat": beta_hat,
         # math.exp, not np.exp: the two differ in the last bit on some intercepts
         "q_hat": np.array(list(map(math.exp, intercept.tolist()))),
@@ -203,7 +256,7 @@ def _fit_segments(
         "n_points": n_points,
         "n_excluded": n_excluded,
     }
-    return columns, skipped
+    return columns, list(chain.from_iterable(skipped))
 
 
 def fit_author(curve: CitationCurve) -> CalibrationFit:

@@ -289,6 +289,11 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
     extent = cfg.extent if cfg.extent is not None else max_p + math.ceil(max(deltas)) + 1.0
     if extent < max(1.0, max_p):
         raise _UsageError(f"--extent must be at least max(1, largest p) = {max(1, max_p)}")
+    # the duality layer holds ceil(N) rank cells, and a prefix sum per cell and one
+    # more, as float64 arrays; numpy cannot index an array of more bytes than this
+    if (math.ceil(extent) + 1) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(
+            f"the measure extent {extent:g} has more rank cells than an array can hold")
     measure = du.ReferenceMeasure(extent)
 
     gap_cols: List[float] = []

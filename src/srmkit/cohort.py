@@ -26,6 +26,14 @@ way costs more: with every citation of the benchmark's seed-11 inputs
 shifted by 0.5, ingest of 4.5e5 CSV citations took 170-190 ms and of
 3.0e6 JSON citations 0.76-0.81 s on a 2-core machine, against 60 ms
 and 0.1 s for their integer text.
+
+Each author's citations are then sorted nonincreasing and their zeros
+dropped.  The records of at most :data:`_BLOCK_LENGTH` citations that
+share their length are sorted together, as the rows of one 2-D block,
+so a cohort of many short records costs one sort call per length, not
+one per author; a longer record, or one whose length no other short
+record has, is sorted alone in its own slice, where one sort call costs
+little against its values.
 """
 
 from __future__ import annotations
@@ -34,9 +42,7 @@ import csv
 import io
 import json
 import math
-import os
 import re
-import threading
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -46,7 +52,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .curves import CitationCurve, checked_citations
-from .engine import IndexSpec, family_for, parse_index, srm_closed_form_batch, srm_generic
+from .engine import (IndexSpec, _in_parallel, family_for, parse_index, srm_closed_form_batch,
+                     srm_generic)
 from .errors import ValidationError
 
 CSV_FORMAT = "csv"
@@ -260,47 +267,6 @@ def _plain_parse(texts: List[str], sep: str, out: np.ndarray) -> Optional[np.nda
     return out
 
 
-def _in_parallel(call: Callable[[int], object], n: int) -> Optional[list]:
-    """``[call(k) for k in range(n)]``, or None if a call returns None.
-
-    The caller and one thread per further CPU this process may run on,
-    up to one per call, take the calls in turn (numpy releases the GIL
-    while it reads text).  Once a call returns None or raises, no further
-    call starts; the first error is raised here, after every thread ends.
-    """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)  # the CPUs it may run on, where the platform says (Linux)
-    results = [None] * n
-    todo = iter(range(n))
-    lock = threading.Lock()
-    stops: List[Optional[Exception]] = []  # each error, and a None per call that gave None or raised
-
-    def work() -> None:
-        while not stops:
-            with lock:
-                k = next(todo, None)
-            if k is None:
-                return
-            try:
-                results[k] = call(k)
-            except Exception as exc:  # raised in the caller, below
-                stops.append(exc)
-            if results[k] is None:
-                stops.append(None)
-
-    workers = [threading.Thread(target=work) for _ in range(min(cpus, n) - 1)]
-    for worker in workers:
-        worker.start()
-    try:
-        work()
-    finally:
-        for worker in workers:
-            worker.join()
-    for error in filter(None, stops):
-        raise error
-    return None if stops else results
-
-
 def _plain_values(texts: Callable[[int, int], List[str]], m: int, size: int, sep: str,
                   leading_zeros: bool):
     """The integers of ``m`` texts of ``size`` characters in all, as one
@@ -376,7 +342,7 @@ def _plain_csv(cells: List[str]):
     flat, counted = read
     counts = np.zeros(len(cells), dtype=np.int64)
     counts[lengths > 0] = counted
-    return flat, counts.tolist()
+    return flat, counts
 
 
 def _csv_values(ids: List[str], cells: List[str], linenos: List[int]):
@@ -514,7 +480,7 @@ def _plain_json(text: str):
     flat, counted = read
     counts = np.zeros(arrays, dtype=np.int64)
     counts[spans[:, 0]] = counted
-    return ids, flat, counts.tolist(), annotations
+    return ids, flat, counts, annotations
 
 
 def _ingest_json(text: str):
@@ -534,23 +500,69 @@ def _ingest_json(text: str):
     return ids, flat, [len(c) for c in lists], annotations
 
 
-def _pack(flat: np.ndarray, counts: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+#: Records of at most this many citations that share their length are
+#: sorted together, as the rows of one 2-D block (see the module notes).
+_BLOCK_LENGTH = 128
+
+
+def _pack(flat: np.ndarray, counts: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     """Sort each author's slice of ``flat`` nonincreasing and drop its
     zeros, in place; returns the packed values and their offsets.
+
+    The short records that share a length are gathered into a 2-D block,
+    sorted with one ``sort(axis=1)`` and kept aside.  Every other record is
+    sorted in its slice and moved left over the zeros dropped before it,
+    in author order, so no record is overwritten before it moves; the
+    blocks' rows are then written to their places.
     """
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    kept = counts.copy()  # nonzero values of each record
     np.negative(flat, out=flat)  # ascending order of -x is nonincreasing order of x
-    start = end = 0
-    for k, count in enumerate(counts, start=1):
-        segment = flat[start:start + count]
+    short = counts <= _BLOCK_LENGTH
+    tally = np.bincount(counts[short], minlength=_BLOCK_LENGTH + 1)  # records of each length
+    shared = short & (tally[np.minimum(counts, _BLOCK_LENGTH)] > 1)
+    members = np.flatnonzero(shared)
+    members = members[np.argsort(counts[members], kind="stable")]  # by length, then author
+    lengths = np.flatnonzero(tally > 1)
+    sizes = tally[lengths]
+    # one array holds every block, so its memory goes back to the system at once
+    aside = np.empty(int(sizes @ lengths))
+    blocks = []
+    first = used = 0
+    for length, size in zip(lengths.tolist(), sizes.tolist()):
+        rows = members[first:first + size]
+        first += size
+        block = aside[used:used + size * length].reshape(size, length)
+        used += size * length
+        np.take(flat, starts[rows, None] + np.arange(length), out=block)
+        block.sort(axis=1)
+        kept[rows] = np.count_nonzero(block, axis=1)  # zeros, now -0.0, sort last
+        blocks.append((rows, block))
+    alone = np.flatnonzero(~shared)
+    # where each record sorted alone starts once the zeros of the records in blocks
+    # before it are dropped; the loop drops those of the records sorted alone before it
+    heads = (np.cumsum(kept) - counts)[alone].tolist()
+    dropped = 0
+    tops = []
+    for start, stop, head in zip(starts[alone].tolist(), starts[alone + 1].tolist(), heads):
+        segment = flat[start:stop]
         segment.sort()
-        kept = int(segment.searchsorted(0.0))  # zeros, now -0.0, sort last
+        top = int(segment.searchsorted(0.0))
+        end = head - dropped
         if end != start:
-            flat[end:end + kept] = segment[:kept]
-        start += count
-        end += kept
-        offsets[k] = end
-    values = flat[:end]
+            flat[end:end + top] = segment[:top]
+        dropped += stop - start - top
+        tops.append(top)
+    kept[alone] = tops
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(kept, out=offsets[1:])
+    for rows, block in blocks:
+        cols = np.arange(block.shape[1])
+        nonzero = cols < kept[rows, None]
+        flat[(offsets[rows, None] + cols)[nonzero]] = block[nonzero]
+    values = flat[:offsets[-1]]
     np.negative(values, out=values)
     return values, offsets
 

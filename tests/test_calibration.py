@@ -306,6 +306,21 @@ class TestMalformedProfile:
         with pytest.raises(ValidationError, match="malformed profile"):
             CohortProfile.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"version": 1, "beta_bar": 1.5, "fits": {}}, "fits must be a list, not {}"),
+        ({"version": 1, "beta_bar": 1.5, "fits": ""}, "fits must be a list, not ''"),
+        ({"version": 1, "beta_bar": 1.5, "fits": None}, "fits must be a list, not None"),
+        ({"version": 1, "beta_bar": 1.5, "metadata": [["skipped", ["x"]]]},
+         "metadata must be an object, not [['skipped', ['x']]]"),
+        ({"version": 1, "beta_bar": 1.5, "metadata": None}, "metadata must be an object, not None"),
+    ])
+    def test_containers_must_have_their_json_types(self, doc, message):
+        import json
+
+        with pytest.raises(ValidationError) as err:
+            CohortProfile.from_json(json.dumps(doc))
+        assert str(err.value) == f"malformed profile: {message}"
+
     def test_non_utf8_profile_is_a_validation_error(self):
         with pytest.raises(ValidationError):
             CohortProfile.from_json(b'{"version": 1, "beta_bar": "\xff"}')
@@ -346,6 +361,12 @@ class TestMalformedFits:
         ([dict(_GOOD_FIT, r2=True)], "malformed profile: r2 must be a number, not True"),
         ([_GOOD_FIT, dict(_GOOD_FIT, n_points=2.0), dict(_GOOD_FIT, author_id=None)],
          "malformed profile: n_points must be an integer, not 2.0"),
+        # the bad field of the later fit sits in an earlier column than the first bad fit's
+        ([dict(_GOOD_FIT, r2=1.5), dict(_GOOD_FIT, author_id=17)], "r2 must lie in [0, 1], got 1.5"),
+        ([dict(_GOOD_FIT, n_points=1), {k: v for k, v in _GOOD_FIT.items() if k != "author_id"}],
+         "a fit needs at least 2 points"),
+        ([_GOOD_FIT, [1, 2]],
+         "malformed profile: TypeError: list indices must be integers or slices, not str"),
     ])
     def test_first_bad_fit_is_reported(self, fits, message, tmp_path, capsys):
         import json

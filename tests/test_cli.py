@@ -343,13 +343,27 @@ class TestRejectedOptions:
                     "--seed", "1", "--samples", "2", "--deltas", deltas]) == 2
         assert "--deltas must be finite and positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("index, samples", [("h", "0"), ("h", "2"), ("phi:1.62", "2")])
-    def test_extent_too_large_to_allocate_is_an_error(self, cohort_csv, index, samples, capsys):
+    @pytest.mark.parametrize("index, samples, option, value", [
         # 1e13 rank cells take 80 TB: the first allocation fails at once
-        assert run(["dual-check", "--input", str(cohort_csv), "--index", index,
-                    "--seed", "1", "--samples", samples, "--extent", "1e13"]) == 1
+        ("h", "0", "--extent", "1e13"),
+        ("h", "2", "--extent", "1e13"),
+        ("phi:1.62", "2", "--extent", "1e13"),
+        # more rank cells than numpy can index: rejected before any is allocated
+        ("h", "2", "--extent", "1e300"),
+        ("h", "2", "--deltas", "1e308"),
+        ("h", "0", "--extent", "1e300"),
+        ("phi:1.5", "2", "--extent", "1e300"),
+    ])
+    def test_extent_too_large_to_allocate_is_an_error(self, cohort_csv, index, samples, option,
+                                                      value, tmp_path, capsys):
+        output = tmp_path / "dual.csv"
+        assert run(["dual-check", "--input", str(cohort_csv), "--index", index, "--seed", "1",
+                    "--samples", samples, option, value, "--output", str(output)]) == 1
         out = capsys.readouterr()
-        assert out.out == "" and "srm: error: out of memory" in out.err
+        assert out.out == "" and not output.exists()
+        assert out.err.startswith("srm: error: out of memory") and out.err.count("\n") == 1
+        if value != "1e13":
+            assert out.err.endswith(" has more rank cells than an array can hold\n")
 
     @pytest.mark.parametrize("extent", ["nan", "inf"])
     def test_nonfinite_extent_is_usage_error(self, cohort_csv, extent, capsys):

@@ -14,6 +14,7 @@ from srmkit import (
     CohortProfile,
     IndexTable,
     ValidationError,
+    calibrate_cohort,
     classify_merit,
     compute_table,
     construct_curve,
@@ -24,6 +25,7 @@ from srmkit import (
     srm_closed_form,
 )
 from srmkit import cohort as cohort_module
+from srmkit import engine as engine_module
 from srmkit.calibration import _FIT_COLUMNS, PROFILE_VERSION
 from srmkit.cohort import _json_number, format_number, json_texts, write_rows
 from srmkit.curves import SrmValue, checked_citations
@@ -869,7 +871,7 @@ def cpus(request, monkeypatch):
     with ingest's kernels reading about 64 characters at a time.  Returns
     the CPU count, the count pass's calls so far (a list, one per chunk)
     and the threads started so far (a list)."""
-    monkeypatch.setattr(cohort_module.os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    monkeypatch.setattr(engine_module.os, "sched_getaffinity", lambda pid: set(range(request.param)))
     monkeypatch.setattr(cohort_module, "_PLAIN_CHUNK", 64)
     calls, started = [], []
 
@@ -883,7 +885,7 @@ def cpus(request, monkeypatch):
             super().start()
 
     monkeypatch.setattr(cohort_module, "_plain_counts", spy)
-    monkeypatch.setattr(cohort_module.threading, "Thread", Recorded)
+    monkeypatch.setattr(engine_module.threading, "Thread", Recorded)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # let the threads interleave often
     yield request.param, calls, started
@@ -958,7 +960,7 @@ class TestPlainIntegerLaneInChunks:
 
     def test_a_platform_without_cpu_affinity(self, monkeypatch):
         # os.sched_getaffinity is Linux only; elsewhere ingest counts the machine's CPUs
-        monkeypatch.delattr(cohort_module.os, "sched_getaffinity")
+        monkeypatch.delattr(engine_module.os, "sched_getaffinity")
         monkeypatch.setattr(cohort_module, "_PLAIN_CHUNK", 64)
         for fmt, layout, text in _plain_inputs(1306, 10):
             assert _read(text, fmt) == _oracle(text, fmt), (fmt, layout)
@@ -1081,6 +1083,116 @@ def _float_column(rng, n):
 
 def _sizes(rng):
     return [0, 1, 2, *rng.integers(3, 40, size=12).tolist()]
+
+
+def _pack_records(rng):
+    """Records whose lengths are shared by several short records, held by
+    one record, or shared by records too long to be sorted together; with
+    empty and all-zero records among them."""
+    lengths = [0, 0, 1, 1, 1, 2, 5, 5, 5, 9, 40, 40, 40, 127, 128, 128, 129, 129, 300, 301]
+    lengths += rng.integers(0, 160, size=int(rng.integers(0, 40))).tolist()
+    records = []
+    for k, length in enumerate(rng.permutation(lengths).tolist()):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            values = [0] * length
+        elif kind == 1:
+            values = rng.integers(0, 4, size=length).tolist()  # many ties and zeros
+        else:
+            values = np.floor(5.0 * rng.pareto(1.2, size=length)).astype(np.int64).tolist()
+        records.append((f"r{k}", values))
+    return records
+
+
+def _pack_texts(records):
+    """The records as CSV and as JSON."""
+    rows = [f"{author_id},{';'.join(map(str, values))}" for author_id, values in records]
+    doc = {"authors": [{"id": author_id, "citations": values} for author_id, values in records]}
+    return {"csv": "author_id,citations\n" + "\n".join(rows) + "\n", "json": json.dumps(doc)}
+
+
+class TestPackByLength:
+    """Ingest sorts the short records that share a length as the rows of
+    one block, and every other record alone; both ways give what a sort of
+    each record gives, from either way of reading the citations."""
+
+    def test_random_cohorts_match_the_per_author_sort(self, lane):
+        rng = np.random.default_rng(4105)
+        for trial in range(12):
+            records = _pack_records(rng)
+            lengths = [len(values) for _, values in records]
+            assert any(lengths.count(n) > 1 for n in range(1, cohort_module._BLOCK_LENGTH + 1))
+            assert max(lengths) > cohort_module._BLOCK_LENGTH
+            for plain in (True, False):
+                if not plain:  # a huge value the numpy pass declines, in a short shared record
+                    author = next(k for k, n in enumerate(lengths) if 1 < n < 100
+                                  and lengths.count(n) > 1)
+                    records[author][1][int(rng.integers(lengths[author]))] = 1e308
+                for fmt, text in _pack_texts(records).items():
+                    for answers in lane.values():
+                        answers.clear()
+                    assert _read(text, fmt) == _oracle(text, fmt), (trial, plain, fmt)
+                    read = lane["_plain_json" if fmt == "json" else "_plain_csv"]
+                    assert [answer is not None for answer in read] == [plain]
+
+
+def _fittable_curves(rng, n):
+    """Varied records without the 1e308 values of kind 3: their fit has no finite q_hat."""
+    return [_varied_curve(rng, int(rng.choice([0, 1, 2, 4, 5]))) for _ in range(n)]
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """The threads started so far (a list), on a process that may run on
+    four CPUs, with the batch kernels working on blocks of 64 citations."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(engine_module.threading, "Thread", Recorded)
+    monkeypatch.setattr(engine_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(engine_module, "BLOCK_VALUES", 64)
+    return started
+
+
+class TestBlockKernelsOnEveryCpu:
+    """The blocks of the closed forms and of the calibration fits run on
+    up to one thread per CPU; each block writes its own rows, so the bits
+    are those of one CPU."""
+
+    def test_one_and_four_cpus_give_the_same_bits(self, threads, monkeypatch):
+        rng = np.random.default_rng(4106)
+        cohort = Cohort.from_curves(_ids(300), _varied_curves(rng, 300))
+        fitted = Cohort.from_curves(_ids(300), _fittable_curves(rng, 300))
+        specs = _catalog_specs(rng)
+        assert {"c_max", "pubs", "h", "h2", "h_alpha", "w", "h_r", "phi"} == {
+            spec.split(":")[0] for spec in specs}
+        results = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(engine_module.os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)))
+            before = len(threads)
+            table = compute_table(cohort, specs)
+            profile = calibrate_cohort(fitted).to_json()
+            results[cpus] = table.levels.tobytes(), table.attained.tobytes(), profile
+            assert (len(threads) > before) == (cpus > 1)
+        assert results[1] == results[4]
+        for k in range(len(cohort)):
+            for col, spec in enumerate(specs):
+                want = srm_closed_form(cohort.curve(k), spec)
+                assert SrmValue(table.levels[k, col], table.attained[k, col]) == want
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_a_lone_block_starts_no_thread(self, threads, monkeypatch):
+        monkeypatch.setattr(engine_module, "BLOCK_VALUES", 1 << 16)
+        rng = np.random.default_rng(4107)
+        cohort = Cohort.from_curves(_ids(50), _fittable_curves(rng, 50))
+        compute_table(cohort, _catalog_specs(rng))
+        calibrate_cohort(cohort)
+        assert threads == []
 
 
 class TestColumnEncoder:
