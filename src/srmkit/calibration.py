@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -195,23 +196,25 @@ def _fit_segments(
     ``np.add.reduceat`` over the prefixes of the fitted authors of a
     block, with the means taken first and the products centred on them:
     the arithmetic of a per-author fit with ``np.mean`` and ``np.sum``.
+    A q_hat beyond the float range is an error naming its author, unless
+    the id is empty.
     """
     blocks = list(segment_blocks(offsets))
-    # the columns of a block where no author is fitted, with their dtypes
-    unfitted = tuple(np.empty(0, dtype=t) for t in _FIT_COLUMNS.values())
+    n = np.zeros(len(ids), dtype=np.int64)
+    beta_hat, intercept, r2 = np.empty((3, len(ids)))
 
-    def fit_block(k: int):
-        """The ids of block k's fitted and skipped authors, and the fitted
-        authors' beta_hat, intercept, r2, n_points and n_excluded."""
+    def fit_block(k: int) -> int:
+        """Fill block k's rows of n and its fitted rows (n >= 2) of
+        beta_hat, intercept and r2."""
         lo, hi = blocks[k]
         bounds = offsets[lo:hi + 1] - offsets[lo]
         block = values[offsets[lo]:offsets[hi]]
-        n = segment_counts(block >= 1.0, bounds)
-        fitted = n >= 2
-        skipped = list(compress(ids[lo:hi], (~fitted).tolist()))
+        n[lo:hi] = segment_counts(block >= 1.0, bounds)
+        fitted = n[lo:hi] >= 2
         if not fitted.any():
-            return [], skipped, unfitted
-        m = n[fitted]
+            return k
+        rows = lo + np.flatnonzero(fitted)
+        m = n[rows]
         firsts = np.zeros(m.size + 1, dtype=np.int64)
         np.cumsum(m, out=firsts[1:])
         ranks = segment_ranks(firsts)
@@ -234,29 +237,36 @@ def _fit_segments(
         dx = lx - lx_mean[seg]
         dy = ly - ly_mean[seg]
         slope = sums(dx * dy) / sums(dx**2)
-        intercept = ly_mean - slope * lx_mean
-        residuals = ly - (intercept[seg] + slope[seg] * lx)
+        b = ly_mean - slope * lx_mean
+        residuals = ly - (b[seg] + slope[seg] * lx)
         ss_res = sums(residuals**2)
         ss_tot = sums(dy**2)
         flat = ss_tot == 0.0
-        r2 = 1.0 - ss_res / np.where(flat, 1.0, ss_tot)
-        r2[flat] = 1.0
-        fit = (-slope, intercept, np.clip(r2, 0.0, 1.0), m, np.diff(bounds)[fitted] - m)
-        return list(compress(ids[lo:hi], fitted.tolist())), skipped, fit
+        fit_r2 = 1.0 - ss_res / np.where(flat, 1.0, ss_tot)
+        fit_r2[flat] = 1.0
+        beta_hat[rows], intercept[rows], r2[rows] = -slope, b, np.clip(fit_r2, 0.0, 1.0)
+        return k  # not None, which would stop _in_parallel
 
-    # the first part gives the columns their dtypes when no author is fitted
-    fit_ids, skipped, fits = zip(([], [], unfitted), *_in_parallel(fit_block, len(blocks)))
-    beta_hat, intercept, r2, n_points, n_excluded = map(np.concatenate, zip(*fits))
+    _in_parallel(fit_block, len(blocks))  # each block writes its own rows
+    fitted = n >= 2
+    fit_ids = tuple(compress(ids, fitted.tolist()))
+    intercepts = intercept[fitted]
+    huge = np.flatnonzero(intercepts > math.log(sys.float_info.max))  # math.exp would overflow
+    if huge.size:
+        author_id, b = fit_ids[huge[0]], intercepts[huge[0]].item()
+        where = f"author {author_id!r}: " if author_id else ""
+        raise UnsupportedOperationError(
+            f"{where}the fitted q_hat, exp({b!r}), is beyond the float range")
     columns = {
-        "author_id": tuple(chain.from_iterable(fit_ids)),
-        "beta_hat": beta_hat,
+        "author_id": fit_ids,
+        "beta_hat": beta_hat[fitted],
         # math.exp, not np.exp: the two differ in the last bit on some intercepts
-        "q_hat": np.array(list(map(math.exp, intercept.tolist()))),
-        "r2": r2,
-        "n_points": n_points,
-        "n_excluded": n_excluded,
+        "q_hat": np.array(list(map(math.exp, intercepts.tolist()))),
+        "r2": r2[fitted],
+        "n_points": n[fitted],
+        "n_excluded": np.diff(offsets)[fitted] - n[fitted],
     }
-    return columns, list(chain.from_iterable(skipped))
+    return columns, list(compress(ids, (~fitted).tolist()))
 
 
 def fit_author(curve: CitationCurve) -> CalibrationFit:
@@ -265,8 +275,9 @@ def fit_author(curve: CitationCurve) -> CalibrationFit:
     beta_hat is the negated slope, q_hat the exponential of the
     intercept.  Publications with fewer than 1 citation are excluded
     (their logarithm would flip sign conventions) and counted in
-    ``n_excluded``; fewer than 2 usable points is an error, and so is a
-    positive tail, which the power-law model has no term for.
+    ``n_excluded``; fewer than 2 usable points is an error, and so are a
+    positive tail, which the power-law model has no term for, and a
+    q_hat beyond the float range.
     """
     if curve.tail > 0:
         raise UnsupportedOperationError("calibration is defined for curves with tail 0")
@@ -298,16 +309,12 @@ def calibrate_cohort(cohort: Cohort) -> CohortProfile:
     ``beta_bar`` is the plain arithmetic mean of the ``beta_hat``.
     Authors whose records cannot be fitted (fewer than 2 publications
     with a citation) are skipped and listed under ``skipped`` in the
-    profile metadata.  A record with a positive tail is rejected, as
-    :func:`fit_author` rejects it.
+    profile metadata.  A cohort's records have tail 0 (:class:`Cohort`);
+    a q_hat beyond the float range is an error naming the first such
+    author.
     """
     if not len(cohort):
         raise ValidationError("cannot calibrate an empty cohort")
-    tailed = np.flatnonzero(cohort.tails > 0)
-    if tailed.size:
-        raise UnsupportedOperationError(
-            f"author {cohort.ids[tailed[0]]!r}: calibration is defined for curves with tail 0"
-        )
     columns, skipped = _fit_segments(cohort.values, cohort.offsets, cohort.ids)
     if not columns["author_id"]:
         raise InsufficientDataError("no author in the cohort had enough data to fit")

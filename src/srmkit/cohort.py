@@ -52,8 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .curves import CitationCurve, checked_citations
-from .engine import (IndexSpec, _in_parallel, family_for, parse_index, srm_closed_form_batch,
-                     srm_generic)
+from .engine import IndexSpec, _in_parallel, parse_index, srm_closed_form_batch
 from .errors import ValidationError
 
 CSV_FORMAT = "csv"
@@ -82,36 +81,34 @@ def _check_format(fmt: str) -> str:
 class Cohort:
     """A cohort stored column-wise, as compressed sparse rows.
 
-    Author k has id ``ids[k]``, tail ``tails[k]``, annotations
-    ``annotations[k]`` and the citation values
-    ``values[offsets[k]:offsets[k+1]]``: the canonical values of its
-    :class:`CitationCurve`, every one above the tail and sorted
-    nonincreasing.  ``values`` (float64) and ``offsets`` (int64, from 0
-    to ``values.size``) are taken over, not copied, and made read-only.
+    Author k has id ``ids[k]``, annotations ``annotations[k]`` and the
+    citation values ``values[offsets[k]:offsets[k+1]]``: the canonical
+    values of its :class:`CitationCurve`, positive and sorted
+    nonincreasing.  Every record has tail 0, as no cohort file can hold
+    a tail; :meth:`from_curves` is where a tailed curve is turned away.
+    ``values`` (float64) and ``offsets`` (int64, from 0 to
+    ``values.size``) are taken over, not copied, and made read-only.
     Ids are nonempty, unique and encodable as UTF-8, and there is one
     annotation dict per author.  Build one with :func:`ingest` or
     :meth:`from_curves`.
     """
 
-    __slots__ = ("ids", "values", "offsets", "tails", "annotations")
+    __slots__ = ("ids", "values", "offsets", "annotations")
 
     def __init__(
         self,
         ids: Sequence[str],
         values: np.ndarray,
         offsets: np.ndarray,
-        tails: Optional[np.ndarray] = None,
         annotations: Optional[Sequence[Dict[str, object]]] = None,
     ):
         ids = tuple(ids)
         n = len(ids)
         values = np.asarray(values, dtype=float)
         offsets = np.asarray(offsets, dtype=np.int64)
-        tails = np.zeros(n) if tails is None else np.asarray(tails, dtype=float)
         if (
             values.ndim != 1
             or offsets.shape != (n + 1,)
-            or tails.shape != (n,)
             or offsets[0] != 0
             or offsets[-1] != values.size
             or np.any(offsets[1:] < offsets[:-1])
@@ -137,24 +134,28 @@ class Cohort:
                     raise ValidationError(
                         f"author id {author_id!r} cannot be written as UTF-8"
                     ) from None
-        for arr in (values, offsets, tails):
+        for arr in (values, offsets):
             arr.setflags(write=False)
         self.ids = ids
         self.values = values
         self.offsets = offsets
-        self.tails = tails
         self.annotations = annotations
 
     @classmethod
     def from_curves(cls, ids: Sequence[str], curves: Sequence[CitationCurve]) -> "Cohort":
-        """Pack citation curves, with any tails, and their ids."""
+        """Pack citation curves of tail 0 and their ids."""
         if len(ids) != len(curves):
             raise ValidationError("curves and ids must have the same length")
+        for author_id, c in zip(ids, curves):
+            if c.tail > 0:
+                raise ValidationError(
+                    f"author {author_id!r}: a cohort record must have tail 0,"
+                    f" got tail {format_number(c.tail)}"
+                )
         offsets = np.zeros(len(curves) + 1, dtype=np.int64)
         np.cumsum([c.p for c in curves], out=offsets[1:])
         values = np.concatenate([c.values for c in curves]) if curves else np.empty(0)
-        tails = np.array([c.tail for c in curves], dtype=float)
-        return cls(ids, values, offsets, tails=tails)
+        return cls(ids, values, offsets)
 
     @property
     def lengths(self) -> np.ndarray:
@@ -167,7 +168,7 @@ class Cohort:
     def curve(self, k: int) -> CitationCurve:
         """The citation curve of author k, built on demand."""
         k = range(len(self.ids))[k]  # an IndexError, not another author's slice
-        return CitationCurve(self.values[self.offsets[k]:self.offsets[k + 1]], self.tails[k])
+        return CitationCurve(self.values[self.offsets[k]:self.offsets[k + 1]])
 
 
 @dataclass(eq=False)
@@ -584,12 +585,8 @@ def ingest(data: Union[bytes, str], fmt: str) -> Cohort:
 
 
 def compute_table(cohort: Cohort, indices: Sequence[Union[str, IndexSpec]]) -> IndexTable:
-    """Evaluate every requested index for every author.
-
-    Records with tail 0 go through the batch closed forms; a record
-    with a positive tail goes through the generic search, as
-    :func:`srm_closed_form` sends it.
-    """
+    """Evaluate every requested index for every author, by the batch
+    closed forms (:func:`srm_closed_form_batch`)."""
     if not indices:
         raise ValidationError("need at least one index to compute")
     specs = [parse_index(ix) for ix in indices]
@@ -597,11 +594,6 @@ def compute_table(cohort: Cohort, indices: Sequence[Union[str, IndexSpec]]) -> I
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate index in request")
     levels, attained = srm_closed_form_batch(cohort.values, cohort.offsets, specs)
-    for k in np.flatnonzero(cohort.tails > 0).tolist():
-        curve = cohort.curve(k)
-        for col, spec in enumerate(specs):
-            value = srm_generic(curve, family_for(spec))
-            levels[k, col], attained[k, col] = value.level, value.attained
     return IndexTable(authors=cohort.ids, indices=labels, levels=levels, attained=attained)
 
 
@@ -766,11 +758,6 @@ def write_rows(
 
 
 def _export_cohort(cohort: Cohort, fmt: str) -> bytes:
-    tailed = np.flatnonzero(cohort.tails > 0)
-    if tailed.size:  # neither format has a place for it
-        raise ValidationError(
-            f"cannot export author {cohort.ids[tailed[0]]!r}: its record has a positive tail"
-        )
     values = cohort.values.tolist()
     bounds = cohort.offsets.tolist()
     citations = [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
@@ -805,10 +792,8 @@ def export(obj: Union[Cohort, IndexTable], fmt: str) -> bytes:
     """Serialize a cohort or an index table.
 
     Exports mirror the ingest formats, so feeding a cohort export back
-    through :func:`ingest` reproduces the records; a cohort with a
-    positive tail is rejected, as neither format can carry it.  JSON
-    table exports keep the attained flag; CSV tables carry the levels
-    only.
+    through :func:`ingest` reproduces the records.  JSON table exports
+    keep the attained flag; CSV tables carry the levels only.
     """
     _check_format(fmt)
     if isinstance(obj, IndexTable):

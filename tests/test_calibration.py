@@ -101,6 +101,14 @@ class TestFitAuthor:
         with pytest.raises(UnsupportedOperationError, match="tail 0"):
             fit_author(CitationCurve([], 1))
 
+    def test_q_hat_beyond_the_float_range_is_an_error(self):
+        with pytest.raises(UnsupportedOperationError) as err:
+            fit_author(construct_curve([1e308, 1e308, 1e308, 1]))
+        assert str(err.value).startswith("the fitted q_hat, exp(839.44")
+        # a q_hat just below the float maximum still fits
+        fit = fit_author(construct_curve([1.7e308, 1.7e308]))
+        assert fit.q_hat == pytest.approx(1.7e308, rel=1e-12) and fit.beta_hat == 0.0
+
 
 class TestAggregate:
     def test_plain_mean(self):
@@ -208,11 +216,15 @@ class TestCalibrateCohort:
             calibrate_cohort(Cohort.from_curves(["only"], [construct_curve([3])]))
 
     def test_positive_tail_rejected_by_author(self):
+        # a cohort cannot hold a tailed record, so calibration never meets one
         curves = [power_law_curve(50.0, 1.5, 10), construct_curve([3]),
                   shift_citations(construct_curve([5, 3]), 2), CitationCurve([4], 1)]
-        cohort = Cohort.from_curves(["good", "thin", "shifted", "flat"], curves)
-        with pytest.raises(UnsupportedOperationError, match="author 'shifted'.*tail 0"):
-            calibrate_cohort(cohort)
+        with pytest.raises(ValidationError) as err:
+            Cohort.from_curves(["good", "thin", "shifted", "flat"], curves)
+        assert str(err.value) == "author 'shifted': a cohort record must have tail 0, got tail 2"
+        with pytest.raises(ValidationError) as err:
+            Cohort.from_curves(["good", "flat"], [curves[0], curves[3]])
+        assert str(err.value) == "author 'flat': a cohort record must have tail 0, got tail 1"
 
     def test_profile_json_round_trip(self):
         curves = [power_law_curve(50.0 + i, 1.4 + 0.05 * i, 12) for i in range(5)]

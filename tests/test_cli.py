@@ -98,6 +98,15 @@ class TestCalibrate:
         header = out.read_text().splitlines()[0]
         assert header.startswith("author_id,phi:1.62")
 
+    def test_q_hat_beyond_the_float_range_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("author_id,citations\na,1e308;1e308;1e308;1\nb,5;3;1\n")
+        profile_path = tmp_path / "profile.json"
+        assert run(["calibrate", "--input", str(path), "--profile", str(profile_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("srm: error: author 'a': the fitted q_hat, exp(839.44")
+        assert err.count("\n") == 1 and not profile_path.exists()
+
 
 class TestRank:
     def test_ranking_with_merit_classes(self, cohort_csv, tmp_path):

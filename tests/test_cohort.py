@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from srmkit import (
+    CitationCurve,
     Cohort,
     CohortProfile,
     IndexTable,
@@ -213,7 +214,7 @@ class TestMeritClasses:
             curves = [random_curve(rng, min_p=1, max_p=10, max_c=30) for i in range(12)]
             table = compute_table(Cohort.from_curves(ids, curves), ["h"])
             before = classes_of(table, "h", (0.25,))
-            curves[3] = shift_citations(curves[3], 5)
+            curves[3] = CitationCurve(curves[3].values + 5)
             after = classes_of(compute_table(Cohort.from_curves(ids, curves), ["h"]), "h", (0.25,))
             assert int(after["a3"][-1]) <= int(before["a3"][-1])
 
@@ -295,9 +296,8 @@ class TestExport:
         assert lines[1] == "X1,3,4"
 
     def test_infinite_cell_renders_as_inf(self):
-        records = Cohort.from_curves(["t"], [shift_citations(construct_curve([5, 4]), 2)])
-        table = compute_table(records, ["pubs"])
-        assert math.isinf(table.levels[0, 0])
+        # the pubs cell srm_generic gives a record with a positive tail
+        table = IndexTable(("t",), ("pubs",), np.array([[math.inf]]), np.array([[False]]))
         assert "t,inf" in export(table, "csv").decode()
         cell = json.loads(export(table, "json"))["authors"][0]["values"]["pubs"]
         assert cell == {"level": "inf", "attained": False}
@@ -320,13 +320,18 @@ class TestExport:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_positive_tail_cannot_be_exported(self, fmt):
-        # written out, a,7;5 would read back as [7, 5] with tail 0
+        # written out, a,7;5 would read back as [7, 5] with tail 0, so a
+        # cohort cannot hold a tailed record in the first place
         curves = [construct_curve([4]), shift_citations(construct_curve([5, 3]), 2),
                   shift_citations(construct_curve([1]), 1)]
-        records = Cohort.from_curves(["z", "a", "b"], curves)
         with pytest.raises(ValidationError) as err:
-            export(records, fmt)
-        assert str(err.value) == "cannot export author 'a': its record has a positive tail"
+            Cohort.from_curves(["z", "a", "b"], curves)
+        assert str(err.value) == "author 'a': a cohort record must have tail 0, got tail 2"
+        with pytest.raises(ValidationError) as err:
+            Cohort.from_curves(["z", "t"], [curves[0], CitationCurve([], 1)])
+        assert str(err.value) == "author 't': a cohort record must have tail 0, got tail 1"
+        listed = Cohort.from_curves(["z", "a"], [curves[0], CitationCurve(curves[1].values)])
+        assert ingest(export(listed, fmt), fmt).curve(1) == CitationCurve([7, 5])
 
     def test_table_round_trip(self, rng):
         """The stdlib decoders read back every cell exactly as formatted."""
@@ -334,16 +339,17 @@ class TestExport:
         for i in range(60):
             curve = random_curve(rng, max_p=12, max_c=100)
             kind = i % 4
-            if kind == 1:
-                curve = shift_citations(curve, int(rng.integers(1, 4)))
-            elif kind == 2:
+            if kind == 2:
                 curve = construct_curve(rng.uniform(0.0, 9.0, size=int(rng.integers(1, 8))))
             elif kind == 3:
                 curve = construct_curve(rng.uniform(1e9, 1e12, size=int(rng.integers(1, 5))))
             curves.append(curve)
         records = Cohort.from_curves([f"a{i}" for i in range(60)], curves)
-        table = compute_table(records, ["c_max", "pubs", "h", "w", "h_r", "phi:1.62"])
-        levels = table.levels
+        computed = compute_table(records, ["c_max", "pubs", "h", "w", "h_r", "phi:1.62"])
+        levels, attained = computed.levels.copy(), computed.attained.copy()
+        # the pubs cells srm_generic gives records with a positive tail
+        levels[1::4, 1], attained[1::4, 1] = math.inf, False
+        table = IndexTable(computed.authors, computed.indices, levels, attained)
         finite = np.isfinite(levels)
         assert np.isinf(levels).any() and not table.attained.all()
         assert (levels[finite] >= 1e9).any()
@@ -391,15 +397,8 @@ def _varied_curve(rng, kind):
     return construct_curve(np.floor(5.0 * rng.pareto(1.2, size=size)))
 
 
-def _varied_curves(rng, n, tails=False):
-    curves = []
-    for k in range(n):
-        shifted = tails and k % 5 == 0
-        curve = _varied_curve(rng, int(rng.choice(6)))
-        if shifted:
-            curve = shift_citations(curve, float(rng.choice([0.5, 2.0, 7.0])))
-        curves.append(curve)
-    return curves
+def _varied_curves(rng, n):
+    return [_varied_curve(rng, int(rng.choice(6))) for _ in range(n)]
 
 
 def _ids(n):
@@ -416,29 +415,27 @@ class TestColumnarCohort:
     def test_batch_table_is_bit_equal_to_the_scalar_closed_forms(self):
         rng = np.random.default_rng(4101)
         for trial in range(25):
-            curves = _varied_curves(rng, 60, tails=trial % 2 == 1)
+            curves = _varied_curves(rng, 60)
             specs = _catalog_specs(rng)
             table = compute_table(Cohort.from_curves(_ids(60), curves), specs)
-            cohort = None
-            if trial % 2 == 0:  # no tails: ingest the same values, unsorted
-                doc = {"authors": [
-                    {"id": author_id,
-                     "citations": rng.permutation(curve.values.tolist() + [0]).tolist()}
-                    for author_id, curve in zip(_ids(60), curves)
-                ]}
-                cohort = ingest(json.dumps(doc), "json")
+            # ingest the same values, unsorted
+            doc = {"authors": [
+                {"id": author_id,
+                 "citations": rng.permutation(curve.values.tolist() + [0]).tolist()}
+                for author_id, curve in zip(_ids(60), curves)
+            ]}
+            cohort = ingest(json.dumps(doc), "json")
             for k, curve in enumerate(curves):
                 for col, spec in enumerate(specs):
                     want = srm_closed_form(curve, spec)
                     assert table.levels[k, col] == want.level, (curve, spec)
                     assert table.attained[k, col] == want.attained, (curve, spec)
-            if cohort is not None:
-                again = compute_table(cohort, specs)
-                assert np.array_equal(again.levels, table.levels)
-                assert np.array_equal(again.attained, table.attained)
+            again = compute_table(cohort, specs)
+            assert np.array_equal(again.levels, table.levels)
+            assert np.array_equal(again.attained, table.attained)
 
     def test_from_curves_packs_ids_and_curves(self):
-        curves = _varied_curves(np.random.default_rng(4102), 30, tails=True)
+        curves = _varied_curves(np.random.default_rng(4102), 30)
         ids = _ids(30)
         cohort = Cohort.from_curves(ids, curves)
         assert len(cohort) == 30 and cohort.ids == tuple(ids)
@@ -447,7 +444,7 @@ class TestColumnarCohort:
         with pytest.raises(IndexError):
             cohort.curve(30)
         assert cohort.annotations == ({},) * 30
-        for arr in (cohort.values, cohort.offsets, cohort.tails):
+        for arr in (cohort.values, cohort.offsets):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize("ids, annotations, message", [
