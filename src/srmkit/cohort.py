@@ -15,17 +15,18 @@ Python number per citation: ASCII decimal integers below 10**15, no
 sign, point or exponent, joined by the format's separator, with JSON
 whitespace around any of them.  In JSON this must hold for the
 ``citations`` array of every ``authors`` entry, with no leading zero,
-and the input must not hold the escape ``\\u0000``.  The text is cut
-into chunks of about a megabyte and read in two passes, each on up to
-one thread per CPU: the first counts every chunk's integers, so one
-array of exactly their number is allocated, and the second parses each
-chunk into its own slice of it.  Any other input is read by the scalar
-checks of :func:`checked_citations`, one Python number per citation;
-both ways give the same values and the same error messages.  The scalar
-way costs more: with every citation of the benchmark's seed-11 inputs
-shifted by 0.5, ingest of 4.5e5 CSV citations took 170-190 ms and of
-3.0e6 JSON citations 0.76-0.81 s on a 2-core machine, against 60 ms
-and 0.1 s for their integer text.
+and the input must not hold the escape ``\\u0000``.  Each text holds
+one integer more than its separators, or none if it is empty, so one
+array of exactly their number is allocated before any is parsed.  The
+text is cut into chunks of about a megabyte, and each chunk is checked
+and parsed into its own slice of that array, on up to one thread per
+CPU, in one pass.  Any other input is read by the scalar checks of
+:func:`checked_citations`, one Python number per citation; both ways
+give the same values and the same error messages.  The scalar way costs
+more: with every citation of the benchmark's seed-11 inputs shifted by
+0.5, ingest of 4.5e5 CSV citations took 170-190 ms and of 3.0e6 JSON
+citations 0.76-0.81 s on a 2-core machine, against 60 ms and 0.1 s for
+their integer text.
 
 Each author's citations are then sorted nonincreasing and their zeros
 dropped.  The records of at most :data:`_BLOCK_LENGTH` citations that
@@ -46,6 +47,7 @@ import re
 import warnings
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -83,9 +85,10 @@ class Cohort:
 
     Author k has id ``ids[k]``, annotations ``annotations[k]`` and the
     citation values ``values[offsets[k]:offsets[k+1]]``: the canonical
-    values of its :class:`CitationCurve`, positive and sorted
-    nonincreasing.  Every record has tail 0, as no cohort file can hold
-    a tail; :meth:`from_curves` is where a tailed curve is turned away.
+    values of its :class:`CitationCurve`, finite, positive and sorted
+    nonincreasing, or a :class:`ValidationError` is raised.  Every record
+    has tail 0, as no cohort file can hold a tail; :meth:`from_curves` is
+    where a tailed curve is turned away.
     ``values`` (float64) and ``offsets`` (int64, from 0 to
     ``values.size``) are taken over, not copied, and made read-only.
     Ids are nonempty, unique and encodable as UTF-8, and there is one
@@ -114,6 +117,16 @@ class Cohort:
             or np.any(offsets[1:] < offsets[:-1])
         ):
             raise ValidationError("cohort arrays do not describe one segment per author")
+        # nonincreasing within each author (a NaN fails <=), so a record is finite if its
+        # first value is and positive if its last is
+        falls = values[1:] <= values[:-1]
+        heads = offsets[1:-1]
+        falls[heads[(heads > 0) & (heads < values.size)] - 1] = True  # across two records
+        full = offsets[:-1] < offsets[1:]
+        if not (falls.all() and np.isfinite(values[offsets[:-1][full]]).all()
+                and (values[offsets[1:][full] - 1] > 0).all()):
+            raise ValidationError(
+                "cohort values must be finite, positive and nonincreasing within each author")
         annotations = tuple(annotations) if annotations is not None else ({},) * n
         if len(annotations) != n:
             raise ValidationError(f"{len(annotations)} annotation entries for {n} authors")
@@ -206,94 +219,78 @@ def _decode(data: Union[bytes, str]) -> str:
     return data
 
 
-def _plain_counts(texts: List[str], sep: str, leading_zeros: bool) -> Optional[np.ndarray]:
-    """How many integers each of ``texts`` holds, as an int64 array, or
-    None if the texts joined by ``sep`` are not plain integer text.
+def _plain_parse(texts: List[str], sep: str, leading_zeros: bool,
+                 out: np.ndarray) -> Optional[np.ndarray]:
+    """Parse the nonempty ``texts``, joined by ``sep``, into ``out``,
+    sized to the integers they hold; return ``out``, or None if they are
+    not plain integer text.
 
     Plain integer text is ASCII decimal integers joined by ``sep``: no
     sign, point or exponent, every integer below 10**15 (so float64
-    holds it exactly, as ``float`` would give it; :func:`_plain_parse`
-    checks this), and a leading zero only if ``leading_zeros``.  JSON
-    whitespace (space, tab, line feed, carriage return) may stand around
-    any integer; text of whitespace alone holds no integer, and is plain
-    only if it is the only text.  numpy reads whitespace between two
-    separators, or before the first, as a 0, and passes over a separator
-    at the end; text that it reads either way has as many separators as
-    digit runs, or more, so the text is taken only when it has one
-    separator fewer than digit runs.  Then each text holds one value
-    more than its own separators.
+    holds it exactly, as ``float`` would give it), and a leading zero
+    only if ``leading_zeros``.  JSON whitespace (space, tab, line feed,
+    carriage return) may stand around any integer.  numpy reads
+    whitespace between two separators, or before the first, as a 0, and
+    passes over a separator at the end; text that it reads either way
+    has as many separators as digit runs, or more.  So the text is taken
+    only when its digit runs number ``out.size``, one more than its
+    separators, as the caller counts them, and numpy reads all of it.
+    Call it with DeprecationWarning turned into an error: older numpy
+    warns where newer numpy raises when text is left unread.
     """
     try:
-        raw = sep.join(texts).encode("ascii")
+        raw = sep.join(filter(None, texts)).encode("ascii")
     except UnicodeEncodeError:
         return None
     if raw.translate(None, b"0123456789 \t\n\r" + sep.encode("ascii")):
         return None
     codes = np.frombuffer(raw, dtype=np.uint8)
     digit = np.subtract(codes, 48, dtype=np.uint8) < 10
-    runs = int(np.count_nonzero(digit[1:] > digit[:-1])) + int(digit[:1].sum())
-    is_sep = codes == ord(sep)
-    if np.count_nonzero(is_sep) != max(runs - 1, 0):
+    if np.count_nonzero(digit[1:] > digit[:-1]) + digit[:1].sum() != out.size:
         return None
-    if not runs:
-        return np.zeros(len(texts), dtype=np.int64)
     if not leading_zeros:
         zero_led = codes[:-1] == 48  # a 0 followed by a digit ...
         zero_led &= digit[1:]
         zero_led[1:] &= ~digit[:-2]  # ... that starts its run
         if zero_led.any():
             return None
-    seps = np.flatnonzero(is_sep)
-    joins = np.cumsum(np.fromiter(map(len, texts), np.int64, len(texts))[:-1] + 1) - 1
-    places = np.searchsorted(seps, joins)  # of the joining separators among all
-    return np.diff(places, prepend=-1, append=seps.size)
-
-
-def _plain_parse(texts: List[str], sep: str, out: np.ndarray) -> Optional[np.ndarray]:
-    """Parse ``texts``, which :func:`_plain_counts` took, joined by ``sep``
-    into ``out``, sized to their integers; return ``out``, or None if
-    numpy leaves text unread or an integer is 10**15 or more.  Call it
-    with DeprecationWarning turned into an error: older numpy warns where
-    newer numpy raises when text is left unread.
-    """
-    if not out.size:  # whitespace alone, or no text
+        del zero_led
+    del codes, digit  # the parse does not need the checks' memory
+    if not out.size:  # every text is empty
         return out
     try:
-        ints = np.fromstring(sep.join(texts).encode("ascii"), dtype=np.int64, sep=sep)
+        ints = np.fromstring(raw, dtype=np.int64, sep=sep)
     except (DeprecationWarning, ValueError):
         return None
-    if ints.max() >= _PLAIN_BOUND:  # an overflow reads as the int64 maximum
+    # an overflow reads as the int64 maximum
+    if ints.size != out.size or ints.max() >= _PLAIN_BOUND:
         return None
     out[:] = ints
     return out
 
 
-def _plain_values(texts: Callable[[int, int], List[str]], m: int, size: int, sep: str,
-                  leading_zeros: bool):
-    """The integers of ``m`` texts of ``size`` characters in all, as one
-    float64 array, and how many each text holds, as an int64 array; or
-    None if they are not plain integer text.  ``texts(i, j)`` gives texts
-    i to j - 1, which are read in chunks of about :data:`_PLAIN_CHUNK`
-    characters, in two passes by :func:`_in_parallel`: the first counts
-    every chunk's integers (:func:`_plain_counts`), which gives each
-    chunk its slice of one array of exactly their number; the second
-    parses each chunk into its slice (:func:`_plain_parse`).
+def _plain_values(texts: Callable[[int, int], List[str]], counts: np.ndarray, size: int,
+                  sep: str, leading_zeros: bool) -> Optional[np.ndarray]:
+    """The integers of texts of ``size`` characters in all, as one
+    float64 array, or None if they are not plain integer text.
+    ``counts`` holds how many integers each text holds: 0 if it is
+    empty, else one more than its separators.  ``texts(i, j)`` gives
+    texts i to j - 1, which are read in chunks of about
+    :data:`_PLAIN_CHUNK` characters by :func:`_in_parallel`, each by
+    :func:`_plain_parse` into its own slice of the array.
     """
+    m = counts.size
     n = max(min(-(-size // _PLAIN_CHUNK), m), 1)  # chunks, none empty but a lone one
-
-    def chunk(k: int) -> List[str]:
-        return texts(k * m // n, (k + 1) * m // n)
-
-    counts = _in_parallel(lambda k: _plain_counts(chunk(k), sep, leading_zeros), n)
-    if counts is None:
-        return None
-    bounds = np.cumsum([0] + [c.sum() for c in counts])  # chunk k's slice of flat, from bounds[k]
-    flat = np.empty(bounds[-1])
+    cuts = [k * m // n for k in range(n + 1)]  # chunk k holds texts cuts[k] to cuts[k + 1] - 1
+    starts = np.zeros(m + 1, dtype=np.int64)  # text i's integers start at flat[starts[i]]
+    np.cumsum(counts, out=starts[1:])
+    flat = np.empty(starts[-1])
     with warnings.catch_warnings():  # the filters are shared by all threads: set them here
         warnings.simplefilter("error", DeprecationWarning)
-        parsed = _in_parallel(
-            lambda k: _plain_parse(chunk(k), sep, flat[bounds[k]:bounds[k + 1]]), n)
-    return None if parsed is None else (flat, np.concatenate(counts))
+        parsed = _in_parallel(lambda k: _plain_parse(
+            texts(cuts[k], cuts[k + 1]), sep, leading_zeros,
+            flat[starts[cuts[k]]:starts[cuts[k + 1]]]), n)
+    return None if parsed is None else flat
 
 
 def _csv_rows(text: str):
@@ -335,15 +332,11 @@ def _plain_csv(cells: List[str]):
     """The citations of CSV cells that are all plain integer text, as one
     flat array, and how many each cell holds; or None."""
     lengths = np.fromiter(map(len, cells), np.int64, len(cells))
-    texts = list(filter(None, cells))
-    read = _plain_values(lambda i, j: texts[i:j], len(texts), int(lengths.sum()), ";",
+    counts = np.fromiter(map(str.count, cells, repeat(";")), np.int64, len(cells))
+    counts += lengths > 0
+    flat = _plain_values(lambda i, j: cells[i:j], counts, int(lengths.sum()), ";",
                          leading_zeros=True)
-    if read is None:
-        return None
-    flat, counted = read
-    counts = np.zeros(len(cells), dtype=np.int64)
-    counts[lengths > 0] = counted
-    return flat, counts
+    return None if flat is None else (flat, counts)
 
 
 def _csv_values(ids: List[str], cells: List[str], linenos: List[int]):
@@ -443,44 +436,41 @@ def _plain_json(text: str):
     """
     if "\\u0000" in text:
         return None
-    # number, start and end of each nonempty array; as Python ints, 10**5 would take megabytes
-    skeleton, spans, end = [], array("q"), 0
+    # start and end of each array's text, and how many integers it holds if it is plain;
+    # as Python ints, 10**5 arrays would take megabytes
+    skeleton, spans, counts, end = [], array("q"), array("q"), 0
     while (head := _CITATIONS.search(text, end)) is not None:
         a = head.end()
         b = text.find("]", a)
         if b < 0:
             return None
-        if a < b:
-            spans.extend((len(skeleton) // 2, a, b))
+        spans.extend((a, b))
+        counts.append(text.count(",", a, b) + (a < b))
         skeleton += (text[end:head.start(1)], f'"\\u0000{len(skeleton) // 2}"')
         end = b + 1
     if not skeleton:  # nothing to cut: json.loads would read the whole input twice
         return None
-    spans = np.frombuffer(spans, dtype=np.int64).reshape(-1, 3)
-    read = _plain_values(lambda i, j: [text[a:b] for _, a, b in spans[i:j].tolist()],
-                         len(spans), int((spans[:, 2] - spans[:, 1]).sum()), ",",
-                         leading_zeros=False)
-    if read is None:  # the skeleton is parsed only when the arrays are plain
+    spans = np.frombuffer(spans, dtype=np.int64).reshape(-1, 2)
+    counts = np.frombuffer(counts, dtype=np.int64)
+    flat = _plain_values(lambda i, j: [text[a:b] for a, b in spans[i:j].tolist()], counts,
+                         int((spans[:, 1] - spans[:, 0]).sum()), ",", leading_zeros=False)
+    if flat is None:  # the skeleton is parsed only when the arrays are plain
         return None
     skeleton.append(text[end:])
     try:
         doc = json.loads("".join(skeleton))
     except (ValueError, RecursionError):
         return None
-    arrays = len(skeleton) // 2
     authors = doc.get("authors") if isinstance(doc, dict) else None
     if not isinstance(authors, list) or [
         entry.get("citations") if isinstance(entry, dict) else None for entry in authors
-    ] != [f"\0{k}" for k in range(arrays)]:
+    ] != [f"\0{k}" for k in range(counts.size)]:
         return None
     for entry in authors:
         entry["citations"] = []  # its numbers come from the array text
     ids, _, annotations, pending = _json_entries(authors)
     if pending is not None:
         return None
-    flat, counted = read
-    counts = np.zeros(arrays, dtype=np.int64)
-    counts[spans[:, 0]] = counted
     return ids, flat, counts, annotations
 
 

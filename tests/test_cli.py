@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -12,6 +15,7 @@ import pytest
 
 import srmkit
 from srmkit import CohortProfile
+from srmkit import cohort as cohort_module
 from srmkit.cli import run
 
 CSV_FIXTURE = "author_id,citations\nX1,8;6;4;2\nX2,4;2;2;2;2\n"
@@ -548,6 +552,129 @@ def test_cli_fuzz_never_tracebacks(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
+
+
+_SWAPS = [3, 2.5, "7", " 4 ", None, True, {}, [], {"x": 1}, [1, 2], ""]
+_NEAR_MAX = [1.7976931348623157e308, 1.7e308, 1e308, 8.9e307]
+_NUMBER_TEXTS = ["01", "007", "0", "-0", "-3", "1e3", "1E+2", "1.0", "2.5", "+5", "1_0", " 5 ",
+                 "\t5", "", "1000000000000000", "999999999999999", "9007199254740993", "\u0663"]
+
+_MUTANT_ARGS = {
+    "compute": ["--indices", "c_max,pubs,h,h2,h_alpha:2,w,h_r,phi:1.62"],
+    "calibrate": [],
+    "rank": ["--index", "w", "--classes", "0.2,0.5"],
+    "dual-check": ["--index", "h", "--samples", "2", "--seed", "3"],
+}
+
+
+def _pick(rng, choices):
+    return choices[int(rng.integers(len(choices)))]
+
+
+def _cohort_mutant(rng, fmt):
+    """A small cohort file of ``fmt`` with one seeded mutation: a value
+    near the float maximum, a duplicate id, a duplicate JSON key, a JSON
+    value of another type, an id of another JSON type, a byte flip, a
+    truncation or other text for one citation.  Most mutants stay valid."""
+    authors = [[("id", f"a{k}"), ("citations", rng.integers(40, size=rng.integers(7)).tolist())]
+               for k in range(int(rng.integers(1, 6)))]
+    for entry in authors:
+        if rng.random() < 0.3:
+            entry.append(("annotations", {"field": "probability"}))
+    top = [("authors", authors)]
+    entry = _pick(rng, authors)
+    citations = entry[1][1]
+    kind = int(rng.integers(9))
+    if kind <= 1:
+        citations.insert(int(rng.integers(len(citations) + 1)), _pick(rng, _NEAR_MAX))
+    elif kind == 2:
+        entry[0] = ("id", authors[0][0][1])
+    elif kind == 3 and fmt == "csv":
+        authors.append(entry)
+    elif kind == 3:
+        twin = _pick(rng, [("id", "b"), ("citations", [5, 1]), ("annotations", {}),
+                           ("authors", [{"id": "b", "citations": [9]}])])
+        where = top if twin[0] == "authors" else entry
+        where.insert(int(rng.integers(len(where) + 1)), twin)
+    elif kind == 4:
+        if citations and rng.random() < 0.5:
+            citations[int(rng.integers(len(citations)))] = _pick(rng, _SWAPS)
+        else:
+            slot = int(rng.integers(len(entry)))
+            entry[slot] = (entry[slot][0], _pick(rng, _SWAPS))
+    elif kind == 5:
+        entry[0] = ("id", _pick(rng, [*_SWAPS, 'say "hi"', "x,y", "two\nlines", "\ud800"]))
+
+    def obj(pairs):
+        return "{%s}" % ", ".join(f"{json.dumps(k)}: {encode(v)}" for k, v in pairs)
+
+    def encode(value):
+        return "[%s]" % ", ".join(map(obj, value)) if value is authors else json.dumps(value)
+
+    if fmt == "json":
+        text = obj(top)
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["author_id", "citations"])
+        for record in authors:
+            fields = dict(record)
+            cells = fields["citations"]
+            cells = cells if isinstance(cells, list) else [cells]
+            writer.writerow([fields["id"], ";".join(map(str, cells))])
+        text = buf.getvalue()
+    if kind == 8:  # the text of one citation, in a form one of the two readers might misread
+        numbers = list(re.finditer(r"(?<=[\[ ])\d+(?=[,\]])" if fmt == "json"
+                                   else r"(?<=[,;])\d+(?=[;\n])", text))
+        if numbers:
+            number = _pick(rng, numbers)
+            text = text[:number.start()] + _pick(rng, _NUMBER_TEXTS) + text[number.end():]
+    data = text.encode("utf-8", "surrogatepass")
+    if kind == 6:
+        return _mutated(rng, data)
+    if kind == 7:
+        return data[:int(rng.integers(len(data) + 1))]
+    return data
+
+
+def test_cohort_mutants_end_cleanly_and_both_readers_agree(tmp_path, capsys, monkeypatch):
+    """Seeded mutants of small cohorts, through every subcommand: an
+    error is one message and no output file; a success writes nothing to
+    stderr, and the same bytes as the scalar reader's parse of the file."""
+    rng = np.random.default_rng(6102)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+
+    def outcome(argv):
+        code = run(argv)
+        err = capsys.readouterr().err
+        written = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        for p in out_dir.iterdir():
+            p.unlink()
+        return code, err, written
+
+    codes = []
+    for trial in range(300):
+        fmt = _pick(rng, ["csv", "json"])
+        path = tmp_path / f"in.{fmt}"
+        path.write_bytes(_cohort_mutant(rng, fmt))
+        sub = list(_MUTANT_ARGS)[trial % 4]
+        out = out_dir / f"out.{_pick(rng, ['csv', 'json'])}"
+        flag = "--profile" if sub == "calibrate" else "--output"
+        argv = [sub, "--input", str(path), *_MUTANT_ARGS[sub], flag, str(out)]
+        code, err, written = outcome(argv)
+        assert code in (0, 1, 2), argv
+        if code:
+            assert err.startswith("srm: error: ") and err.count("\n") == 1, (argv, err)
+            assert written == {}, argv
+        else:
+            assert err == "" and list(written) == [out.name], argv
+        with monkeypatch.context() as scalar:
+            scalar.setattr(cohort_module, "_plain_csv", lambda cells: None)
+            scalar.setattr(cohort_module, "_plain_json", lambda text: None)
+            assert outcome(argv) == (code, err, written), (argv, path.read_bytes())
+        codes.append(code)
+    assert min(codes.count(0), codes.count(1)) > 100
 
 
 _GOLDEN_ARGS = {

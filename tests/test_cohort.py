@@ -461,6 +461,32 @@ class TestColumnarCohort:
             with pytest.raises(ValidationError, match=message):
                 Cohort.from_curves(ids, [construct_curve([3, 1])] * len(ids))
 
+    @pytest.mark.parametrize("values, offsets", [
+        ([1.0, 5.0, 0.0], [0, 3]),  # compute_table read it as h 2, c_max 1, pubs 3
+        ([5.0, 1.0, 0.0], [0, 3]),
+        ([5.0, -1.0], [0, 2]),
+        ([math.inf, 2.0], [0, 2]),
+        ([math.nan], [0, 1]),
+        ([3.0, math.nan, 1.0], [0, 3]),
+        ([3.0, 2.0, 1.0, 1.0, 4.0], [0, 0, 2, 2, 3, 3, 5]),  # the last record rises
+        ([2.0, 1.0, 2.0, 2.0, 0.0], [0, 0, 1, 2, 2, 5]),
+    ])
+    def test_constructor_checks_values(self, values, offsets):
+        ids = [f"a{k}" for k in range(len(offsets) - 1)]
+        with pytest.raises(ValidationError) as err:
+            Cohort(ids, np.array(values), np.array(offsets))
+        assert str(err.value) == (
+            "cohort values must be finite, positive and nonincreasing within each author")
+
+    def test_constructor_takes_records_that_rise_only_between_authors(self):
+        offsets = [0, 0, 2, 2, 3, 5, 5]
+        cohort = Cohort([f"a{k}" for k in range(6)], np.array([3.0, 1.0, 4.0, 9.0, 9.0]),
+                        np.array(offsets))
+        assert compute_table(cohort, ["h", "c_max", "pubs"]).levels.tolist() == [
+            [0, 0, 0], [1, 3, 2], [0, 0, 0], [1, 4, 1], [2, 9, 2], [0, 0, 0]]
+        assert compute_table(Cohort(["a"], np.array([5.0, 1.0]), np.array([0, 2])),
+                             ["h", "c_max", "pubs"]).levels.tolist() == [[1, 5, 2]]
+
     def test_id_that_utf8_cannot_encode_is_rejected(self):
         with pytest.raises(ValidationError) as err:
             Cohort.from_curves(["ok", "\ud800x"], [construct_curve([3, 1])] * 2)
@@ -736,9 +762,9 @@ def _non_plain_inputs(seed, trials):
 @pytest.fixture
 def lane(monkeypatch):
     """What the numpy pass answered, by function: _plain_json for JSON,
-    _plain_csv for CSV, and per chunk _plain_counts (the count pass) and
-    _plain_parse (the parse pass); None is "not plain integer text"."""
-    answers = {"_plain_json": [], "_plain_csv": [], "_plain_counts": [], "_plain_parse": []}
+    _plain_csv for CSV, and _plain_parse per chunk; None is "not plain
+    integer text"."""
+    answers = {"_plain_json": [], "_plain_csv": [], "_plain_parse": []}
     for name, seen in answers.items():
         def spy(*args, real=getattr(cohort_module, name), seen=seen, **kwargs):
             seen.append(real(*args, **kwargs))
@@ -866,13 +892,13 @@ class TestPlainIntegerLanePins:
 def cpus(request, monkeypatch):
     """The CPUs ingest may use (four is more than this host may have),
     with ingest's kernels reading about 64 characters at a time.  Returns
-    the CPU count, the count pass's calls so far (a list, one per chunk)
-    and the threads started so far (a list)."""
+    the CPU count, the arguments of the _plain_parse calls so far (a
+    list, one per chunk) and the threads started so far (a list)."""
     monkeypatch.setattr(engine_module.os, "sched_getaffinity", lambda pid: set(range(request.param)))
     monkeypatch.setattr(cohort_module, "_PLAIN_CHUNK", 64)
     calls, started = [], []
 
-    def spy(*args, real=cohort_module._plain_counts):
+    def spy(*args, real=cohort_module._plain_parse):
         calls.append(args)
         return real(*args)
 
@@ -881,7 +907,7 @@ def cpus(request, monkeypatch):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(cohort_module, "_plain_counts", spy)
+    monkeypatch.setattr(cohort_module, "_plain_parse", spy)
     monkeypatch.setattr(engine_module.threading, "Thread", Recorded)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # let the threads interleave often
@@ -900,18 +926,29 @@ def _last_chunk_csv(token):
     return "author_id,citations\n" + "\n".join(rows) + f";{token}\n"
 
 
+def _empty_run(fmt):
+    """Plain records around a run of 70 empty ones: at about 64
+    characters a chunk, many chunks hold only empty texts."""
+    full = [(f"r{k}", list(range(k, k + 30))) for k in range(20)]
+    return _pack_texts(full[:10] + [(f"e{k}", []) for k in range(70)] + full[10:])[fmt]
+
+
 class TestPlainIntegerLaneInChunks:
     """The numpy pass over many small chunks, on one thread or several,
     reads what the scalar path reads."""
 
-    def test_random_cohorts_match_the_scalar_oracle(self, cpus):
+    def test_random_cohorts_match_the_scalar_oracle(self, cpus, lane):
         count, calls, started = cpus
-        for fmt, layout, text in _plain_inputs(1303, 25):
+        inputs = [*_plain_inputs(1303, 25), *((fmt, "empty run", _empty_run(fmt))
+                                              for fmt in ("json", "csv"))]
+        for fmt, layout, text in inputs:
             chunks, workers = len(calls), len(started)
             assert _read(text, fmt) == _oracle(text, fmt), (fmt, layout)
-            # each pass starts a worker per CPU but the caller's, up to one per further chunk
+            # a worker per CPU but the caller's, up to one per further chunk
             chunks, workers = len(calls) - chunks, len(started) - workers
-            assert workers == 2 * (min(count, chunks) - 1), (fmt, layout)
+            assert workers == min(count, chunks) - 1, (fmt, layout)
+        assert None not in lane["_plain_json"] + lane["_plain_csv"]
+        assert any(texts and not out.size for texts, _, _, out in calls)  # a chunk of empty texts
         assert len(calls) > len(started) > 0 or count == 1
         assert not any(thread.is_alive() for thread in started)
 
@@ -943,16 +980,13 @@ class TestPlainIntegerLaneInChunks:
             with pytest.raises(ValidationError) as err:
                 ingest(text, fmt)
             assert str(err.value).startswith(message)
-        # every chunk but the last is plain; the CSV kernel accepts a leading zero, and only
-        # the parse pass sees that an integer is 10**15 or more
-        counted, parsed = ([answer is None for answer in lane[name]]
-                           for name in ("_plain_counts", "_plain_parse"))
-        by_parse = token == "1000000000000000" or (fmt, token) == ("csv", "01")
-        assert len(counted) > 10 and len(parsed) == (len(counted) if by_parse else 0)
-        assert (counted + parsed).count(True) == int((fmt, token) != ("csv", "01"))
+        # every chunk but the last is plain; the CSV kernel accepts a leading zero
+        parsed = [answer is None for answer in lane["_plain_parse"]]
+        assert len(parsed) > 10
+        assert parsed.count(True) == int((fmt, token) != ("csv", "01"))
         if fmt == "json":
             assert lane["_plain_json"] == [None]
-        assert len(started) == (1 + by_parse) * (count - 1)
+        assert len(started) == count - 1
         assert not any(thread.is_alive() for thread in started)
 
     def test_a_platform_without_cpu_affinity(self, monkeypatch):
@@ -964,29 +998,27 @@ class TestPlainIntegerLaneInChunks:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_the_parse_pass_declines_a_middle_chunk(self, cpus, lane, fmt):
-        # 10**15 passes the count pass; the parse pass declines it, in chunk 2 of 20 (author r2)
+        # 10**15 passes the byte checks; numpy's parse declines it, in chunk 2 of 20 (author r2)
         count, _, started = cpus
         text = (_last_chunk_doc if fmt == "json" else _last_chunk_csv)("1")
         old = "r2,2;3;4;" if fmt == "csv" else "[2, 3, 4,"
         assert text.count(old) == 1
         text = text.replace(old, old.replace("4", "1000000000000000"))
         assert _read(text, fmt) == _oracle(text, fmt)
-        counted, parsed = lane["_plain_counts"], lane["_plain_parse"]
-        assert len(counted) == 20 and None not in counted
-        assert [answer is None for answer in parsed].count(True) == 1
+        parsed = [answer is None for answer in lane["_plain_parse"]]
+        assert parsed.count(True) == 1
         if count == 1:  # chunks 0 and 1 are parsed, chunk 2 declines and no further chunk starts
-            assert [answer is None for answer in parsed] == [False, False, True]
-        assert len(started) == 2 * (count - 1)
+            assert parsed == [False, False, True]
+        assert len(started) == count - 1
         assert not any(thread.is_alive() for thread in started)
 
-    @pytest.mark.parametrize("kernel", ["_plain_counts", "_plain_parse"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_an_error_in_a_pass_is_raised_in_the_caller(self, cpus, monkeypatch, fmt, kernel):
+    def test_an_error_in_a_pass_is_raised_in_the_caller(self, cpus, monkeypatch, fmt):
         count, _, started = cpus
         failed = threading.Event()
         seen = []
 
-        def fail(*args, real=getattr(cohort_module, kernel)):
+        def fail(*args, real=cohort_module._plain_parse):
             # on several CPUs a worker fails first; on one, the caller's third call
             seen.append(args)
             if threading.current_thread() is not threading.main_thread():
@@ -998,7 +1030,7 @@ class TestPlainIntegerLaneInChunks:
                 raise MemoryError("parse failed")
             return real(*args)
 
-        monkeypatch.setattr(cohort_module, kernel, fail)
+        monkeypatch.setattr(cohort_module, "_plain_parse", fail)
         text = (_last_chunk_doc if fmt == "json" else _last_chunk_csv)("1")
         with pytest.raises(MemoryError, match="parse failed"):
             ingest(text, fmt)
