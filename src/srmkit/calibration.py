@@ -11,9 +11,9 @@ The fits of a cohort are computed in blocks of records, as the closed
 forms of the engine are, each block on one of up to one thread per CPU
 and into its own rows, so the bits do not depend on the thread count.
 A profile is read back column by column: each field of the fits is
-pulled out as one list and screened at once (its JSON types, then
-``n_points >= 2`` and ``0 <= r2 <= 1`` by numpy), and only an input that
-fails a screen is checked fit by fit, to report its first bad fit.
+pulled out as one list and screened at once (its JSON types, then the
+ranges of the model by numpy, and unique author ids), and only an input
+that fails a screen is checked fit by fit, to report its first bad fit.
 """
 
 from __future__ import annotations
@@ -75,6 +75,12 @@ class CohortProfile:
     with the fields of a :class:`CalibrationFit` in the read-only arrays
     ``beta_hat``, ``q_hat``, ``r2`` (float64), ``n_points`` and
     ``n_excluded`` (int64).  The arrays are taken over, not copied.
+
+    :meth:`from_json` accepts only what :func:`calibrate_cohort` can
+    write: each fit has a unique ``author_id``, a finite ``beta_hat``, a
+    positive finite ``q_hat``, ``0 <= r2 <= 1``, ``n_points >= 2`` and
+    ``n_excluded >= 0``, and a stored ``cohort_size`` (it may be left
+    out) is the integer number of fits.
     """
 
     beta_bar: float
@@ -123,6 +129,11 @@ class CohortProfile:
         if type(fits) is not list:
             raise ValidationError(f"malformed profile: fits must be a list, not {fits!r}")
         ids, *numbers = _fit_columns(fits)
+        size = doc.get("cohort_size", len(fits))
+        if type(size) is not int or size != len(fits):
+            raise ValidationError(
+                f"malformed profile: cohort_size must be the number of fits, {len(fits)},"
+                f" not {size!r}")
         beta_bar = doc["beta_bar"]
         if type(beta_bar) not in (int, float):  # float() would take a str or a bool
             raise ValidationError(f"malformed profile: beta_bar must be a number, not {beta_bar!r}")
@@ -136,8 +147,9 @@ class CohortProfile:
         return cls(beta_bar, tuple(ids), *arrays, metadata)
 
 
-def _check_fit(fit: dict) -> None:
-    """Raise the error of one fit of a profile document, if it has one."""
+def _check_fit(fit: dict, seen: set) -> None:
+    """Raise the error of one fit of a profile document, if it has one;
+    ``seen`` holds the ids of the fits before it, and gains this one's."""
     raw = (fit["author_id"], fit["beta_hat"], fit["q_hat"], fit["r2"], fit["n_points"],
            fit.get("n_excluded", 0))
     # a null, and an integer field's inf or nan, fail in these conversions
@@ -149,6 +161,15 @@ def _check_fit(fit: dict) -> None:
         raise ValidationError("a fit needs at least 2 points")
     if not 0.0 <= converted[3] <= 1.0:
         raise ValidationError(f"r2 must lie in [0, 1], got {converted[3]!r}")
+    if not math.isfinite(converted[1]):
+        raise ValidationError(f"beta_hat must be finite, got {converted[1]!r}")
+    if not 0.0 < converted[2] < math.inf:
+        raise ValidationError(f"q_hat must be positive and finite, got {converted[2]!r}")
+    if converted[5] < 0:
+        raise ValidationError(f"n_excluded must be nonnegative, got {converted[5]!r}")
+    if raw[0] in seen:
+        raise ValidationError(f"duplicate author_id {raw[0]!r}")
+    seen.add(raw[0])
 
 
 def _fit_columns(fits: list) -> List[list]:
@@ -156,8 +177,10 @@ def _fit_columns(fits: list) -> List[list]:
     order; the first bad fit's error is raised.
 
     Each field is screened as one column: its JSON types, ``n_points >=
-    2`` and ``0 <= r2 <= 1`` (which a nan fails).  Only when a screen
-    fails are the fits checked one by one, to find the first bad one.
+    2``, ``0 <= r2 <= 1``, a finite ``beta_hat``, ``0 < q_hat < inf``
+    (all of which a nan fails), ``n_excluded >= 0`` and unique ids.  Only
+    when a screen fails are the fits checked one by one, to find the
+    first bad one.
     """
     try:
         columns = [[fit[name] for fit in fits] for name in list(_FIT_TYPES)[:-1]]
@@ -165,8 +188,9 @@ def _fit_columns(fits: list) -> List[list]:
     except (LookupError, TypeError, AttributeError):  # a missing field, or a fit not an object
         columns = None
     if columns is None or not _screened(columns):
+        seen = set()
         for fit in fits:
-            _check_fit(fit)
+            _check_fit(fit, seen)
     return columns
 
 
@@ -176,12 +200,13 @@ def _screened(columns: List[list]) -> bool:
         if not set(map(type, column)) <= set(types):
             return False
     try:
-        numbers = [np.array(column, dtype=float) for column in columns[1:4]]
-        n_points = np.array(columns[4], dtype=np.int64)
+        beta_hat, q_hat, r2 = (np.array(column, dtype=float) for column in columns[1:4])
+        n_points, n_excluded = (np.array(column, dtype=np.int64) for column in columns[4:])
     except OverflowError:  # an integer too large for a float or an int64
         return False
-    r2 = numbers[2]
-    return bool((n_points >= 2).all() and ((r2 >= 0.0) & (r2 <= 1.0)).all())
+    return bool((n_points >= 2).all() and ((r2 >= 0.0) & (r2 <= 1.0)).all()
+                and np.isfinite(beta_hat).all() and ((q_hat > 0.0) & (q_hat < math.inf)).all()
+                and (n_excluded >= 0).all() and len(set(columns[0])) == len(columns[0]))
 
 
 def _fit_segments(

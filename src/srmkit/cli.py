@@ -5,6 +5,11 @@ identical configuration plus inputs yields byte-identical outputs.
 Output files are written via a temporary file and an atomic rename, so
 a failed run never leaves a partial file behind.  Exit codes: 0
 success, 1 data error, 2 usage error.
+
+Only the standard library and the error types load with this module;
+each subcommand imports the srmkit modules it runs, so ``srm --help``
+and an argument error load no numpy, and only ``dual-check`` loads the
+duality layer.
 """
 
 from __future__ import annotations
@@ -13,20 +18,19 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import numpy as np
-
-from . import cohort as co
-from . import duality as du
-from .calibration import CohortProfile, calibrate_cohort
-from .curves import AUTHOR_SUPPORT_ONLY
-from .engine import IndexSpec, _with_param, family_for, parse_index
 from .errors import SrmError, UnknownIndexError
 
+if TYPE_CHECKING:
+    from .cohort import Cohort
+    from .engine import IndexSpec
+
 _PROG = "srm"
+#: ``cohort.FORMATS``, named here so that parsing the arguments loads no
+#: numpy; a test holds the two equal.
+_CSV, _JSON = _FORMATS = ("csv", "json")
 
 
 class _UsageError(Exception):
@@ -64,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="cohort file (CSV or JSON)")
         if output:
             p.add_argument("--output", help="output file (default: stdout)")
-            p.add_argument("--format", dest="fmt", choices=co.FORMATS,
+            p.add_argument("--format", dest="fmt", choices=_FORMATS,
                            help="output format (default: from --output suffix, else csv)")
 
     p = sub.add_parser("compute", help="compute an index table for a cohort")
@@ -159,7 +163,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
                     raise ValueError
             except ValueError:
                 raise _UsageError(f"--extent must be a finite number, got {value!r}") from None
-        elif dest == "fmt" and value not in co.FORMATS:
+        elif dest == "fmt" and value not in _FORMATS:
             raise _UsageError(f"--format must be 'csv' or 'json', got {value!r}")
         else:
             setattr(cfg, dest, value)
@@ -176,24 +180,30 @@ def _resolve_format(cfg: RunConfig) -> str:
     if cfg.fmt:
         return cfg.fmt
     if cfg.output and cfg.output.lower().endswith(".json"):
-        return co.JSON_FORMAT
-    return co.CSV_FORMAT
+        return _JSON
+    return _CSV
 
 
-def _load_cohort(cfg: RunConfig) -> co.Cohort:
+def _load_cohort(cfg: RunConfig) -> Cohort:
+    from .cohort import ingest
+
     path = _require(cfg.input, "--input")
-    fmt = co.JSON_FORMAT if path.lower().endswith(".json") else co.CSV_FORMAT
+    fmt = _JSON if path.lower().endswith(".json") else _CSV
     with open(path, "rb") as fh:
-        return co.ingest(fh.read(), fmt)  # ingest holds the only reference to the bytes
+        return ingest(fh.read(), fmt)  # ingest holds the only reference to the bytes
 
 
 def _load_profile_beta(cfg: RunConfig) -> float:
+    from .calibration import CohortProfile
+
     path = _require(cfg.profile, "--profile (needed to resolve a bare 'phi' index)")
     with open(path, "rb") as fh:
         return CohortProfile.from_json(fh.read()).beta_bar
 
 
 def _resolve_index(cfg: RunConfig, text: str) -> IndexSpec:
+    from .engine import IndexSpec, _with_param, parse_index
+
     try:
         spec = parse_index(text)
         if spec.name == "phi" and spec.param is None:
@@ -222,6 +232,8 @@ def _emit(cfg: RunConfig, data: bytes) -> None:
 
 
 def _write_atomic(path: str, data: bytes) -> None:
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".srm-tmp-")
     umask = os.umask(0)
@@ -238,16 +250,20 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 def _cmd_compute(cfg: RunConfig) -> int:
+    from .cohort import compute_table, export
+
     specs_text = _require(cfg.indices, "--indices")
     specs = [_resolve_index(cfg, part) for part in specs_text.split(",") if part.strip()]
     if not specs:
         raise _UsageError("--indices must name at least one index")
-    table = co.compute_table(_load_cohort(cfg), specs)
-    _emit(cfg, co.export(table, _resolve_format(cfg)))
+    table = compute_table(_load_cohort(cfg), specs)
+    _emit(cfg, export(table, _resolve_format(cfg)))
     return 0
 
 
 def _cmd_calibrate(cfg: RunConfig) -> int:
+    from .calibration import calibrate_cohort
+
     out_path = _require(cfg.profile, "--profile")
     profile = calibrate_cohort(_load_cohort(cfg))
     _write_atomic(out_path, profile.to_json())
@@ -255,26 +271,35 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
 
 
 def _cmd_rank(cfg: RunConfig) -> int:
+    from .cohort import classify_merit, compute_table, rank_authors, write_rows
+
     spec = _resolve_index(cfg, _require(cfg.index, "--index"))
     cutoffs = _parse_floats(cfg.classes, "--classes")
     if any(not (0.0 < c < 1.0) for c in cutoffs) or any(
         b <= a for a, b in zip(cutoffs, cutoffs[1:])
     ):
         raise _UsageError("--classes must be strictly increasing fractions in (0, 1)")
-    table = co.compute_table(_load_cohort(cfg), [spec])
-    order, ranks = co.rank_authors(table, spec)
+    table = compute_table(_load_cohort(cfg), [spec])
+    order, ranks = rank_authors(table, spec)
     ids = list(map(table.authors.__getitem__, order.tolist()))
     columns = {
         "value": table.levels[order, 0],
         "rank": ranks.tolist(),
-        "merit_class": co.classify_merit(ranks, cutoffs),
+        "merit_class": classify_merit(ranks, cutoffs),
     }
     fields = {"index": spec.label, "cutoffs": cutoffs}
-    _emit(cfg, co.write_rows(_resolve_format(cfg), ids, columns, "ranking", fields, id_key="id"))
+    _emit(cfg, write_rows(_resolve_format(cfg), ids, columns, "ranking", fields, id_key="id"))
     return 0
 
 
 def _cmd_dual_check(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from . import duality as du
+    from .cohort import compute_table, write_rows
+    from .curves import AUTHOR_SUPPORT_ONLY
+    from .engine import family_for
+
     spec = _resolve_index(cfg, _require(cfg.index, "--index"))
     if cfg.seed is None:
         raise _UsageError("--seed is required for dual-check (randomized subcommand)")
@@ -301,7 +326,7 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
         gap_cols = [0.0]  # the c_max minimizer does not depend on delta
     elif spec.name in ("pubs", "h"):
         gap_cols = deltas
-    values = co.compute_table(cohort, [spec]).levels[:, 0]
+    values = compute_table(cohort, [spec]).levels[:, 0]
     margins = []  # a margin is None without densities
     gaps = np.empty((len(gap_cols), len(cohort)))
     for i, value in enumerate(values.tolist()):
@@ -324,8 +349,8 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
         columns["gap"] = gaps[0]
     else:
         columns.update((f"gap_{d:g}", col) for d, col in zip(gap_cols, gaps))
-    _emit(cfg, co.write_rows(_resolve_format(cfg), cohort.ids, columns, "authors",
-                             {"index": spec.label}))
+    _emit(cfg, write_rows(_resolve_format(cfg), cohort.ids, columns, "authors",
+                          {"index": spec.label}))
     return 0
 
 

@@ -379,6 +379,17 @@ class TestMalformedFits:
          "a fit needs at least 2 points"),
         ([_GOOD_FIT, [1, 2]],
          "malformed profile: TypeError: list indices must be integers or slices, not str"),
+        # values no fit of a cohort can take
+        ([dict(_GOOD_FIT, beta_hat=math.nan)], "beta_hat must be finite, got nan"),
+        ([dict(_GOOD_FIT, beta_hat=-math.inf)], "beta_hat must be finite, got -inf"),
+        ([dict(_GOOD_FIT, q_hat=math.inf)], "q_hat must be positive and finite, got inf"),
+        ([dict(_GOOD_FIT, q_hat=-1)], "q_hat must be positive and finite, got -1.0"),
+        ([dict(_GOOD_FIT, q_hat=0)], "q_hat must be positive and finite, got 0.0"),
+        ([dict(_GOOD_FIT, n_excluded=-5)], "n_excluded must be nonnegative, got -5"),
+        ([_GOOD_FIT, dict(_GOOD_FIT, author_id="b"), dict(_GOOD_FIT, author_id="b", r2=2.0)],
+         "r2 must lie in [0, 1], got 2.0"),
+        ([_GOOD_FIT, dict(_GOOD_FIT, author_id="b"), dict(_GOOD_FIT, author_id="b"),
+          dict(_GOOD_FIT, author_id="c", q_hat=-1)], "duplicate author_id 'b'"),
     ])
     def test_first_bad_fit_is_reported(self, fits, message, tmp_path, capsys):
         import json
@@ -396,3 +407,17 @@ class TestMalformedFits:
         assert run(["compute", "--input", str(cohort), "--indices", "phi",
                     "--profile", str(profile)]) == 1
         assert capsys.readouterr().err == f"srm: error: {message}\n"
+
+    @pytest.mark.parametrize("size, fits", [(99, 1000), (1001, 1000), ("x", 1), (True, 1),
+                                            (1.0, 1), (None, 0)])
+    def test_cohort_size_must_count_the_fits(self, size, fits):
+        import json
+
+        doc = {"version": 1, "beta_bar": 1.5, "cohort_size": size, "metadata": {},
+               "fits": [dict(_GOOD_FIT, author_id=f"a{k}") for k in range(fits)]}
+        with pytest.raises(ValidationError) as err:
+            CohortProfile.from_json(json.dumps(doc))
+        assert str(err.value) == ("malformed profile: cohort_size must be the number of fits,"
+                                  f" {fits}, not {size!r}")
+        del doc["cohort_size"]  # a profile may leave it out
+        assert CohortProfile.from_json(json.dumps(doc)).cohort_size == fits

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import srmkit
 
 
@@ -25,15 +27,78 @@ def test_no_module_level_memo_caches():
     assert cached == []
 
 
+_ENV = {**os.environ, "PYTHONPATH": str(Path(srmkit.__file__).parents[1])}
+
+
+def _fresh(code, *argv):
+    """The last line a new interpreter prints running ``code`` with ``argv``, split."""
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env=_ENV, timeout=60, check=True)
+    return out.stdout.splitlines()[-1].split()
+
+
 def test_import_starts_no_thread():
-    """Importing the command line starts no thread and does not load
-    concurrent.futures: ingest starts its workers only for large input."""
+    """Importing the command line starts no thread and loads neither
+    concurrent.futures nor numpy: ingest starts its workers only for
+    large input, and each command imports the modules it runs."""
     code = ("import sys, threading, srmkit.cli; "
-            "print('concurrent.futures' in sys.modules, threading.active_count())")
-    env = {**os.environ, "PYTHONPATH": str(Path(srmkit.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=60, check=True)
-    assert out.stdout.split() == ["False", "1"]
+            "print('concurrent.futures' in sys.modules, threading.active_count(), "
+            "'numpy' in sys.modules)")
+    assert _fresh(code) == ["False", "1", "False"]
+
+
+_LOADED = ("import sys; print('numpy' in sys.modules, "
+           "*sorted(m for m in sys.modules if m.startswith('srmkit.')))")
+
+
+@pytest.mark.parametrize("code, modules", [
+    ("import srmkit", []),
+    ("import srmkit.cli", ["srmkit.cli", "srmkit.errors"]),
+    ("from srmkit import ValidationError", ["srmkit.errors"]),
+])
+def test_import_loads_no_numpy(code, modules):
+    assert _fresh(f"{code}; {_LOADED}") == ["False", *modules]
+
+
+_SRM = "import sys, srmkit.cli; rc = srmkit.cli.run(sys.argv[1:]); print(rc, end=' '); " + _LOADED
+
+
+def _srm_loads(*argv):
+    """(exit code, numpy loaded, srmkit modules loaded) of ``srm argv`` in a new process."""
+    rc, numpy, *modules = _fresh(_SRM, *argv)
+    return int(rc), numpy == "True", {m.split(".")[1] for m in modules}
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["--help"], 0), (["compute", "--help"], 0), ([], 2), (["compute", "--bogus"], 2),
+    (["rank", "--format", "xml"], 2),
+])
+def test_help_and_argument_errors_load_no_numpy(argv, rc):
+    assert _srm_loads(*argv) == (rc, False, {"cli", "errors"})
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    """The dual layer loads only for dual-check, and calibration only for
+    calibrate and a bare phi, which reads a profile."""
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text("author_id,citations\nA,9;5;3;1\nB,7;7;2\nC,4;4;4;1\n")
+    profile, out = str(tmp_path / "profile.json"), str(tmp_path / "out.csv")
+    common = ["--input", str(cohort), "--output", out]
+    runs = {
+        "calibrate": ["calibrate", "--input", str(cohort), "--profile", profile],
+        "compute": ["compute", *common, "--indices", "h,w,phi:1.62"],
+        "compute phi": ["compute", *common, "--indices", "h,phi", "--profile", profile],
+        "rank": ["rank", *common, "--index", "w"],
+        "rank phi": ["rank", *common, "--index", "phi", "--profile", profile],
+        "dual-check": ["dual-check", *common, "--index", "h", "--seed", "3", "--samples", "2"],
+    }
+    loaded = {}
+    for name, argv in runs.items():
+        rc, numpy, loaded[name] = _srm_loads(*argv)
+        assert (rc, numpy) == (0, True), name
+    assert [name for name, modules in loaded.items() if "duality" in modules] == ["dual-check"]
+    assert [name for name, modules in loaded.items() if "calibration" in modules] == [
+        "calibrate", "compute phi", "rank phi"]
 
 
 ORACLES = {
@@ -71,13 +136,9 @@ def test_every_export_has_a_caller():
     (or passed to a call) by an acceptance criterion; the only exceptions
     are the test oracles."""
     package = Path(srmkit.__file__).parent
-    init = ast.parse((package / "__init__.py").read_text())
-    exported = {
-        alias.asname or alias.name
-        for node in init.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    exported = set(srmkit._EXPORTS)
+    assert exported == set(srmkit.__all__)
+    assert [name for name in exported if not hasattr(srmkit, name)] == []
     assert set(ORACLES) <= exported
     used = set()
     for path in package.glob("*.py"):
@@ -88,8 +149,13 @@ def test_every_export_has_a_caller():
     assert sorted(exported - used - set(ORACLES)) == []
 
 
+def _exported():
+    """(name, value) of each name srmkit exports."""
+    return [(name, getattr(srmkit, name)) for name in srmkit.__all__]
+
+
 def _exported_classes():
-    return [value for value in vars(srmkit).values()
+    return [value for _, value in _exported()
             if inspect.isclass(value) and value.__module__.startswith("srmkit.")]
 
 
@@ -159,7 +225,7 @@ def test_every_public_member_and_parameter_has_a_caller():
     unread = [f"{cls.__name__}.{name}" for cls in _exported_classes()
               for name in _public_members(cls) if name not in read]
 
-    callables = [(name, value, False) for name, value in vars(srmkit).items()
+    callables = [(name, value, False) for name, value in _exported()
                  if inspect.isfunction(value) and name not in ORACLES]
     callables += [(cls.__name__, cls, False) for cls in _exported_classes()
                   if "__init__" in vars(cls)]
@@ -226,3 +292,49 @@ def test_no_unread_private_names():
             unread += [f"{filename}:{node.lineno}: {name}" for name in names
                        if name.startswith("_") and not name.startswith("__") and name not in read]
     assert unread == []
+
+
+#: What ``import srmkit`` exposes; the package loads each name's module on first use.
+_PUBLIC = {
+    "MATH_FINANCE_SENIOR_BETA", "CohortProfile", "calibrate_cohort", "fit_author", "phi_index",
+    "Cohort", "IndexTable", "classify_merit", "compute_table", "export", "ingest",
+    "rank_authors", "ALL_POSITIVE_RANKS", "AUTHOR_SUPPORT_ONLY", "CitationCurve", "LevelRule",
+    "PerformanceFamily", "SrmValue", "append_publication", "construct_curve",
+    "evaluate_family", "mix", "power_family", "rectangle_family", "shift_citations",
+    "staircase_family", "support_bound", "DualDensity", "GammaTable", "ReferenceMeasure",
+    "constructed_minimizer", "dual_value", "expected_value", "gamma", "h_plus",
+    "robust_dual_srm", "weak_duality_margin", "IndexSpec", "dominates", "family_for",
+    "level_ceiling", "parse_index", "srm_closed_form", "srm_generic",
+    "InsufficientDataError", "SrmError", "TableEntryError", "UnknownIndexError",
+    "UnsupportedOperationError", "ValidationError",
+}
+
+
+def test_package_exposes_its_names():
+    """``__all__``, ``from srmkit import *`` and ``dir`` give the public
+    names; each name is its module's own object."""
+    assert len(_PUBLIC) == 50 and set(srmkit.__all__) == _PUBLIC
+    star = {}
+    exec("from srmkit import *", star)
+    assert set(star) - {"__builtins__"} == _PUBLIC
+    public = {n for n in dir(srmkit) if not n.startswith("_")}
+    assert _PUBLIC <= public
+    assert all(inspect.ismodule(getattr(srmkit, n)) for n in public - _PUBLIC)
+    for name in _PUBLIC:
+        module = importlib.import_module(f"srmkit.{srmkit._EXPORTS[name]}")
+        assert getattr(srmkit, name) is getattr(module, name)
+    fresh = "import srmkit; print(*(n for n in dir(srmkit) if not n.startswith('_')))"
+    assert set(_fresh(fresh)) == _PUBLIC
+
+
+def test_unknown_attribute_names_the_package():
+    with pytest.raises(AttributeError, match="^module 'srmkit' has no attribute 'nope'$"):
+        srmkit.nope
+    assert not hasattr(srmkit, "_EXPORTS_")
+
+
+def test_cli_formats_are_the_cohort_formats():
+    from srmkit import cli, cohort
+
+    assert (cli._CSV, cli._JSON) == (cohort.CSV_FORMAT, cohort.JSON_FORMAT)
+    assert cli._FORMATS == cohort.FORMATS
