@@ -202,7 +202,8 @@ class LevelRule:
 
     kind "const" gives coeff, "linear" gives coeff*q, "square" gives
     coeff*q**2.  Coefficients are nonnegative so the rule is
-    nondecreasing in q.
+    nondecreasing in q.  ``inverse_sup`` is the one inverse of a rule:
+    the level search, the level ceiling and both dual routes read it.
     """
 
     kind: str
@@ -221,17 +222,25 @@ class LevelRule:
             return self.coeff * q
         return self.coeff * q * q
 
-    def inverse_sup(self, v: float) -> float:
-        """sup{q >= 0 : value(q) <= v}; inf when the rule never exceeds v."""
-        if v < 0:
-            return 0.0
-        if self.kind == "const":
-            return math.inf if self.coeff <= v else 0.0
-        if self.coeff == 0:
-            return math.inf
-        if self.kind == "linear":
-            return v / self.coeff
-        return math.sqrt(v / self.coeff)
+    def inverse_sup(self, v):
+        """sup{q >= 0 : value(q) <= v}; inf when the rule never exceeds v.
+
+        ``v`` is a float or an array, taken entrywise; a float in gives
+        a float out.
+        """
+        a = np.asarray(v, dtype=float)
+        # v / coeff may overflow to inf; the sqrt of a v < 0 is replaced below
+        with np.errstate(invalid="ignore", over="ignore"):
+            if self.kind == "const":
+                out = np.where(self.coeff <= a, math.inf, 0.0)
+            elif self.coeff == 0:
+                out = np.full(a.shape, math.inf)
+            elif self.kind == "linear":
+                out = a / self.coeff
+            else:
+                out = np.sqrt(a / self.coeff)
+        out = np.where(a < 0, 0.0, out)
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -274,6 +283,12 @@ class PerformanceFamily:
         ranks can be checked; every other shape checks its whole support.
         """
         return AUTHOR_SUPPORT_ONLY if self.shape == POWER else ALL_POSITIVE_RANKS
+
+    @property
+    def vanishes(self) -> bool:
+        """True for a rectangle with a zero height or width coefficient,
+        whose f_q is identically 0: every level is feasible."""
+        return self.shape == RECTANGLE and (self.height.coeff == 0 or self.width.coeff == 0)
 
 
 def rectangle_family(

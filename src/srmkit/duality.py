@@ -20,7 +20,9 @@ version everywhere mass can sit, so weak duality against the engine's
 index holds with the rank-step transform for every density supported on
 the dominance domain, while with the true curves it can fail for the
 staircase and power shapes (whose rank samples sit strictly below the
-curve on the interior of rank intervals).
+curve on the interior of rank intervals).  Both routes invert level
+rules by ``LevelRule.inverse_sup``, ask ``PerformanceFamily.vanishes``
+whether f_q is 0, and bisect with the engine's float bisection.
 
 Rank-step evaluation is batch-first.  A density enters it as the row of
 its unit rank-cell masses m_1..m_ceil(N), so K densities are one
@@ -46,11 +48,10 @@ from .curves import (
     RECTANGLE,
     STAIRCASE,
     CitationCurve,
-    LevelRule,
     PerformanceFamily,
     checked_number,
 )
-from .engine import IndexSpec, parse_index, srm_closed_form, srm_generic
+from .engine import IndexSpec, _bisect, parse_index, srm_closed_form, srm_generic
 from .errors import TableEntryError, UnknownIndexError, ValidationError
 
 _MASS_TOL = 1e-9
@@ -112,15 +113,13 @@ class DualDensity:
         if abs(mass - 1.0) > _MASS_TOL:
             raise ValidationError(f"density mass is {mass!r}, must equal 1")
         cum_v = np.concatenate(([0.0], np.cumsum(hs * (bp[1:] ** 2 - bp[:-1] ** 2) / (2.0 * n))))
-        # mass up to each rank-cell edge, as _mass_at computes it
-        ranks = np.arange(1, math.ceil(n) + 1, dtype=float)
-        edges = np.minimum(ranks, n)
-        j = np.searchsorted(bp, edges) - 1
-        masses = np.diff(cum_m[j] + hs[j] * (edges - bp[j]) / n, prepend=0.0)
         for name, a in (("breakpoints", bp), ("heights", hs), ("cum_mass", cum_m),
-                        ("cum_moment", cum_v), ("rank_mass", masses)):
+                        ("cum_moment", cum_v)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        masses = np.diff(_mass_at(self, np.arange(1, math.ceil(n) + 1, dtype=float)), prepend=0.0)
+        masses.setflags(write=False)
+        object.__setattr__(self, "rank_mass", masses)
 
     @property
     def extent(self) -> float:
@@ -187,7 +186,7 @@ def _power_coeff(z: DualDensity, beta: float) -> float:
             total += h * math.log(b / a) / n
         else:
             total += h * (b ** (1.0 - beta) - a ** (1.0 - beta)) / ((1.0 - beta) * n)
-    return total
+    return float(total)
 
 
 def _check_measure(z: DualDensity, measure: ReferenceMeasure) -> None:
@@ -267,26 +266,11 @@ def _mass_inverse_sup(z: DualDensity, tau: float) -> float:
     return float(z.breakpoints[j] + (tau - cum_m[j]) * z.extent / z.heights[j])
 
 
-def _solve_increasing(fn, lo: float, hi: float) -> float:
-    """Largest feasible point of a nondecreasing predicate fn(q) <= t form.
-
-    fn returns gamma(q) - t; fn(lo) <= 0 < fn(hi).  Bisection to float
-    resolution.
-    """
-    while hi - lo > 0:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if fn(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _h_plus_true(z: DualDensity, t: float, family: PerformanceFamily, n: float) -> float:
     bp, hs, cum_m, cum_v = z.breakpoints, z.heights, z.cum_mass, z.cum_moment
     total = cum_m[-1]
+    if family.vanishes:
+        return math.inf
     if family.shape == POWER:
         coeff = _power_coeff(z, family.beta)
         if math.isinf(coeff):
@@ -295,31 +279,23 @@ def _h_plus_true(z: DualDensity, t: float, family: PerformanceFamily, n: float) 
     if family.shape == RECTANGLE:
         h_rule, w_rule = family.height, family.width
         if w_rule.kind == "const":
+            # the height grows: a constant one would make f_0 nonzero
             m = float(_mass_at(z, min(w_rule.coeff, n)))
-            if h_rule.kind == "const":
-                return math.inf if h_rule.coeff * m <= t else 0.0
             if m == 0.0:
                 return math.inf
             return h_rule.inverse_sup(t / m)
-        b = w_rule.coeff
         if h_rule.kind == "const":
-            c = h_rule.coeff
-            if c == 0.0:
-                return math.inf
-            tau = t / c
-            if total <= tau:
-                return math.inf
-            return _mass_inverse_sup(z, tau) / b
+            return w_rule.inverse_sup(_mass_inverse_sup(z, t / h_rule.coeff))
         # increasing height, widening support: walk the density knots
-        knots = [float(y) / b for y in bp]
+        knots = w_rule.inverse_sup(bp).tolist()
         for j in range(len(knots) - 1):
             q0, q1 = knots[j], knots[j + 1]
             g1 = h_rule.value(q1) * float(cum_m[j + 1])
             if g1 <= t:
                 continue
             m0 = float(cum_m[j])
-            slope = hs[j] * b / n
-            if h_rule.kind == "linear":
+            if h_rule.kind == w_rule.kind == "linear":
+                slope = hs[j] * w_rule.coeff / n
                 a = h_rule.coeff
                 qa, qb = a * slope, a * (m0 - slope * q0)
                 if qa == 0.0:
@@ -327,12 +303,9 @@ def _h_plus_true(z: DualDensity, t: float, family: PerformanceFamily, n: float) 
                 else:
                     q = (-qb + math.sqrt(max(qb * qb + 4.0 * qa * t, 0.0))) / (2.0 * qa)
                 return min(max(q, q0), q1)
-            a = h_rule.coeff
-
-            def resid(q, _a=a, _m0=m0, _s=slope, _q0=q0):
-                return _a * q * q * (_m0 + _s * (q - _q0)) - t
-
-            return _solve_increasing(resid, q0, q1)
+            s, y0 = hs[j] / n, bp[j]
+            return _bisect(lambda q: h_rule.value(q) * (m0 + s * (w_rule.value(q) - y0)) <= t,
+                           q0, q1)
         # feasible through the last knot: only the height keeps growing
         return h_rule.inverse_sup(t / total)
     # staircase
@@ -373,19 +346,6 @@ def _search_right(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return lo
 
 
-def _inverse_sup(rule: LevelRule, v: np.ndarray) -> np.ndarray:
-    """``rule.inverse_sup`` of every entry of v."""
-    if rule.kind == "const":
-        out = np.where(rule.coeff <= v, math.inf, 0.0)
-    elif rule.coeff == 0:
-        out = np.full(np.shape(v), math.inf)
-    elif rule.kind == "linear":
-        out = v / rule.coeff
-    else:
-        out = np.sqrt(v / rule.coeff)
-    return np.where(v < 0, 0.0, out)
-
-
 def _h_plus_rows(
     masses: np.ndarray, cum: np.ndarray, t: np.ndarray, family: PerformanceFamily
 ) -> np.ndarray:
@@ -406,28 +366,25 @@ def _h_plus_rows(
             decay = np.arange(1, k + 1, dtype=float) ** (-family.beta)
             coeff = np.array([np.dot(row, decay) for row in masses])
             out = np.where(coeff <= 0.0, math.inf, t / coeff)
+        elif family.vanishes:
+            out = np.full(len(t), math.inf)
         elif family.shape == RECTANGLE:
             h_rule, w_rule = family.height, family.width
             if w_rule.kind == "const":
                 m = cum[:, min(int(math.floor(w_rule.coeff)), k)]
-                if h_rule.kind == "const":
-                    out = np.where(h_rule.coeff * m <= t, math.inf, 0.0)
-                else:
-                    out = np.where(m == 0.0, math.inf, _inverse_sup(h_rule, t / m))
-            elif h_rule.kind == "const" and h_rule.coeff == 0.0:
-                out = np.full(len(t), math.inf)
+                out = np.where(m == 0.0, math.inf, h_rule.inverse_sup(t / m))
             elif h_rule.kind == "const":
                 tau = t / h_rule.coeff
                 j = _search_right(cum, tau) - 1
-                out = np.where(cum[:, k] <= tau, math.inf, _inverse_sup(w_rule, j + 1.0))
+                out = np.where(cum[:, k] <= tau, math.inf, w_rule.inverse_sup(j + 1.0))
             else:
                 # gamma at the level where f_q first reaches rank j
-                grid = _inverse_sup(w_rule, ranks)
-                starts = h_rule.coeff * (grid if h_rule.kind == "linear" else grid * grid) * cum
+                grid = w_rule.inverse_sup(ranks)
+                starts = h_rule.value(grid) * cum
                 j = _search_right(starts, t) - 1
                 c = cum[rows, j]
-                level = _inverse_sup(h_rule, t / c)
-                end = _inverse_sup(w_rule, j + 1.0)
+                level = h_rule.inverse_sup(t / c)
+                end = w_rule.inverse_sup(j + 1.0)
                 out = np.where(j >= k, level, np.where(c == 0.0, end, np.minimum(level, end)))
         else:
             cim = np.zeros_like(cum)
@@ -447,18 +404,21 @@ def h_plus(z: DualDensity, t: float, family: PerformanceFamily, measure: Referen
     The supremum runs over real q regardless of the family's own level
     set, gamma being nondecreasing in q.  Piecewise closed forms make
     the knot-exact cases (constant-height saturation, indicator
-    densities) land exactly; in-segment crossings solve a linear or
-    quadratic equation, with monotone bisection for the one cubic case.
-    Returns +inf when gamma stays below t for every level (feasibility
-    certified by saturation of the mass term), and 0 when no positive
-    level is feasible.
+    densities) land exactly.  A constant height or width leaves the
+    other rule to invert, which ``LevelRule.inverse_sup`` does.  Between
+    density knots the crossing solves a linear or quadratic equation
+    for the staircase and for a linear height over a linear width;
+    every other pair of rules bisects gamma inside the segment
+    (``engine._bisect``).  Returns +inf when gamma stays below t for
+    every level (a family that ``vanishes``, or saturation of the mass
+    term), and 0 when no positive level is feasible.
     """
     _check_measure(z, measure)
     if math.isnan(t):
         raise ValidationError("threshold must not be NaN")
     if t < 0:
         return 0.0
-    return max(_h_plus_true(z, t, family, measure.extent), 0.0)
+    return float(max(_h_plus_true(z, t, family, measure.extent), 0.0))
 
 
 def dual_value(

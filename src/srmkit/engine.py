@@ -81,8 +81,9 @@ def level_ceiling(curve: CitationCurve, family: PerformanceFamily) -> float:
 
     Per shape, with x1 the curve's value on (0, 1]:
 
-    * rectangle whose height or width is identically 0: f_q vanishes,
-      so every level is feasible and U is infinity;
+    * a rectangle family that ``vanishes`` (a zero height or width
+      coefficient): f_q is 0, so every level is feasible and U is
+      infinity;
     * rectangle, increasing height: levels whose height exceeds x1 fail
       at rank 1, so U = max(width^{-1}(1), height^{-1}(x1));
     * rectangle, constant height c: ranks beyond p carry the tail, so
@@ -93,12 +94,14 @@ def level_ceiling(curve: CitationCurve, family: PerformanceFamily) -> float:
       that is a positive constant everywhere, which dominates every
       level on its empty support).
 
-    The zero curve has ceiling 0 for every shape.  A bound that
-    overflows is the largest float: no level beyond it is feasible,
-    since its reference height overflows too.
+    The zero curve has ceiling 0 for every family that does not
+    vanish.  A bound that overflows is the largest float: no level
+    beyond it is feasible, since its reference height overflows too.
     """
     p, tail = curve.p, curve.tail
     x1 = curve.first_value
+    if family.vanishes:
+        return math.inf
     if p == 0 and tail == 0:
         return 0.0
     if family.shape == POWER:
@@ -106,11 +109,9 @@ def level_ceiling(curve: CitationCurve, family: PerformanceFamily) -> float:
     if family.shape == STAIRCASE:
         return max(1.0, x1)
     h, w = family.height, family.width
-    if h.coeff == 0 or w.coeff == 0 or (h.kind == "const" and tail >= h.coeff):
+    if h.kind == "const" and tail >= h.coeff:
         return math.inf
-    if h.kind == "const":
-        if w.kind == "const":  # f_q is one rectangle for every q > 0
-            return math.inf if dominates(curve, family, 1.0) else 0.0
+    if h.kind == "const":  # the width grows: a constant one would make f_0 nonzero
         bound = w.inverse_sup(p + 1)
     elif w.kind == "const":
         if w.coeff < 1:
@@ -167,16 +168,23 @@ def srm_generic(curve: CitationCurve, family: PerformanceFamily) -> SrmValue:
         return SrmValue(float(lo), attained=True)
     if dominates(curve, family, ceiling):
         return SrmValue(float(ceiling), attained=True)
-    lo, hi = 0.0, float(ceiling)
+    return SrmValue(_bisect(lambda q: dominates(curve, family, q), 0.0, float(ceiling)),
+                    attained=True)
+
+
+def _bisect(feasible: Callable[[float], bool], lo: float, hi: float) -> float:
+    """The last feasible float of a down-set, between a feasible lo and an
+    infeasible hi: bisection run until no float lies between them.
+    """
     while hi - lo > 0:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if dominates(curve, family, mid):
+        if feasible(mid):
             lo = mid
         else:
             hi = mid
-    return SrmValue(lo, attained=True)
+    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -677,6 +677,127 @@ def test_cohort_mutants_end_cleanly_and_both_readers_agree(tmp_path, capsys, mon
     assert min(codes.count(0), codes.count(1)) > 100
 
 
+_SPECIALS = [math.nan, math.inf, -1.5, 0, 7.5, 1e300, -0.0, 2**70, "1.62"]
+
+
+def _profile_mutant(rng, profile: bytes) -> bytes:
+    """A profile that ``srm calibrate`` wrote, with one seeded mutation:
+    a top-level or fit field of another value or type (NaN and Infinity
+    tokens included), a key dropped or added, a fit duplicated, a byte
+    flip or a truncation.  Some mutants stay valid."""
+    doc = json.loads(profile)
+    fit = _pick(rng, doc["fits"])
+    kind = int(rng.integers(8))
+    if kind <= 1:
+        where = doc if kind == 0 else fit
+        key = _pick(rng, sorted(where))
+        where[key] = _pick(rng, _SPECIALS + _SWAPS)
+    elif kind == 2:
+        where = _pick(rng, [doc, fit])
+        del where[_pick(rng, sorted(where))]
+    elif kind == 3:
+        _pick(rng, [doc, fit])["extra"] = _pick(rng, _SWAPS)
+    elif kind == 4:
+        doc["fits"].append(dict(fit))
+    text = json.dumps(doc).encode()  # NaN and Infinity as Python's json writes them
+    if kind == 5:
+        return _mutated(rng, text)
+    if kind == 6:
+        return text[:int(rng.integers(len(text) + 1))]
+    return text
+
+
+_CONFIG_VALUES = {
+    "indices": ["h,w,phi", "phi:1.62", "h", "", "zz", "phi:0"],
+    "index": ["phi", "pubs", "w", "h", "c_max", "bogus", ""],
+    "classes": ["0.2,0.5", "0.5", "1", "x", "0.3,0.1"],
+    "deltas": ["1,0.1", "0.5", "nan", "-1", "x"],
+    "samples": ["2", "0", "-1", "x", "1e3"],
+    "seed": ["3", "0", "-5", "x", ""],
+    "extent": ["40", "5", "nan", "0", "-1", "x"],
+    "format": ["csv", "json", "xml", ""],
+}
+
+
+def _config_mutant(rng) -> bytes:
+    """A valid --config file with one seeded mutation: one value from a
+    short list of good and bad ones, a key renamed or unknown, a value
+    quoted or commented, an '=' dropped, a line dropped or added, a byte
+    that UTF-8 cannot decode, or a truncation.  Values stay small, so a
+    valid mutant runs in milliseconds.  Some mutants stay valid."""
+    lines = [[key, choices[0]] for key, choices in _CONFIG_VALUES.items()]
+    line = _pick(rng, lines)
+    kind = int(rng.integers(9))
+    if kind <= 1:
+        line[1] = _pick(rng, _CONFIG_VALUES[line[0]])
+    elif kind == 2:
+        line[0] = _pick(rng, [line[0].upper(), line[0].replace("e", "-e", 1), "bogus"])
+    elif kind == 3:
+        line[1] = _pick(rng, [f'"{line[1]}"', f"'{line[1]}", f"{line[1]} # note"])
+    elif kind == 4:
+        lines.remove(line)
+    elif kind == 5:
+        lines.insert(int(rng.integers(len(lines) + 1)), _pick(rng, [[""], ["# x"], ["="], ["k"]]))
+    data = "\n".join(" = ".join(parts) for parts in lines).encode()
+    if kind == 6:
+        return data.replace(b" = ", b" ", 1)
+    if kind == 7:
+        pos = int(rng.integers(len(data) + 1))
+        return data[:pos] + b"\xff" + data[pos:]
+    if kind == 8:
+        return data[:int(rng.integers(len(data) + 1))]
+    return data
+
+
+def test_profile_and_config_mutants_end_cleanly(tmp_path, capsys, monkeypatch):
+    """Seeded mutants of a profile that ``srm calibrate`` wrote, through
+    ``compute`` and ``rank`` with a bare ``phi``, and of ``--config``
+    files, through every subcommand: an error is one message and no
+    output file; a success writes nothing to stderr and one file."""
+    monkeypatch.chdir(tmp_path)  # no mutant may write where the test runs from
+    rng = np.random.default_rng(6103)
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text(CSV_FIXTURE + "X3,9;7;5;3;1\nX4,12;1\n")
+    valid = tmp_path / "valid.json"
+    assert run(["calibrate", "--input", str(cohort), "--profile", str(valid)]) == 0
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    profile = tmp_path / "profile.json"
+    config = tmp_path / "run.cfg"
+    codes = {"profile": [], "config": []}
+    for trial in range(400):
+        kind = "profile" if trial % 2 else "config"
+        out = out_dir / f"out.{_pick(rng, ['csv', 'json'])}"
+        if kind == "profile":
+            profile.write_bytes(_profile_mutant(rng, valid.read_bytes()))
+            sub = _pick(rng, ["compute", "rank"])
+            extra = ["--indices", "h,phi"] if sub == "compute" else ["--index", "phi"]
+            argv = [sub, "--input", str(cohort), *extra, "--profile", str(profile)]
+        else:
+            config.write_bytes(_config_mutant(rng))
+            sub = list(_MUTANT_ARGS)[trial // 2 % 4]
+            argv = [sub, "--input", str(cohort), "--config", str(config)]
+            argv += ["--profile", str(out if sub == "calibrate" else valid)]
+        if sub != "calibrate":
+            argv += ["--output", str(out)]
+        code = run(argv)
+        err = capsys.readouterr().err
+        written = sorted(p.name for p in out_dir.iterdir())
+        for p in out_dir.iterdir():
+            p.unlink()
+        assert code in (0, 1, 2), argv
+        if code:
+            assert err.startswith("srm: error: ") and err.count("\n") == 1, (argv, err)
+            assert written == [], argv
+        else:
+            assert err == "" and written == [out.name], (argv, err)
+        codes[kind].append(code)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cohort.csv", "out", "profile.json", "run.cfg", "valid.json"]
+    assert min(codes["profile"].count(0), codes["profile"].count(1)) > 40
+    assert min(codes["config"].count(0), codes["config"].count(2)) > 40
+
+
 _GOLDEN_ARGS = {
     "compute": ["--indices", "h,w,phi:1.62"],
     "rank": ["--index", "w"],

@@ -244,6 +244,23 @@ class TestFamilyValidation:
         assert LevelRule("square", 1.0).inverse_sup(9) == 3
         assert LevelRule("const", 1.0).inverse_sup(2) == math.inf
         assert LevelRule("const", 3.0).inverse_sup(2) == 0
+        assert LevelRule("linear", 0.0).inverse_sup(-1.0) == 0
+        for rule in (LevelRule("linear", 2.0), LevelRule("square", 0.5), LevelRule("const", 1.0),
+                     LevelRule("linear", 0.0)):
+            for v in (np.float64(3.0), 3.0, -1.0):
+                assert type(rule.inverse_sup(v)) is float  # a float in, a float out
+
+    def test_level_rule_inverse_of_an_array_is_entrywise(self):
+        v = np.array([-1.0, 0.0, 2.0, 9.0, math.inf])
+        for rule in (LevelRule("linear", 2.0), LevelRule("square", 1.0), LevelRule("const", 2.0),
+                     LevelRule("square", 0.0)):
+            got = rule.inverse_sup(v)
+            assert isinstance(got, np.ndarray) and got.shape == v.shape
+            assert got.tolist() == [rule.inverse_sup(float(x)) for x in v]
+        assert LevelRule("square", 1.0).inverse_sup(v).tolist() == [0.0, 0.0, math.sqrt(2.0),
+                                                                    3.0, math.inf]
+        assert LevelRule("const", 2.0).inverse_sup(v).tolist() == [0.0, 0.0, math.inf,
+                                                                   math.inf, math.inf]
 
 
 class TestLeftContinuity:

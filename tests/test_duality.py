@@ -53,6 +53,22 @@ CATALOG = ("c_max", "pubs", "h", "h2", "h_alpha:0.5", "h_alpha:1", "h_alpha:2", 
            "w", "h_r", "phi:0.8", "phi:1.62", "phi:2.5")
 
 
+# rectangle families whose f_q is 0: a zero height or width coefficient
+VANISHING = (
+    rectangle_family("linear/zero", LevelRule("linear", 1.0), LevelRule("linear", 0.0)),
+    rectangle_family("square/zero", LevelRule("square", 1.0), LevelRule("square", 0.0)),
+    rectangle_family("zero/linear", LevelRule("linear", 0.0), LevelRule("linear", 1.0)),
+    rectangle_family("const-zero/square", LevelRule("const", 0.0), LevelRule("square", 1.0)),
+    rectangle_family("linear/const-zero", LevelRule("linear", 1.0), LevelRule("const", 0.0)),
+)
+# rectangle families beyond the catalog's: square widths, and the vanishing ones
+RULE_PAIRS = (
+    rectangle_family("const/square", LevelRule("const", 1.0), LevelRule("square", 1.0)),
+    rectangle_family("linear/square", LevelRule("linear", 1.0), LevelRule("square", 0.5)),
+    rectangle_family("square/square", LevelRule("square", 2.0), LevelRule("square", 0.5)),
+) + VANISHING
+
+
 def random_density(rng, measure, cells=None):
     k = int(cells if cells is not None else math.floor(measure.extent))
     return DualDensity.from_weights(rng.dirichlet(np.ones(k)), measure.extent)
@@ -109,7 +125,7 @@ class TestDualDensity:
                 arr[0] = 1.0
 
     def test_rank_cells_match_mass_at(self, rng):
-        # the construction inlines _mass_at at the rank-cell edges; same bits
+        # the construction reads _mass_at at the rank-cell edges; same bits
         for extent in (N, 10.5):
             for _ in range(20):
                 cuts = np.unique(rng.uniform(0, extent, size=5))
@@ -217,6 +233,22 @@ class TestGamma:
             )
             assert gamma(z, q, fam, MU) == pytest.approx(expected, abs=1e-6)
 
+    def test_square_width_against_riemann_sum(self, rng):
+        # midpoint rule on evaluate_family; the densities are constant on
+        # unit cells, so only the cell holding the width W(q) is misread,
+        # by at most height * Z / points
+        fam = rectangle_family("linear/square", LevelRule("linear", 1.0), LevelRule("square", 0.5))
+        points = 50_000
+        xs = (np.arange(points) + 0.5) * (N / points)
+        for _ in range(10):
+            z = random_density(rng, MU)
+            q = float(rng.uniform(0, 6))
+            zv = np.array(z.heights)[np.searchsorted(z.breakpoints, xs, side="left") - 1]
+            fv = np.array([evaluate_family(fam, q, x) for x in xs])
+            approx = float(np.dot(zv, fv)) / points
+            bound = fam.height.value(q) * float(z.heights.max()) / points
+            assert gamma(z, q, fam, MU) == pytest.approx(approx, abs=bound + 1e-12)
+
     def test_rank_step_matches_direct_sum(self, rng):
         for label in SHAPES + ("phi:1.62",):
             fam = family_for(label)
@@ -258,8 +290,7 @@ class TestHPlus:
         assert math.isinf(h_plus(UNIFORM, 1.5, fam, MU))
 
     def test_matches_direct_bisection_on_gamma(self, rng):
-        for label in SHAPES + ("phi:0.8",):
-            fam = family_for(label)
+        for fam in [family_for(label) for label in SHAPES + ("phi:0.8",)] + list(RULE_PAIRS):
             for _ in range(25):
                 z = random_density(rng, MU)
                 t = float(rng.uniform(0, 6))
@@ -277,6 +308,16 @@ class TestHPlus:
                     else:
                         hi = mid
                 assert got == pytest.approx(lo, abs=1e-6)
+
+
+    def test_public_results_are_floats(self, rng):
+        for label in CATALOG:
+            fam = family_for(label)
+            for z in (random_density(rng, MU), DualDensity.indicator(2, 3.5, N)):
+                t = expected_value(z, X, MU)
+                for value in (gamma(z, 2.5, fam, MU), h_plus(z, t, fam, MU),
+                              dual_value(X, fam, [z], MU)):
+                    assert type(value) is float, (label, value)
 
 
 UNIT_CELLS = [DualDensity.indicator(i - 1.0, float(i), N) for i in range(1, 17)]
@@ -371,6 +412,13 @@ class TestWeakDuality:
                 want = 0.0 if math.isinf(hp) and math.isinf(phi) else hp - phi
                 masses = np.array([z.rank_mass for z in zs])
                 assert weak_duality_margin(curve, fam, masses, MU) == want
+
+    def test_vanishing_family_margin_is_zero(self, rng):
+        # f_q = 0 for every q: the index and rank-step H+ are both +inf
+        masses = random_simplex_candidates(MU, 5, seed=3)
+        for fam in VANISHING:
+            for curve in (X, construct_curve([]), CitationCurve([8, 6], 2)):
+                assert weak_duality_margin(curve, fam, masses, MU) == 0.0
 
     def test_margin_needs_a_density(self):
         with pytest.raises(ValidationError):

@@ -212,9 +212,17 @@ class TestLevelCeiling:
         assert out.level == pytest.approx(math.sqrt(0.2), abs=1e-12)
 
     def test_zero_width_family_is_feasible_at_every_level(self):
-        fam = rectangle_family("flat", LevelRule("const", 1.0), LevelRule("linear", 0.0))
-        assert math.isinf(level_ceiling(X1, fam))
-        assert srm_generic(X1, fam) == SrmValue(math.inf, attained=False)
+        # a zero height vanishes as well, and so does f_q under the zero curve
+        for height, width in ((LevelRule("const", 1.0), LevelRule("linear", 0.0)),
+                              (LevelRule("linear", 1.0), LevelRule("linear", 0.0)),
+                              (LevelRule("linear", 0.0), LevelRule("square", 1.0)),
+                              (LevelRule("const", 0.0), LevelRule("linear", 1.0))):
+            for levels in ("integer", "real"):
+                fam = rectangle_family("flat", height, width, levels=levels)
+                assert fam.vanishes
+                for curve in (X1, construct_curve([])):
+                    assert math.isinf(level_ceiling(curve, fam))
+                    assert srm_generic(curve, fam) == SrmValue(math.inf, attained=False)
 
 
 class TestStructuralProperties:
