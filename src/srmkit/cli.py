@@ -384,6 +384,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    # srm runs numpy's BLAS on one thread unless the user set
+    # OPENBLAS_NUM_THREADS.  Its only BLAS calls are dots of at most ceil(N)
+    # values, which OpenBLAS runs on one thread anyway; but `import numpy`
+    # starts OpenBLAS's worker pool, and the idle worker spins against the
+    # start-up (on a 2-CPU host, `import numpy` took 158 ms with the pool and
+    # 96 ms without).  This must run before a subcommand loads numpy.  run()
+    # leaves os.environ alone: a library caller owns its process's BLAS settings.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run())
 
 

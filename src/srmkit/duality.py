@@ -130,7 +130,8 @@ class DualDensity:
         """Normalized indicator density on the cell (lo, hi]."""
         if not (0 <= lo < hi <= extent):
             raise ValidationError(f"need 0 <= lo < hi <= extent, got ({lo}, {hi}] in (0, {extent}]")
-        bp = np.unique(np.array([0.0, lo, hi, extent], dtype=float))
+        # sorted distinct breakpoints; np.unique would load numpy.ma on first use
+        bp = np.array(sorted({0.0, float(lo), float(hi), float(extent)}))
         inside = (bp[:-1] >= lo) & (bp[1:] <= hi)
         return cls(bp, np.where(inside, extent / (hi - lo), 0.0))
 

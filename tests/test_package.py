@@ -30,10 +30,10 @@ def test_no_module_level_memo_caches():
 _ENV = {**os.environ, "PYTHONPATH": str(Path(srmkit.__file__).parents[1])}
 
 
-def _fresh(code, *argv):
+def _fresh(code, *argv, env=_ENV):
     """The last line a new interpreter prints running ``code`` with ``argv``, split."""
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                         env=_ENV, timeout=60, check=True)
+                         env=env, timeout=60, check=True)
     return out.stdout.splitlines()[-1].split()
 
 
@@ -47,7 +47,7 @@ def test_import_starts_no_thread():
     assert _fresh(code) == ["False", "1", "False"]
 
 
-_LOADED = ("import sys; print('numpy' in sys.modules, "
+_LOADED = ("import sys; print('numpy' in sys.modules, 'numpy.ma' in sys.modules, "
            "*sorted(m for m in sys.modules if m.startswith('srmkit.')))")
 
 
@@ -57,16 +57,17 @@ _LOADED = ("import sys; print('numpy' in sys.modules, "
     ("from srmkit import ValidationError", ["srmkit.errors"]),
 ])
 def test_import_loads_no_numpy(code, modules):
-    assert _fresh(f"{code}; {_LOADED}") == ["False", *modules]
+    assert _fresh(f"{code}; {_LOADED}") == ["False", "False", *modules]
 
 
 _SRM = "import sys, srmkit.cli; rc = srmkit.cli.run(sys.argv[1:]); print(rc, end=' '); " + _LOADED
 
 
 def _srm_loads(*argv):
-    """(exit code, numpy loaded, srmkit modules loaded) of ``srm argv`` in a new process."""
-    rc, numpy, *modules = _fresh(_SRM, *argv)
-    return int(rc), numpy == "True", {m.split(".")[1] for m in modules}
+    """(exit code, numpy loaded, numpy.ma loaded, srmkit modules loaded) of
+    ``srm argv`` in a new process."""
+    rc, numpy, ma, *modules = _fresh(_SRM, *argv)
+    return int(rc), numpy == "True", ma == "True", {m.split(".")[1] for m in modules}
 
 
 @pytest.mark.parametrize("argv, rc", [
@@ -74,31 +75,71 @@ def _srm_loads(*argv):
     (["rank", "--format", "xml"], 2),
 ])
 def test_help_and_argument_errors_load_no_numpy(argv, rc):
-    assert _srm_loads(*argv) == (rc, False, {"cli", "errors"})
+    assert _srm_loads(*argv) == (rc, False, False, {"cli", "errors"})
+
+
+def _small_cohort(tmp_path):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text("author_id,citations\nA,9;5;3;1\nB,7;7;2\nC,4;4;4;1\n")
+    return str(cohort)
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
     """The dual layer loads only for dual-check, and calibration only for
-    calibrate and a bare phi, which reads a profile."""
-    cohort = tmp_path / "cohort.csv"
-    cohort.write_text("author_id,citations\nA,9;5;3;1\nB,7;7;2\nC,4;4;4;1\n")
+    calibrate and a bare phi, which reads a profile.  No command loads
+    numpy.ma (the first ``np.unique`` call would)."""
+    cohort = _small_cohort(tmp_path)
     profile, out = str(tmp_path / "profile.json"), str(tmp_path / "out.csv")
-    common = ["--input", str(cohort), "--output", out]
+    common = ["--input", cohort, "--output", out]
+    dual = ["dual-check", *common, "--seed", "3", "--samples", "2", "--index"]
     runs = {
-        "calibrate": ["calibrate", "--input", str(cohort), "--profile", profile],
+        "calibrate": ["calibrate", "--input", cohort, "--profile", profile],
         "compute": ["compute", *common, "--indices", "h,w,phi:1.62"],
         "compute phi": ["compute", *common, "--indices", "h,phi", "--profile", profile],
         "rank": ["rank", *common, "--index", "w"],
         "rank phi": ["rank", *common, "--index", "phi", "--profile", profile],
-        "dual-check": ["dual-check", *common, "--index", "h", "--seed", "3", "--samples", "2"],
+        "dual-check h": [*dual, "h"],
+        "dual-check w": [*dual, "w"],
     }
     loaded = {}
     for name, argv in runs.items():
-        rc, numpy, loaded[name] = _srm_loads(*argv)
-        assert (rc, numpy) == (0, True), name
-    assert [name for name, modules in loaded.items() if "duality" in modules] == ["dual-check"]
+        rc, numpy, ma, loaded[name] = _srm_loads(*argv)
+        assert (rc, numpy, ma) == (0, True, False), name
+    assert [name for name, modules in loaded.items() if "duality" in modules] == [
+        "dual-check h", "dual-check w"]
     assert [name for name, modules in loaded.items() if "calibration" in modules] == [
         "calibrate", "compute phi", "rank phi"]
+
+
+#: The test environment without a user's BLAS thread setting.
+_NO_BLAS_ENV = {k: v for k, v in _ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+_MAIN = ("import os, sys, srmkit.cli\n"
+         "try:\n    srmkit.cli.main()\nexcept SystemExit as exc:\n    rc = exc.code\n"
+         "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
+         "print(rc, os.environ.get('OPENBLAS_NUM_THREADS'), tasks)")
+
+
+def _compute_argv(tmp_path):
+    return ["compute", "--input", _small_cohort(tmp_path), "--indices", "h,w",
+            "--output", str(tmp_path / "out.csv")]
+
+
+@pytest.mark.parametrize("preset, threads", [(None, "1"), ("2", "2")])
+def test_main_runs_blas_on_one_thread_unless_the_user_chose(tmp_path, preset, threads):
+    """``srm`` (``cli.main``) sets OPENBLAS_NUM_THREADS to 1 before numpy
+    loads, so OpenBLAS starts no worker thread; a value the user set wins."""
+    env = _NO_BLAS_ENV if preset is None else {**_NO_BLAS_ENV, "OPENBLAS_NUM_THREADS": preset}
+    rc, value, tasks = _fresh(_MAIN, *_compute_argv(tmp_path), env=env)
+    assert (rc, value) == ("0", threads)
+    if preset is None and sys.platform == "linux":
+        assert tasks == "1"  # the main thread alone: no BLAS worker
+
+
+def test_run_leaves_the_environment_alone(tmp_path):
+    """The in-process API ``cli.run`` does not touch ``os.environ``."""
+    code = ("import os, sys, srmkit.cli; before = dict(os.environ); "
+            "rc = srmkit.cli.run(sys.argv[1:]); print(rc, dict(os.environ) == before)")
+    assert _fresh(code, *_compute_argv(tmp_path), env=_NO_BLAS_ENV) == ["0", "True"]
 
 
 ORACLES = {
