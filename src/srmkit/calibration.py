@@ -8,8 +8,8 @@ index (the calibrated phi-index) has the closed form
 min over ranks of x_i * i**beta_bar.
 
 The fits of a cohort are computed in blocks of records, as the closed
-forms of the engine are, each block on one of up to one thread per CPU
-and into its own rows, so the bits do not depend on the thread count.
+forms of the engine are, each block into its own rows, so the
+temporaries stay small and the bits do not depend on the block size.
 A profile is read back column by column: each field of the fits is
 pulled out as one list and screened at once (its JSON types, then the
 ranges of the model by numpy, and unique author ids), and only an input
@@ -29,8 +29,7 @@ import numpy as np
 
 from .cohort import Cohort, json_rows, json_texts
 from .curves import CitationCurve, SrmValue, checked_number
-from .engine import (IndexSpec, _in_parallel, segment_blocks, segment_counts, segment_ranks,
-                     srm_closed_form)
+from .engine import IndexSpec, segment_blocks, segment_counts, segment_ranks, srm_closed_form
 from .errors import InsufficientDataError, UnsupportedOperationError, ValidationError, reading
 
 #: Published reference exponent for senior mathematical-finance cohorts.
@@ -224,20 +223,15 @@ def _fit_segments(
     A q_hat beyond the float range is an error naming its author, unless
     the id is empty.
     """
-    blocks = list(segment_blocks(offsets))
     n = np.zeros(len(ids), dtype=np.int64)
     beta_hat, intercept, r2 = np.empty((3, len(ids)))
-
-    def fit_block(k: int) -> int:
-        """Fill block k's rows of n and its fitted rows (n >= 2) of
-        beta_hat, intercept and r2."""
-        lo, hi = blocks[k]
+    for lo, hi in segment_blocks(offsets):  # fill the block's n and its fitted rows (n >= 2)
         bounds = offsets[lo:hi + 1] - offsets[lo]
         block = values[offsets[lo]:offsets[hi]]
         n[lo:hi] = segment_counts(block >= 1.0, bounds)
         fitted = n[lo:hi] >= 2
         if not fitted.any():
-            return k
+            continue
         rows = lo + np.flatnonzero(fitted)
         m = n[rows]
         firsts = np.zeros(m.size + 1, dtype=np.int64)
@@ -270,9 +264,6 @@ def _fit_segments(
         fit_r2 = 1.0 - ss_res / np.where(flat, 1.0, ss_tot)
         fit_r2[flat] = 1.0
         beta_hat[rows], intercept[rows], r2[rows] = -slope, b, np.clip(fit_r2, 0.0, 1.0)
-        return k  # not None, which would stop _in_parallel
-
-    _in_parallel(fit_block, len(blocks))  # each block writes its own rows
     fitted = n >= 2
     fit_ids = tuple(compress(ids, fitted.tolist()))
     intercepts = intercept[fitted]

@@ -43,7 +43,9 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import threading
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -54,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .curves import CitationCurve, checked_citations
-from .engine import IndexSpec, _in_parallel, parse_index, srm_closed_form_batch
+from .engine import IndexSpec, parse_index, srm_closed_form_batch
 from .errors import ValidationError
 
 CSV_FORMAT = "csv"
@@ -269,6 +271,47 @@ def _plain_parse(texts: List[str], sep: str, leading_zeros: bool,
     return out
 
 
+def _in_parallel(call: Callable[[int], object], n: int) -> bool:
+    """Whether ``call(k)`` returns something other than None for every k
+    in range(n).
+
+    The caller and one thread per further CPU this process may run on,
+    up to one per call, take the calls in turn (numpy releases the GIL
+    in reading text).  Once a call returns None or raises, no further
+    call starts; the first error is raised here, after every thread
+    ends.  A lone call starts no thread.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # the CPUs it may run on, where the platform says (Linux)
+    todo = iter(range(n))
+    lock = threading.Lock()
+    stops: List[Optional[Exception]] = []  # each error, and a None per call that gave None
+
+    def work() -> None:
+        while not stops:
+            with lock:
+                k = next(todo, None)
+            if k is None:
+                return
+            try:
+                if call(k) is None:
+                    stops.append(None)
+            except Exception as exc:  # raised in the caller, below
+                stops.append(exc)
+
+    workers = [threading.Thread(target=work) for _ in range(min(cpus, n) - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+    finally:
+        for worker in workers:
+            worker.join()
+    for error in filter(None, stops):
+        raise error
+    return not stops
+
+
 def _plain_values(texts: Callable[[int, int], List[str]], counts: np.ndarray, size: int,
                   sep: str, leading_zeros: bool) -> Optional[np.ndarray]:
     """The integers of texts of ``size`` characters in all, as one
@@ -290,7 +333,7 @@ def _plain_values(texts: Callable[[int, int], List[str]], counts: np.ndarray, si
         parsed = _in_parallel(lambda k: _plain_parse(
             texts(cuts[k], cuts[k + 1]), sep, leading_zeros,
             flat[starts[cuts[k]]:starts[cuts[k + 1]]]), n)
-    return None if parsed is None else flat
+    return flat if parsed else None
 
 
 def _csv_rows(text: str):

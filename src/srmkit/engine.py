@@ -13,11 +13,9 @@ independent routes.
 from __future__ import annotations
 
 import math
-import os
 import sys
-import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -319,48 +317,6 @@ def srm_closed_form(curve: CitationCurve, index: Union[str, IndexSpec]) -> SrmVa
         return SrmValue(float(np.min(vals * ranks ** spec.param)))
 
 
-def _in_parallel(call: Callable[[int], object], n: int) -> Optional[list]:
-    """``[call(k) for k in range(n)]``, or None if a call returns None.
-
-    The caller and one thread per further CPU this process may run on,
-    up to one per call, take the calls in turn (numpy releases the GIL
-    in its loops over an array, and in reading text).  Once a call
-    returns None or raises, no further call starts; the first error is
-    raised here, after every thread ends.  A lone call starts no thread.
-    """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)  # the CPUs it may run on, where the platform says (Linux)
-    results = [None] * n
-    todo = iter(range(n))
-    lock = threading.Lock()
-    stops: List[Optional[Exception]] = []  # each error, and a None per call that gave None or raised
-
-    def work() -> None:
-        while not stops:
-            with lock:
-                k = next(todo, None)
-            if k is None:
-                return
-            try:
-                results[k] = call(k)
-            except Exception as exc:  # raised in the caller, below
-                stops.append(exc)
-            if results[k] is None:
-                stops.append(None)
-
-    workers = [threading.Thread(target=work) for _ in range(min(cpus, n) - 1)]
-    for worker in workers:
-        worker.start()
-    try:
-        work()
-    finally:
-        for worker in workers:
-            worker.join()
-    for error in filter(None, stops):
-        raise error
-    return None if stops else results
-
-
 #: Records are evaluated in blocks of about this many citations, so the
 #: temporaries of a batch pass stay small however large the cohort.
 BLOCK_VALUES = 1 << 16
@@ -417,8 +373,8 @@ def srm_closed_form_batch(
     and w is min(p, floor(min_i(x_i + i - 1))), which equals the count
     of ranks where the prefix minimum reaches the rank because
     x_i + i - 1 >= i - 1 for every i.  The records go in blocks of about
-    BLOCK_VALUES citations, on up to one thread per CPU
-    (:func:`_in_parallel`); each block writes its own rows.
+    BLOCK_VALUES citations, so the temporaries stay small; each block
+    writes its own rows.
     """
     specs = [_with_param(parse_index(ix)) for ix in indices]
     values = np.asarray(values, dtype=float)
@@ -426,15 +382,9 @@ def srm_closed_form_batch(
     n = offsets.size - 1
     levels = np.zeros((n, len(specs)))
     attained = np.ones((n, len(specs)), dtype=bool)
-    blocks = list(segment_blocks(offsets))
-
-    def block(k: int) -> Tuple[int, int]:
-        lo, hi = blocks[k]
+    for lo, hi in segment_blocks(offsets):
         _closed_forms(values[offsets[lo]:offsets[hi]], offsets[lo:hi + 1] - offsets[lo], specs,
                       levels[lo:hi], attained[lo:hi])
-        return lo, hi
-
-    _in_parallel(block, len(blocks))  # each block writes its own rows
     return levels, attained
 
 

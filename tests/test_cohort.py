@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 import threading
@@ -894,7 +895,7 @@ def cpus(request, monkeypatch):
     with ingest's kernels reading about 64 characters at a time.  Returns
     the CPU count, the arguments of the _plain_parse calls so far (a
     list, one per chunk) and the threads started so far (a list)."""
-    monkeypatch.setattr(engine_module.os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    monkeypatch.setattr(cohort_module.os, "sched_getaffinity", lambda pid: set(range(request.param)))
     monkeypatch.setattr(cohort_module, "_PLAIN_CHUNK", 64)
     calls, started = [], []
 
@@ -908,7 +909,7 @@ def cpus(request, monkeypatch):
             super().start()
 
     monkeypatch.setattr(cohort_module, "_plain_parse", spy)
-    monkeypatch.setattr(engine_module.threading, "Thread", Recorded)
+    monkeypatch.setattr(cohort_module.threading, "Thread", Recorded)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # let the threads interleave often
     yield request.param, calls, started
@@ -991,7 +992,7 @@ class TestPlainIntegerLaneInChunks:
 
     def test_a_platform_without_cpu_affinity(self, monkeypatch):
         # os.sched_getaffinity is Linux only; elsewhere ingest counts the machine's CPUs
-        monkeypatch.delattr(engine_module.os, "sched_getaffinity")
+        monkeypatch.delattr(cohort_module.os, "sched_getaffinity")
         monkeypatch.setattr(cohort_module, "_PLAIN_CHUNK", 64)
         for fmt, layout, text in _plain_inputs(1306, 10):
             assert _read(text, fmt) == _oracle(text, fmt), (fmt, layout)
@@ -1170,58 +1171,42 @@ def _fittable_curves(rng, n):
     return [_varied_curve(rng, int(rng.choice([0, 1, 2, 4, 5]))) for _ in range(n)]
 
 
-@pytest.fixture
-def threads(monkeypatch):
-    """The threads started so far (a list), on a process that may run on
-    four CPUs, with the batch kernels working on blocks of 64 citations."""
-    started = []
+class TestBlockKernels:
+    """The closed forms and the calibration fits go over the records in
+    blocks of about BLOCK_VALUES citations, on the caller's thread; each
+    block writes its own rows, so the bits do not depend on the block
+    size."""
 
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def test_small_and_large_blocks_give_the_same_bits(self, monkeypatch):
+        started = []
 
-    monkeypatch.setattr(engine_module.threading, "Thread", Recorded)
-    monkeypatch.setattr(engine_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(engine_module, "BLOCK_VALUES", 64)
-    return started
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-
-class TestBlockKernelsOnEveryCpu:
-    """The blocks of the closed forms and of the calibration fits run on
-    up to one thread per CPU; each block writes its own rows, so the bits
-    are those of one CPU."""
-
-    def test_one_and_four_cpus_give_the_same_bits(self, threads, monkeypatch):
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         rng = np.random.default_rng(4106)
         cohort = Cohort.from_curves(_ids(300), _varied_curves(rng, 300))
         fitted = Cohort.from_curves(_ids(300), _fittable_curves(rng, 300))
         specs = _catalog_specs(rng)
         assert {"c_max", "pubs", "h", "h2", "h_alpha", "w", "h_r", "phi"} == {
             spec.split(":")[0] for spec in specs}
-        results = {}
-        for cpus in (1, 4):
-            monkeypatch.setattr(engine_module.os, "sched_getaffinity",
-                                lambda pid, cpus=cpus: set(range(cpus)))
-            before = len(threads)
-            table = compute_table(cohort, specs)
+        tables, results = {}, {}
+        for size in (64, 1 << 16):
+            monkeypatch.setattr(engine_module, "BLOCK_VALUES", size)
+            blocks = [len(list(engine_module.segment_blocks(c.offsets))) for c in (cohort, fitted)]
+            assert blocks == [1, 1] or (size == 64 and min(blocks) > 1)
+            tables[size] = table = compute_table(cohort, specs)
             profile = calibrate_cohort(fitted).to_json()
-            results[cpus] = table.levels.tobytes(), table.attained.tobytes(), profile
-            assert (len(threads) > before) == (cpus > 1)
-        assert results[1] == results[4]
+            results[size] = table.levels.tobytes(), table.attained.tobytes(), profile
+        assert results[64] == results[1 << 16]
         for k in range(len(cohort)):
             for col, spec in enumerate(specs):
                 want = srm_closed_form(cohort.curve(k), spec)
-                assert SrmValue(table.levels[k, col], table.attained[k, col]) == want
-        assert not any(thread.is_alive() for thread in threads)
-
-    def test_a_lone_block_starts_no_thread(self, threads, monkeypatch):
-        monkeypatch.setattr(engine_module, "BLOCK_VALUES", 1 << 16)
-        rng = np.random.default_rng(4107)
-        cohort = Cohort.from_curves(_ids(50), _fittable_curves(rng, 50))
-        compute_table(cohort, _catalog_specs(rng))
-        calibrate_cohort(cohort)
-        assert threads == []
+                assert SrmValue(tables[64].levels[k, col], tables[64].attained[k, col]) == want
+        assert started == []  # the blocks run on the caller's thread
 
 
 class TestColumnEncoder:

@@ -27,6 +27,25 @@ def test_no_module_level_memo_caches():
     assert cached == []
 
 
+def test_threads_only_in_the_plain_parse():
+    """The batch kernels run on the caller's thread: the only module that
+    imports threads, a thread pool or processes is cohort, whose plain
+    integer parse reads its chunks on up to one thread per CPU."""
+    pools = ("threading", "_thread", "concurrent.futures", "multiprocessing")
+    found = []
+    for path in sorted(Path(srmkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if any(f"{name}.".startswith(f"{pool}.") for pool in pools)]
+    assert found == ["cohort.py: threading"]
+
+
 _ENV = {**os.environ, "PYTHONPATH": str(Path(srmkit.__file__).parents[1])}
 
 
