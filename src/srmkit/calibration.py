@@ -29,7 +29,7 @@ import numpy as np
 
 from .cohort import Cohort, json_rows, json_texts
 from .curves import CitationCurve, SrmValue, checked_number
-from .engine import IndexSpec, segment_blocks, segment_counts, segment_ranks, srm_closed_form
+from .engine import IndexSpec, segment_blocks, segment_counts, srm_closed_form
 from .errors import InsufficientDataError, UnsupportedOperationError, ValidationError, reading
 
 #: Published reference exponent for senior mathematical-finance cohorts.
@@ -216,10 +216,12 @@ def _fit_segments(
     authors with fewer than 2 usable points.
 
     Segment k holds author ``ids[k]``'s values, sorted nonincreasing, so
-    the values >= 1 are a prefix of it.  Every sum is one
-    ``np.add.reduceat`` over the prefixes of the fitted authors of a
-    block, with the means taken first and the products centred on them:
-    the arithmetic of a per-author fit with ``np.mean`` and ``np.sum``.
+    the values >= 1 are a prefix of it.  The ranks, logarithms and
+    centred products of a block's fitted authors are built in a padded
+    layout, one leading slot per author before its prefix, and every sum
+    is one ``np.add.reduceat`` from those slots once they are zeroed,
+    with the means taken first and the products centred on them: the
+    arithmetic of a per-author fit with ``np.mean`` and ``np.sum``.
     A q_hat beyond the float range is an error naming its author, unless
     the id is empty.
     """
@@ -234,23 +236,20 @@ def _fit_segments(
             continue
         rows = lo + np.flatnonzero(fitted)
         m = n[rows]
-        firsts = np.zeros(m.size + 1, dtype=np.int64)
-        np.cumsum(m, out=firsts[1:])
-        ranks = segment_ranks(firsts)
-        seg = np.repeat(np.arange(m.size), m)
         # np.add.reduceat sums a segment as its first value plus the pairwise
         # sum of the rest; a leading 0 per segment makes it the pairwise sum
         # of the whole segment, which is what np.sum and np.mean compute
-        padded = np.zeros(firsts[-1] + m.size)
-        slots = np.arange(firsts[-1]) + seg + 1
-        heads = firsts[:-1] + np.arange(m.size)
+        heads = np.cumsum(m + 1) - (m + 1)
+        seg = np.repeat(np.arange(m.size), m + 1)
+        ranks = np.arange(seg.size) - heads[seg]  # 0 at each head, then 1..m
+        ranks[heads] = 1  # a head reads the segment's first value; sums() zeroes it
 
         def sums(x: np.ndarray) -> np.ndarray:
-            padded[slots] = x
-            return np.add.reduceat(padded, heads)
+            x[heads] = 0.0
+            return np.add.reduceat(x, heads)
 
-        lx = np.log(ranks)
-        ly = np.log(block[np.repeat(bounds[:-1][fitted], m) + ranks.astype(np.int64) - 1])
+        lx = np.log(ranks.astype(float))
+        ly = np.log(block[np.repeat(bounds[:-1][fitted], m + 1) + ranks - 1])
         lx_mean = sums(lx) / m
         ly_mean = sums(ly) / m
         dx = lx - lx_mean[seg]

@@ -306,6 +306,10 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
     deltas = _parse_floats(cfg.deltas, "--deltas")
     if not all(0 < d < math.inf for d in deltas):
         raise _UsageError("--deltas must be finite and positive")
+    labels = [f"gap_{d:g}" for d in deltas]
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            raise _UsageError(f"--deltas gives two widths the column label {label}")
     if cfg.samples < 0:
         raise _UsageError("--samples must be >= 0")
     cohort = _load_cohort(cfg)
@@ -348,7 +352,7 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
     if spec.name == "c_max":
         columns["gap"] = gaps[0]
     else:
-        columns.update((f"gap_{d:g}", col) for d, col in zip(gap_cols, gaps))
+        columns.update(zip(labels, gaps))
     _emit(cfg, write_rows(_resolve_format(cfg), cohort.ids, columns, "authors",
                           {"index": spec.label}))
     return 0

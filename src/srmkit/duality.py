@@ -31,8 +31,11 @@ and ``weak_duality_margin`` weighs every row in a few numpy passes over
 the row-wise prefix sums of m_i and i * m_i.  A single ``DualDensity``
 is the one-row matrix ``z.rank_mass[None]``, which ``expected_value``
 weighs with the same code.  Each row is built with DualDensity's own
-arithmetic and searched with numpy's own bisection, so a matrix row
-gives the same bits as the density it stands for.
+arithmetic, weighed by one BLAS dot per row (a stacked ``np.matmul``)
+and searched by counting its entries <= t, which is numpy's
+``searchsorted`` on a sorted row; a row not sorted in floating point
+gets numpy's own bisection.  So a matrix row gives the same bits as
+the density it stands for.
 """
 
 from __future__ import annotations
@@ -227,11 +230,22 @@ def _expected_values(
         )
     if p == 0:
         return curve.tail * cum[:, -1]
-    # one dot per row: a matrix-vector product sums in another order
-    out = np.array([np.dot(curve.values, row[:p]) for row in masses])
+    # one BLAS dot per row; a matrix-vector product sums in another order
+    out = _row_dots(masses, curve.values)
     if curve.tail:
         out += curve.tail * (cum[:, -1] - cum[:, p])
     return out
+
+
+def _row_dots(masses: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """np.dot(row[:p], values) for every row of ``masses``, p = len(values).
+
+    A (K, 1, p) @ (p,) stack runs one BLAS dot per row, the ``ddot``
+    that np.dot of two vectors calls, so every row keeps its bits; the
+    matrix-vector product ``masses[:, :p] @ values`` sums in another
+    order.
+    """
+    return np.matmul(masses[:, None, :len(values)], values)[:, 0]
 
 
 def gamma(z: DualDensity, q: float, family: PerformanceFamily, measure: ReferenceMeasure) -> float:
@@ -331,9 +345,19 @@ def _h_plus_true(z: DualDensity, t: float, family: PerformanceFamily, n: float) 
 def _search_right(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """np.searchsorted(a[r], t[r], side="right") for every row r.
 
-    numpy's own bisection, stepped on all rows at once, so a row that is
-    not sorted in floating point still gets the index numpy gives it.
+    On a nondecreasing row that is the count of entries <= t[r].  A row
+    not sorted in floating point (a staircase ``starts`` row can dip by
+    an ulp) goes to ``_bisect_right``, so it still gets numpy's index.
     """
+    out = np.count_nonzero(a <= t[:, None], axis=1)
+    unsorted = ~(a[:, 1:] >= a[:, :-1]).all(axis=1)  # a NaN counts as unsorted
+    if unsorted.any():
+        out[unsorted] = _bisect_right(a[unsorted], t[unsorted])
+    return out
+
+
+def _bisect_right(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """numpy's searchsorted bisection, stepped on all rows at once."""
     n = a.shape[1]
     rows = np.arange(len(t))
     lo = np.zeros(len(t), dtype=np.intp)
@@ -365,7 +389,7 @@ def _h_plus_rows(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # t / coeff may overflow to inf
         if family.shape == POWER:
             decay = np.arange(1, k + 1, dtype=float) ** (-family.beta)
-            coeff = np.array([np.dot(row, decay) for row in masses])
+            coeff = _row_dots(masses, decay)
             out = np.where(coeff <= 0.0, math.inf, t / coeff)
         elif family.vanishes:
             out = np.full(len(t), math.inf)
@@ -530,10 +554,12 @@ def random_simplex_candidates(
     w = rng.dirichlet(np.ones(k), size=count)
     n = measure.extent
     # from_weights' heights, then the mass up to every rank-cell edge as
-    # DualDensity computes it: the heights' prefix sums, flat past cell k
+    # DualDensity computes it: the heights' prefix sums, flat past cell k,
+    # so the mass of every cell past k is +0.0
     edges = np.cumsum(n * w / w.sum(axis=1, keepdims=True) / n, axis=1)
-    edges = np.pad(edges, ((0, 0), (0, math.ceil(n) - k)), mode="edge")
-    masses = np.diff(edges, axis=1, prepend=0.0)
+    masses = np.zeros((count, math.ceil(n)))
+    masses[:, 0] = edges[:, 0]
+    np.subtract(edges[:, 1:], edges[:, :-1], out=masses[:, 1:k])
     masses.setflags(write=False)
     return masses
 

@@ -356,6 +356,23 @@ class TestRejectedOptions:
                     "--seed", "1", "--samples", "2", "--deltas", deltas]) == 2
         assert "--deltas must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("deltas, label", [("1,1", "gap_1"),
+                                               ("0.30000000000000004,0.3", "gap_0.3"),
+                                               ("2,0.5,2.0", "gap_2")])
+    @pytest.mark.parametrize("index", ["h", "pubs", "c_max", "w"])
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_deltas_sharing_a_gap_label_are_usage_errors(self, cohort_csv, tmp_path, deltas,
+                                                         label, index, suffix, capsys):
+        output = tmp_path / f"dual.{suffix}"
+        missing = tmp_path / "missing.csv"
+        for path in (cohort_csv, missing):  # an unread input cannot be the error
+            assert run(["dual-check", "--input", str(path), "--index", index, "--seed", "1",
+                        "--samples", "2", "--deltas", deltas, "--output", str(output)]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and not output.exists()
+            assert out.err == f"srm: error: --deltas gives two widths the column label {label}\n"
+        assert list(tmp_path.iterdir()) == [cohort_csv]
+
     @pytest.mark.parametrize("index, samples, option, value", [
         # 1e13 rank cells take 80 TB: the first allocation fails at once
         ("h", "0", "--extent", "1e13"),

@@ -31,11 +31,14 @@ from srmkit.curves import (
     evaluate_family,
     rectangle_family,
 )
+from srmkit import duality
 from srmkit.duality import (
     BLOCK_CELLS,
+    _expected_values,
     _h_plus_rows,
     _mass_at,
     _prefix_sums,
+    _row_dots,
     _search_right,
     density_blocks,
     random_simplex_candidates,
@@ -534,13 +537,74 @@ class TestBatchDualLayer:
         assert np.array_equal(np.concatenate(blocks), whole)
         assert list(density_blocks(measure, 0, seed=5)) == []
 
-    def test_search_is_numpys_on_unsorted_rows(self, rng):
+    @pytest.mark.parametrize("width", [1, 2, 31, 32, 33, 64, 129, 203, 5001])
+    def test_row_products_keep_the_bits_of_one_dot_per_row(self, width):
+        """E[ZX] and the power coefficient equal the per-row np.dot list:
+        the stacked products run one BLAS dot per row, while a
+        matrix-vector product would sum in another order."""
+        rng = np.random.default_rng(width)
+        masses = rng.dirichlet(np.ones(width), size=6)
+        masses[1, ::3] = 0.0
+        masses[2, width // 2:] = 0.0
+        masses[3] = 0.0
+        measure = ReferenceMeasure(float(width))
+        cum = _prefix_sums(masses)
+        ps = range(1, width + 1)
+        if width > 1000:
+            ps = sorted({1, 2, 3, 31, 32, 33, 64, 129, 203, width - 1, width}
+                        | set(rng.integers(1, width + 1, size=60).tolist()))
+        decay = np.arange(1, width + 1, dtype=float) ** -1.62
+        for scale in (1e-300, 1.0, 1e300):
+            values = np.sort(rng.uniform(0.0, 100.0, size=width))[::-1] * scale
+            scaled = masses * scale
+            for p in ps:
+                curve = CitationCurve(values[:p])
+                assert np.array_equal(_expected_values(masses, cum, curve, measure),
+                                      [np.dot(curve.values, row[:p]) for row in masses])
+                rows = np.ascontiguousarray(scaled[:, :p])
+                assert np.array_equal(_row_dots(rows, decay[:p]),
+                                      [np.dot(row, decay[:p]) for row in rows])
+        t = rng.uniform(0.0, 10.0, size=len(masses))
+        coeff = np.array([np.dot(row, decay) for row in masses])
+        with np.errstate(divide="ignore"):
+            want = np.where(coeff <= 0.0, math.inf, t / coeff)
+        assert np.array_equal(_h_plus_rows(masses, cum, t, family_for("phi:1.62")), want)
+
+    def test_search_is_numpys_on_unsorted_rows(self, rng, monkeypatch):
+        bisected = []
+        bisect = duality._bisect_right
+
+        def spy(a, t):
+            bisected.append(a)
+            return bisect(a, t)
+
+        monkeypatch.setattr(duality, "_bisect_right", spy)
+
+        def check(a, t):
+            want = [np.searchsorted(row, x, side="right") for row, x in zip(a, t)]
+            assert _search_right(a, t).tolist() == want
+
         for n in (1, 2, 7, 203):
             a = np.round(rng.normal(size=(300, n)), 1)
             a[::3] = np.sort(a[::3], axis=1)
             t = np.round(rng.normal(size=300), 1)
-            want = [np.searchsorted(row, x, side="right") for row, x in zip(a, t)]
-            assert _search_right(a, t).tolist() == want
+            check(a, t)
+            # sorted rows with ties, searched at a tied entry, below the first
+            # entry and above the last
+            a = np.sort(np.round(rng.normal(size=(300, n))), axis=1)
+            t = a[np.arange(300), rng.integers(0, n, size=300)]
+            t[::5] = a[::5, 0] - 0.5
+            t[1::5] = a[1::5, -1] + 0.5
+            t[2::5] = -np.inf
+            t[3::5] = np.inf
+            bisected.clear()
+            check(a, t)
+            assert not bisected  # every row is sorted: no bisection runs
+            a[::4] = a[::4, ::-1]
+            check(a, t)
+            unsorted = (np.diff(a, axis=1) < 0).any(axis=1)
+            assert len(bisected) == unsorted.any() and np.array_equal(
+                np.concatenate(bisected or [a[:0]]), a[unsorted])
 
     @staticmethod
     def _edge_densities(rng, p):
