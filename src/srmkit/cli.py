@@ -223,6 +223,13 @@ def _parse_floats(text: str, flag: str) -> List[float]:
     return values
 
 
+def _check_labels(labels: List[str], what: str) -> None:
+    """A usage error when two of an option's entries share a column label."""
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            raise _UsageError(f"{what} the column label {label}")
+
+
 def _emit(cfg: RunConfig, data: bytes) -> None:
     if cfg.output:
         _write_atomic(cfg.output, data)
@@ -256,6 +263,7 @@ def _cmd_compute(cfg: RunConfig) -> int:
     specs = [_resolve_index(cfg, part) for part in specs_text.split(",") if part.strip()]
     if not specs:
         raise _UsageError("--indices must name at least one index")
+    _check_labels([spec.label for spec in specs], "--indices gives two indices")
     table = compute_table(_load_cohort(cfg), specs)
     _emit(cfg, export(table, _resolve_format(cfg)))
     return 0
@@ -307,9 +315,7 @@ def _cmd_dual_check(cfg: RunConfig) -> int:
     if not all(0 < d < math.inf for d in deltas):
         raise _UsageError("--deltas must be finite and positive")
     labels = [f"gap_{d:g}" for d in deltas]
-    for k, label in enumerate(labels):
-        if label in labels[:k]:
-            raise _UsageError(f"--deltas gives two widths the column label {label}")
+    _check_labels(labels, "--deltas gives two widths")
     if cfg.samples < 0:
         raise _UsageError("--samples must be >= 0")
     cohort = _load_cohort(cfg)

@@ -28,14 +28,16 @@ Rank-step evaluation is batch-first.  A density enters it as the row of
 its unit rank-cell masses m_1..m_ceil(N), so K densities are one
 K x ceil(N) matrix; ``random_simplex_candidates`` returns such a matrix,
 and ``weak_duality_margin`` weighs every row in a few numpy passes over
-the row-wise prefix sums of m_i and i * m_i.  A single ``DualDensity``
-is the one-row matrix ``z.rank_mass[None]``, which ``expected_value``
-weighs with the same code.  Each row is built with DualDensity's own
+the row-wise prefix sums C_j of m_i.  A single ``DualDensity`` is the
+one-row matrix ``z.rank_mass[None]``, which ``expected_value`` weighs
+with the same code.  Each row is built with DualDensity's own
 arithmetic, weighed by one BLAS dot per row (a stacked ``np.matmul``)
-and searched by counting its entries <= t, which is numpy's
-``searchsorted`` on a sorted row; a row not sorted in floating point
-gets numpy's own bisection.  So a matrix row gives the same bits as
-the density it stands for.
+and searched by counting its entries <= t.  Every searched row is a
+running sum of nonnegative terms (the staircase's gamma at rank j is
+the running sum of C_0..C_j) or a product of nonnegative,
+nondecreasing factors, so it is sorted in floating point and the
+count is numpy's ``searchsorted``.  So a matrix row gives the same bits
+as the density it stands for.
 """
 
 from __future__ import annotations
@@ -345,30 +347,12 @@ def _h_plus_true(z: DualDensity, t: float, family: PerformanceFamily, n: float) 
 def _search_right(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """np.searchsorted(a[r], t[r], side="right") for every row r.
 
-    On a nondecreasing row that is the count of entries <= t[r].  A row
-    not sorted in floating point (a staircase ``starts`` row can dip by
-    an ulp) goes to ``_bisect_right``, so it still gets numpy's index.
+    Every row searched is nondecreasing in floating point: a running sum
+    of nonnegative masses, a running sum of those sums, or the masses'
+    running sum times the nonnegative, nondecreasing height at each
+    rank's level.  On such a row the index is the count of entries <= t[r].
     """
-    out = np.count_nonzero(a <= t[:, None], axis=1)
-    unsorted = ~(a[:, 1:] >= a[:, :-1]).all(axis=1)  # a NaN counts as unsorted
-    if unsorted.any():
-        out[unsorted] = _bisect_right(a[unsorted], t[unsorted])
-    return out
-
-
-def _bisect_right(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """numpy's searchsorted bisection, stepped on all rows at once."""
-    n = a.shape[1]
-    rows = np.arange(len(t))
-    lo = np.zeros(len(t), dtype=np.intp)
-    hi = np.full(len(t), n, dtype=np.intp)
-    for _ in range(n.bit_length()):
-        mid = (lo + hi) >> 1
-        right = a[rows, np.minimum(mid, n - 1)] <= t
-        live = lo < hi
-        lo = np.where(live & right, mid + 1, lo)
-        hi = np.where(live & ~right, mid, hi)
-    return lo
+    return np.count_nonzero(a <= t[:, None], axis=1)
 
 
 def _h_plus_rows(
@@ -385,7 +369,6 @@ def _h_plus_rows(
         raise ValidationError("threshold must not be NaN")
     k = masses.shape[1]
     rows = np.arange(len(t))
-    ranks = np.arange(k + 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # t / coeff may overflow to inf
         if family.shape == POWER:
             decay = np.arange(1, k + 1, dtype=float) ** (-family.beta)
@@ -404,7 +387,7 @@ def _h_plus_rows(
                 out = np.where(cum[:, k] <= tau, math.inf, w_rule.inverse_sup(j + 1.0))
             else:
                 # gamma at the level where f_q first reaches rank j
-                grid = w_rule.inverse_sup(ranks)
+                grid = w_rule.inverse_sup(np.arange(k + 1, dtype=float))
                 starts = h_rule.value(grid) * cum
                 j = _search_right(starts, t) - 1
                 c = cum[rows, j]
@@ -412,12 +395,12 @@ def _h_plus_rows(
                 end = w_rule.inverse_sup(j + 1.0)
                 out = np.where(j >= k, level, np.where(c == 0.0, end, np.minimum(level, end)))
         else:
-            cim = np.zeros_like(cum)
-            np.cumsum(masses * ranks[1:], axis=1, out=cim[:, 1:])
-            starts = (ranks + 1.0) * cum - cim
+            # gamma at level j is sum_{i<=j} (j+1-i) m_i, the running sum
+            # of the prefix sums; inside [j, j+1) it grows with slope C_j
+            starts = np.cumsum(cum, axis=1)
             j = _search_right(starts, t) - 1
             c = cum[rows, j]
-            level = (t + cim[rows, j]) / c - 1.0
+            level = j + (t - starts[rows, j]) / c
             out = np.where(j >= k, level, np.where(c == 0.0, j + 1.0, np.minimum(j + 1.0, level)))
     out = np.where(t < 0, 0.0, out)
     return np.where(out < 0.0, 0.0, out)
@@ -476,7 +459,9 @@ def weak_duality_margin(
     ``masses`` is a matrix with one density per row, the masses of its
     ceil(N) unit rank cells: rows drawn by ``random_simplex_candidates``,
     or ``z.rank_mass[None]`` for one ``DualDensity``.  Every row is
-    weighed at once.
+    weighed at once.  A row with a negative or non-finite mass, or whose
+    masses sum to more than ``_MASS_TOL`` off 1, raises
+    ``ValidationError``: it is not a density.
 
     Nonnegative for every density supported on the dominance domain of
     the family's policy: rank dominance at the engine's level means the
@@ -492,7 +477,13 @@ def weak_duality_margin(
             f"densities have {masses.shape[1]} rank cells but the measure extent "
             f"{measure.extent} has {cells}"
         )
+    if not ((masses >= 0) & (masses < math.inf)).all():  # a NaN fails both
+        raise ValidationError("density rows must hold finite masses >= 0")
     cum = _prefix_sums(masses)
+    off = np.abs(cum[:, -1] - 1.0) > _MASS_TOL
+    if off.any():
+        r = int(np.argmax(off))
+        raise ValidationError(f"density row {r} has mass {float(cum[r, -1])!r}, must equal 1")
     t = _expected_values(masses, cum, curve, measure)
     hp = min(_h_plus_rows(masses, cum, t, family).tolist())
     phi = srm_generic(curve, family).level

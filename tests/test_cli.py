@@ -373,6 +373,26 @@ class TestRejectedOptions:
             assert out.err == f"srm: error: --deltas gives two widths the column label {label}\n"
         assert list(tmp_path.iterdir()) == [cohort_csv]
 
+    @pytest.mark.parametrize("indices, label", [("h,H", "h"),
+                                                ("h_alpha:2,h-alpha:2", "h_alpha:2"),
+                                                ("phi,phi:1.62", "phi:1.62")])
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_indices_sharing_a_label_are_usage_errors(self, cohort_csv, power_cohort_json,
+                                                      tmp_path, indices, label, suffix, capsys):
+        profile = tmp_path / "profile.json"
+        assert run(["calibrate", "--input", str(power_cohort_json),
+                    "--profile", str(profile)]) == 0
+        assert CohortProfile.from_json(profile.read_bytes()).beta_bar == pytest.approx(1.62)
+        output = tmp_path / f"table.{suffix}"
+        missing = tmp_path / "missing.csv"
+        for path in (cohort_csv, missing):  # an unread input cannot be the error
+            assert run(["compute", "--input", str(path), "--indices", indices,
+                        "--profile", str(profile), "--output", str(output)]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and not output.exists()
+            assert out.err == f"srm: error: --indices gives two indices the column label {label}\n"
+        assert sorted(tmp_path.iterdir()) == sorted([cohort_csv, power_cohort_json, profile])
+
     @pytest.mark.parametrize("index, samples, option, value", [
         # 1e13 rank cells take 80 TB: the first allocation fails at once
         ("h", "0", "--extent", "1e13"),

@@ -423,6 +423,36 @@ class TestWeakDuality:
             for curve in (X, construct_curve([]), CitationCurve([8, 6], 2)):
                 assert weak_duality_margin(curve, fam, masses, MU) == 0.0
 
+    def test_staircase_level_lands_on_the_rank_it_reaches(self):
+        # gamma at rank j is the running sum of the mass prefix sums; as
+        # (j+1) C_j - M_j it could land an ulp above an equal E[ZX] and
+        # solve a level just below j
+        mu = ReferenceMeasure(216.0)
+        curve = construct_curve([2, 1])
+        masses = random_simplex_candidates(mu, 100, 700031)
+        fam = family_for("w")
+        assert weak_duality_margin(curve, fam, masses, mu) == 0.0
+        assert all(weak_duality_margin(curve, fam, masses[r:r + 1], mu) >= 0.0
+                   for r in range(len(masses)))
+
+    @pytest.mark.parametrize("row", [[math.inf, 0, 0, 0], [math.nan, 1, 0, 0],
+                                     [1.5, -0.5, 0, 0], [-0.0, 1, 0, -1e-300]])
+    @pytest.mark.parametrize("label", ["h", "w", "phi:1.62"])
+    def test_rows_with_a_negative_or_nonfinite_mass_are_rejected(self, row, label):
+        masses = np.array([[0.25] * 4, row])
+        with pytest.raises(ValidationError, match="finite masses >= 0"):
+            weak_duality_margin(construct_curve([3, 2, 1]), family_for(label), masses,
+                                ReferenceMeasure(4.0))
+
+    @pytest.mark.parametrize("row, mass", [([2, 0, 0, 0], "2.0"), ([0, 0, 0, 0], "0.0"),
+                                           ([0.5, 0.5, 2e-9, 0], "1.000000002")])
+    @pytest.mark.parametrize("label", ["h", "w", "phi:1.62"])
+    def test_rows_off_unit_mass_are_rejected(self, row, mass, label):
+        masses = np.array([[0.25] * 4, [0.5, 0.5 + 1e-10, 0, 0], row])
+        with pytest.raises(ValidationError, match=f"density row 2 has mass {mass}, must equal 1"):
+            weak_duality_margin(construct_curve([3, 2, 1]), family_for(label), masses,
+                                ReferenceMeasure(4.0))
+
     def test_margin_needs_a_density(self):
         with pytest.raises(ValidationError):
             weak_duality_margin(X, family_for("h"), np.empty((0, int(N))), MU)
@@ -570,41 +600,44 @@ class TestBatchDualLayer:
             want = np.where(coeff <= 0.0, math.inf, t / coeff)
         assert np.array_equal(_h_plus_rows(masses, cum, t, family_for("phi:1.62")), want)
 
-    def test_search_is_numpys_on_unsorted_rows(self, rng, monkeypatch):
-        bisected = []
-        bisect = duality._bisect_right
-
-        def spy(a, t):
-            bisected.append(a)
-            return bisect(a, t)
-
-        monkeypatch.setattr(duality, "_bisect_right", spy)
-
-        def check(a, t):
-            want = [np.searchsorted(row, x, side="right") for row, x in zip(a, t)]
-            assert _search_right(a, t).tolist() == want
-
+    def test_search_is_numpys_on_sorted_rows(self, rng):
         for n in (1, 2, 7, 203):
-            a = np.round(rng.normal(size=(300, n)), 1)
-            a[::3] = np.sort(a[::3], axis=1)
-            t = np.round(rng.normal(size=300), 1)
-            check(a, t)
             # sorted rows with ties, searched at a tied entry, below the first
-            # entry and above the last
+            # entry, above the last and at +-inf
             a = np.sort(np.round(rng.normal(size=(300, n))), axis=1)
             t = a[np.arange(300), rng.integers(0, n, size=300)]
             t[::5] = a[::5, 0] - 0.5
             t[1::5] = a[1::5, -1] + 0.5
             t[2::5] = -np.inf
             t[3::5] = np.inf
-            bisected.clear()
-            check(a, t)
-            assert not bisected  # every row is sorted: no bisection runs
-            a[::4] = a[::4, ::-1]
-            check(a, t)
-            unsorted = (np.diff(a, axis=1) < 0).any(axis=1)
-            assert len(bisected) == unsorted.any() and np.array_equal(
-                np.concatenate(bisected or [a[:0]]), a[unsorted])
+            want = [np.searchsorted(row, x, side="right") for row, x in zip(a, t)]
+            assert _search_right(a, t).tolist() == want
+
+    def test_every_searched_row_is_nondecreasing(self, rng, monkeypatch):
+        """The counted search is numpy's index only on sorted rows; every
+        row that rank-step H+ searches is sorted by construction."""
+        searched = []
+        search = duality._search_right
+
+        def spy(a, t):
+            searched.append(a)
+            return search(a, t)
+
+        monkeypatch.setattr(duality, "_search_right", spy)
+        families = [family_for(label) for label in CATALOG] + list(RULE_PAIRS)
+        for trial in range(20):
+            curve = random_curve(rng, min_p=1, max_p=14, max_c=60)
+            zs = self._edge_densities(rng, curve.p)
+            sparse = rng.dirichlet(np.full(int(N), 0.01), size=12)
+            masses = np.concatenate([[z.rank_mass for z in zs], sparse])
+            cum = _prefix_sums(masses)
+            t_ex = _expected_values(masses, cum, curve, MU)
+            for t in (np.zeros(len(masses)), t_ex, rng.uniform(0, 60, size=len(masses))):
+                for fam in families:
+                    _h_plus_rows(masses, cum, t, fam)
+        assert searched
+        for a in searched:
+            assert (a[:, 1:] >= a[:, :-1]).all()
 
     @staticmethod
     def _edge_densities(rng, p):
