@@ -15,6 +15,7 @@ duality layer.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -233,9 +234,21 @@ def _check_labels(labels: List[str], what: str) -> None:
 def _emit(cfg: RunConfig, data: bytes) -> None:
     if cfg.output:
         _write_atomic(cfg.output, data)
-    else:
-        sys.stdout.flush()  # anything printed before goes first
-        sys.stdout.buffer.write(data)
+        return
+    out = sys.stdout
+    if out is None:  # Python's stdout when its descriptor was closed (`srm ... >&-`)
+        raise OSError("there is no standard output; write to a file with --output")
+    try:
+        out.flush()  # anything printed before goes first
+        out.buffer.write(data)
+        out.flush()  # a closed pipe fails here, as a data error, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit, which would fail a second time;
+        # point its descriptor at devnull (the recipe of the `signal` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        raise
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -394,6 +407,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    """The ``srm`` console script: run one subcommand and end the process
+    with its exit code.  It sets OPENBLAS_NUM_THREADS and freezes the
+    garbage collector, so it is for a process of its own; an in-process
+    caller uses :func:`run`, which leaves both alone.
+    """
     # srm runs numpy's BLAS on one thread unless the user set
     # OPENBLAS_NUM_THREADS.  Its only BLAS calls are dots of at most ceil(N)
     # values, which OpenBLAS runs on one thread anyway; but `import numpy`
@@ -402,7 +420,17 @@ def main() -> None:
     # 96 ms without).  This must run before a subcommand loads numpy.  run()
     # leaves os.environ alone: a library caller owns its process's BLAS settings.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(run())
+    code = run()
+    # Interpreter finalization runs collector passes over every tracked
+    # object, most of them made by importing numpy and srmkit.  The process
+    # is about to end, so move them all to the permanent generation, which
+    # those passes skip: on a 2-core machine this cut the time from run()
+    # returning to the process ending from 29-33 ms to 8.6-9.5 ms.
+    # Finalization still flushes stdio and runs atexit handlers.  run()
+    # leaves the collector alone: an in-process caller with a frozen
+    # collector would never reclaim what it had made.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -337,10 +337,14 @@ def segment_blocks(offsets: np.ndarray) -> Iterator[Tuple[int, int]]:
 
 def segment_counts(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Number of true entries of ``mask`` in every segment of ``offsets``."""
-    # a cumulative count handles empty segments, which reduceat would not
-    csum = np.zeros(mask.size + 1, dtype=np.int64)
-    np.cumsum(mask, out=csum[1:])
-    return csum[offsets[1:]] - csum[offsets[:-1]]
+    counts = np.zeros(offsets.size - 1, dtype=np.int64)
+    nonempty = offsets[1:] > offsets[:-1]
+    if nonempty.any():
+        # reduceat sums from each start to the next one, across the empty
+        # segments between, which hold nothing; the last runs to offsets[-1]
+        counts[nonempty] = np.add.reduceat(mask[:offsets[-1]], offsets[:-1][nonempty],
+                                           dtype=np.int64)
+    return counts
 
 
 def _segment_min(x: np.ndarray, offsets: np.ndarray, nonempty: np.ndarray) -> np.ndarray:

@@ -254,6 +254,15 @@ class TestDualCheck:
         assert out.read_text().splitlines()[1].split(",")[3] == "inf"
 
 
+def _srm_env(**extra):
+    """The environment of an srm subprocess that imports this checkout's srmkit,
+    with stdout buffered as by default, plus ``extra``."""
+    src = str(Path(srmkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
 class TestOutputFiles:
     def test_output_mode_follows_the_umask(self, cohort_csv, tmp_path):
         out = tmp_path / "table.csv"
@@ -273,9 +282,7 @@ class TestOutputFiles:
     def test_stdout_gets_the_output_file_bytes_under_an_ascii_locale(self, tmp_path, fmt):
         path = tmp_path / "cohort.csv"
         path.write_text("author_id,citations\ncafé,3;2;1\n", encoding="utf-8")
-        src = str(Path(srmkit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONIOENCODING": "ascii",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = _srm_env(PYTHONIOENCODING="ascii")
         argv = [sys.executable, "-m", "srmkit.cli", "compute", "--input", str(path),
                 "--indices", "h", "--format", fmt]
         shown = subprocess.run(argv, env=env, capture_output=True, timeout=60)
@@ -283,6 +290,32 @@ class TestOutputFiles:
         out = tmp_path / "table"
         subprocess.run(argv + ["--output", str(out)], env=env, timeout=60, check=True)
         assert shown.stdout == out.read_bytes()
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"])
+    def test_a_closed_pipe_is_one_data_error(self, cohort_csv, unbuffered):
+        """A reader that went away ends srm like a data error, whether
+        stdout is buffered (the write fails at the flush) or not."""
+        env = _srm_env(**({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {}))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader: every write to the pipe fails with EPIPE
+        try:
+            done = subprocess.run([sys.executable, "-m", "srmkit.cli", "compute", "--input",
+                                   str(cohort_csv), "--indices", "h,w"],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        lines = done.stderr.decode().splitlines()
+        assert (done.returncode, lines) == (1, ["srm: error: [Errno 32] Broken pipe"])
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes stdout through sh")
+    def test_a_closed_stdout_asks_for_an_output_file(self, cohort_csv):
+        argv = [sys.executable, "-m", "srmkit.cli", "compute", "--input", str(cohort_csv),
+                "--indices", "h"]
+        done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv],
+                              capture_output=True, env=_srm_env(), timeout=60)
+        lines = done.stderr.decode().splitlines()
+        assert (done.returncode, lines) == (
+            1, ["srm: error: there is no standard output; write to a file with --output"])
 
     def test_boolean_citation_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "cohort.json"

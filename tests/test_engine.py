@@ -307,6 +307,29 @@ def test_batch_closed_forms_need_their_parameters():
             srm_closed_form_batch(X1.values, np.array([0, X1.p]), [IndexSpec(name)])
 
 
+def _prefix_sum_counts(mask, offsets):
+    csum = np.zeros(mask.size + 1, dtype=np.int64)
+    np.cumsum(mask, out=csum[1:])
+    return csum[offsets[1:]] - csum[offsets[:-1]]
+
+
+def test_segment_counts_equal_the_prefix_sum_formula(rng):
+    """Empty segments at the start, in the middle and at the end, and a
+    cohort of empty segments only, count 0 and shift no other count."""
+    for trial in range(300):
+        lengths = rng.integers(1, 9, size=int(rng.integers(0, 12)))
+        lengths[rng.random(lengths.size) < 0.3] = 0
+        lengths = np.concatenate([[0] * (trial % 3), lengths, [0] * (trial % 2)])
+        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        mask = rng.random(int(offsets[-1])) < 0.5
+        got = engine.segment_counts(mask, offsets)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _prefix_sum_counts(mask, offsets))
+    empty = np.zeros(4, dtype=np.int64)
+    np.testing.assert_array_equal(
+        engine.segment_counts(np.zeros(0, dtype=bool), empty), np.zeros(3, dtype=np.int64))
+
+
 @pytest.mark.parametrize("name, message", [
     ("h_alpha", "index 'h_alpha' needs an alpha, e.g. h_alpha:2"),
     ("phi", "index 'phi' needs a beta, e.g. phi:1.62"),

@@ -155,10 +155,24 @@ def test_main_runs_blas_on_one_thread_unless_the_user_chose(tmp_path, preset, th
 
 
 def test_run_leaves_the_environment_alone(tmp_path):
-    """The in-process API ``cli.run`` does not touch ``os.environ``."""
-    code = ("import os, sys, srmkit.cli; before = dict(os.environ); "
-            "rc = srmkit.cli.run(sys.argv[1:]); print(rc, dict(os.environ) == before)")
-    assert _fresh(code, *_compute_argv(tmp_path), env=_NO_BLAS_ENV) == ["0", "True"]
+    """The in-process API ``cli.run`` touches neither ``os.environ`` nor
+    the garbage collector: nothing it leaves is frozen."""
+    code = ("import gc, os, sys, srmkit.cli; before = dict(os.environ); "
+            "rc = srmkit.cli.run(sys.argv[1:]); "
+            "print(rc, dict(os.environ) == before, gc.get_freeze_count(), gc.isenabled())")
+    assert _fresh(code, *_compute_argv(tmp_path), env=_NO_BLAS_ENV) == ["0", "True", "0", "True"]
+
+
+def test_main_ends_with_a_frozen_collector(tmp_path):
+    """``srm`` (``cli.main``) freezes the collector after the command, so
+    interpreter finalization does not walk what the imports made; the
+    atexit handlers, which run after it, see the frozen objects."""
+    code = ("import atexit, gc, srmkit.cli\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "srmkit.cli.main()")
+    out = subprocess.run([sys.executable, "-c", code, *_compute_argv(tmp_path)],
+                         capture_output=True, text=True, env=_ENV, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "frozen True\n", "")
 
 
 ORACLES = {
