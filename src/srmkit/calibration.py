@@ -79,7 +79,7 @@ class CohortProfile:
     write: each fit has a unique ``author_id``, a finite ``beta_hat``, a
     positive finite ``q_hat``, ``0 <= r2 <= 1``, ``n_points >= 2`` and
     ``n_excluded >= 0``, and a stored ``cohort_size`` (it may be left
-    out) is the integer number of fits.
+    out) is the integer number of fits, of which there is at least one.
     """
 
     beta_bar: float
@@ -141,6 +141,8 @@ class CohortProfile:
         if type(metadata) is not dict:
             raise ValidationError(
                 f"malformed profile: metadata must be an object, not {metadata!r}")
+        if not fits:  # calibrate_cohort raises rather than write a profile of no fits
+            raise ValidationError("malformed profile: fits must hold at least one fit")
         # an int64 field out of range fails here, after every other check
         arrays = (np.array(c, dtype=t) for c, t in zip(numbers, _FIT_COLUMNS.values()))
         return cls(beta_bar, tuple(ids), *arrays, metadata)

@@ -29,12 +29,13 @@ citations 0.76-0.81 s on a 2-core machine, against 60 ms and 0.1 s for
 their integer text.
 
 Each author's citations are then sorted nonincreasing and their zeros
-dropped.  The records of at most :data:`_BLOCK_LENGTH` citations that
-share their length are sorted together, as the rows of one 2-D block,
-so a cohort of many short records costs one sort call per length, not
-one per author; a longer record, or one whose length no other short
-record has, is sorted alone in its own slice, where one sort call costs
-little against its values.
+dropped, in two steps over the one array that holds them all.  The
+records of at most :data:`_BLOCK_LENGTH` citations are sorted by
+length, each length's records as the rows of one 2-D block written back
+where they lie, so a cohort of many short records costs one sort call
+per length, not one per author; a longer record is sorted in its own
+slice, where one sort call costs little against its values.  The
+zeros, now last in every record, are then dropped in one pass.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import engine
 from .curves import CitationCurve, checked_citations
 from .engine import IndexSpec, parse_index, srm_closed_form_batch
 from .errors import ValidationError
@@ -534,8 +536,8 @@ def _ingest_json(text: str):
     return ids, flat, [len(c) for c in lists], annotations
 
 
-#: Records of at most this many citations that share their length are
-#: sorted together, as the rows of one 2-D block (see the module notes).
+#: Records of at most this many citations are sorted together with the
+#: records of their length, as the rows of one 2-D block (see the module notes).
 _BLOCK_LENGTH = 128
 
 
@@ -543,60 +545,45 @@ def _pack(flat: np.ndarray, counts: Sequence[int]) -> Tuple[np.ndarray, np.ndarr
     """Sort each author's slice of ``flat`` nonincreasing and drop its
     zeros, in place; returns the packed values and their offsets.
 
-    The short records that share a length are gathered into a 2-D block,
-    sorted with one ``sort(axis=1)`` and kept aside.  Every other record is
-    sorted in its slice and moved left over the zeros dropped before it,
-    in author order, so no record is overwritten before it moves; the
-    blocks' rows are then written to their places.
+    The records of at most ``_BLOCK_LENGTH`` citations are grouped by
+    length: each group is gathered into a 2-D block, sorted with one
+    ``sort(axis=1)`` and written back.  A longer record is sorted in its
+    own slice.  The zeros then sort last in every record, and one pass
+    over ``flat``, in chunks of ``engine.BLOCK_VALUES`` values, moves the
+    other values left over them.
     """
     counts = np.asarray(counts, dtype=np.int64)
     starts = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
-    kept = counts.copy()  # nonzero values of each record
+    kept = np.empty_like(counts)  # nonzero values of each record
     np.negative(flat, out=flat)  # ascending order of -x is nonincreasing order of x
     short = counts <= _BLOCK_LENGTH
-    tally = np.bincount(counts[short], minlength=_BLOCK_LENGTH + 1)  # records of each length
-    shared = short & (tally[np.minimum(counts, _BLOCK_LENGTH)] > 1)
-    members = np.flatnonzero(shared)
+    members = np.flatnonzero(short)
     members = members[np.argsort(counts[members], kind="stable")]  # by length, then author
-    lengths = np.flatnonzero(tally > 1)
-    sizes = tally[lengths]
-    # one array holds every block, so its memory goes back to the system at once
-    aside = np.empty(int(sizes @ lengths))
-    blocks = []
-    first = used = 0
-    for length, size in zip(lengths.tolist(), sizes.tolist()):
+    tally = np.bincount(counts[short])  # records of each length
+    lengths = np.flatnonzero(tally)
+    first = 0
+    for length, size in zip(lengths.tolist(), tally[lengths].tolist()):
         rows = members[first:first + size]
         first += size
-        block = aside[used:used + size * length].reshape(size, length)
-        used += size * length
-        np.take(flat, starts[rows, None] + np.arange(length), out=block)
+        places = starts[rows, None] + np.arange(length)
+        block = flat[places]
         block.sort(axis=1)
+        flat[places] = block
         kept[rows] = np.count_nonzero(block, axis=1)  # zeros, now -0.0, sort last
-        blocks.append((rows, block))
-    alone = np.flatnonzero(~shared)
-    # where each record sorted alone starts once the zeros of the records in blocks
-    # before it are dropped; the loop drops those of the records sorted alone before it
-    heads = (np.cumsum(kept) - counts)[alone].tolist()
-    dropped = 0
-    tops = []
-    for start, stop, head in zip(starts[alone].tolist(), starts[alone + 1].tolist(), heads):
-        segment = flat[start:stop]
+    for k in np.flatnonzero(~short).tolist():
+        segment = flat[starts[k]:starts[k + 1]]
         segment.sort()
-        top = int(segment.searchsorted(0.0))
-        end = head - dropped
-        if end != start:
-            flat[end:end + top] = segment[:top]
-        dropped += stop - start - top
-        tops.append(top)
-    kept[alone] = tops
+        kept[k] = segment.searchsorted(0.0)
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(kept, out=offsets[1:])
-    for rows, block in blocks:
-        cols = np.arange(block.shape[1])
-        nonzero = cols < kept[rows, None]
-        flat[(offsets[rows, None] + cols)[nonzero]] = block[nonzero]
-    values = flat[:offsets[-1]]
+    end = 0
+    for lo in range(0, flat.size, engine.BLOCK_VALUES):
+        chunk = flat[lo:lo + engine.BLOCK_VALUES]
+        chunk = chunk[chunk != 0]
+        flat[end:end + chunk.size] = chunk
+        end += chunk.size
+    values = flat[:end]
     np.negative(values, out=values)
     return values, offsets
 

@@ -333,6 +333,19 @@ class TestMalformedProfile:
             CohortProfile.from_json(json.dumps(doc))
         assert str(err.value) == f"malformed profile: {message}"
 
+    @pytest.mark.parametrize("doc", [
+        {"beta_bar": 1.5, "version": 1},
+        {"beta_bar": 1.5, "version": 1, "fits": []},
+        {"beta_bar": 1.5, "version": 1, "fits": [], "cohort_size": 0, "metadata": {}},
+    ])
+    def test_profile_without_fits_is_malformed(self, doc):
+        """calibrate_cohort raises rather than write a profile of no fits."""
+        import json
+
+        with pytest.raises(ValidationError) as err:
+            CohortProfile.from_json(json.dumps(doc))
+        assert str(err.value) == "malformed profile: fits must hold at least one fit"
+
     def test_non_utf8_profile_is_a_validation_error(self):
         with pytest.raises(ValidationError):
             CohortProfile.from_json(b'{"version": 1, "beta_bar": "\xff"}')
@@ -419,5 +432,9 @@ class TestMalformedFits:
             CohortProfile.from_json(json.dumps(doc))
         assert str(err.value) == ("malformed profile: cohort_size must be the number of fits,"
                                   f" {fits}, not {size!r}")
-        del doc["cohort_size"]  # a profile may leave it out
-        assert CohortProfile.from_json(json.dumps(doc)).cohort_size == fits
+        del doc["cohort_size"]  # a profile may leave it out, but not hold no fit
+        if not fits:
+            with pytest.raises(ValidationError, match="fits must hold at least one fit"):
+                CohortProfile.from_json(json.dumps(doc))
+        else:
+            assert CohortProfile.from_json(json.dumps(doc)).cohort_size == fits

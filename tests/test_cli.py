@@ -471,6 +471,8 @@ class TestRejectedOptions:
         {"version": 1, "beta_bar": "1.5", "fits": []},
         {"version": 1, "beta_bar": True, "fits": []},
         {"version": True, "beta_bar": 1.5, "fits": []},
+        {"beta_bar": 1.5, "version": 1},
+        {"beta_bar": 1.5, "version": 1, "fits": []},
     ])
     def test_malformed_profile_is_data_error(self, cohort_csv, tmp_path, doc, capsys):
         profile = tmp_path / "profile.json"
@@ -554,7 +556,9 @@ _FUZZ_SUBCOMMANDS = {
     "dual-check": ["--index", "--profile", "--deltas", "--samples", "--seed", "--extent"],
 }
 
-_FUZZ_PROFILE = json.dumps({"version": 1, "beta_bar": 1.62, "fits": [], "metadata": {}})
+_FUZZ_PROFILE = json.dumps({"version": 1, "beta_bar": 1.62, "fits": [
+    {"author_id": "a", "beta_hat": 1.62, "q_hat": 40.0, "r2": 0.9, "n_points": 4, "n_excluded": 0},
+], "metadata": {}})
 
 
 def _mutated(rng, data: bytes) -> bytes:

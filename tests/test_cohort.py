@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1141,17 +1142,39 @@ def _pack_texts(records):
     return {"csv": "author_id,citations\n" + "\n".join(rows) + "\n", "json": json.dumps(doc)}
 
 
-class TestPackByLength:
-    """Ingest sorts the short records that share a length as the rows of
-    one block, and every other record alone; both ways give what a sort of
-    each record gives, from either way of reading the citations."""
+_PACK_CASES = {
+    # -0 is read by the scalar reader, and dropped as 0 is
+    "-0 in CSV": ("csv", "author_id,citations\na,-0;3;0;-0;1\nb,-0\nc,2;-0;2\nd,4;0;4;0;-0\n",
+                  [3.0, 1.0, 2.0, 2.0, 4.0, 4.0]),
+    "-0.0 in JSON": ("json", json.dumps({"authors": [
+        {"id": "a", "citations": [-0.0, 3, 0, -0.0, 1]}, {"id": "b", "citations": [-0.0]},
+        {"id": "c", "citations": [2, -0.0, 2]}, {"id": "d", "citations": [4, 0, 4, 0, -0.0]}]}),
+        [3.0, 1.0, 2.0, 2.0, 4.0, 4.0]),
+    # no other record has length 1, 4 or 6, nor 130, the one long record
+    "lengths of one record": ("csv", "author_id,citations\nu,0;5;1;5\nt,2;0;9\nv,7\n"
+                              "s,0;1;0;1;3;0\nw,3;3;0\nl," + ";".join(["0", "2"] * 65) + "\n",
+                              [5.0, 5.0, 1.0, 9.0, 2.0, 7.0, 3.0, 1.0, 1.0, 3.0, 3.0, *[2.0] * 65]),
+}
 
-    def test_random_cohorts_match_the_per_author_sort(self, lane):
+
+class TestPackByLength:
+    """Ingest sorts the short records by length, each length's records
+    as the rows of one block written back where they lie, and each
+    longer record alone in its slice; then one pass in chunks of
+    BLOCK_VALUES values drops the zeros, which sort last in every record.
+    This gives what a sort of each record gives, from either way of
+    reading the citations."""
+
+    def test_random_cohorts_match_the_per_author_sort(self, lane, monkeypatch):
         rng = np.random.default_rng(4105)
+        sizes = (engine_module.BLOCK_VALUES, 1, 7, 64)  # the zero drop over one chunk or many
         for trial in range(12):
+            monkeypatch.setattr(engine_module, "BLOCK_VALUES", sizes[trial % len(sizes)])
             records = _pack_records(rng)
             lengths = [len(values) for _, values in records]
-            assert any(lengths.count(n) > 1 for n in range(1, cohort_module._BLOCK_LENGTH + 1))
+            short = range(1, cohort_module._BLOCK_LENGTH + 1)
+            assert any(lengths.count(n) > 1 for n in short)
+            assert any(lengths.count(n) == 1 for n in short)
             assert max(lengths) > cohort_module._BLOCK_LENGTH
             for plain in (True, False):
                 if not plain:  # a huge value the numpy pass declines, in a short shared record
@@ -1164,6 +1187,30 @@ class TestPackByLength:
                     assert _read(text, fmt) == _oracle(text, fmt), (trial, plain, fmt)
                     read = lane["_plain_json" if fmt == "json" else "_plain_csv"]
                     assert [answer is not None for answer in read] == [plain]
+
+    @pytest.mark.parametrize("fmt, text, values", _PACK_CASES.values(), ids=list(_PACK_CASES))
+    def test_listed_cohorts_match_the_per_author_sort(self, fmt, text, values, lane):
+        got = _read(text, fmt)
+        assert got == _oracle(text, fmt)
+        assert got[1] == values
+        plain = lane["_plain_json" if fmt == "json" else "_plain_csv"]
+        assert [answer is not None for answer in plain] == ["-0" not in text]  # -0 is not plain
+
+    @pytest.mark.parametrize("low, high, records", [(0, 60, 20_000), (1_000, 5_001, 300)])
+    def test_extra_memory_stays_below_the_values(self, low, high, records):
+        """numpy reports its buffers to tracemalloc, so the traced peak
+        holds every temporary array of the sort and of the zero drop."""
+        rng = np.random.default_rng(4108)
+        counts = rng.integers(low, high, size=records).tolist()
+        flat = np.floor(5.0 * rng.pareto(1.2, size=sum(counts)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cohort_module._pack(flat, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 0.75 * flat.nbytes
 
 
 def _fittable_curves(rng, n):
