@@ -10,10 +10,7 @@ min over ranks of x_i * i**beta_bar.
 The fits of a cohort are computed in blocks of records, as the closed
 forms of the engine are, each block into its own rows, so the
 temporaries stay small and the bits do not depend on the block size.
-A profile is read back column by column: each field of the fits is
-pulled out as one list and screened at once (its JSON types, then the
-ranges of the model by numpy, and unique author ids), and only an input
-that fails a screen is checked fit by fit, to report its first bad fit.
+A profile stores and reads the fits as columns (:class:`CohortProfile`).
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cohort import Cohort, json_rows, json_texts
+from .cohort import Cohort, json_bytes
 from .curves import CitationCurve, SrmValue, checked_number
 from .engine import IndexSpec, segment_blocks, segment_counts, srm_closed_form
 from .errors import InsufficientDataError, UnsupportedOperationError, ValidationError, reading
@@ -37,7 +34,7 @@ from .errors import InsufficientDataError, UnsupportedOperationError, Validation
 #: from data shipped with this package.
 MATH_FINANCE_SENIOR_BETA = 1.62
 
-PROFILE_VERSION = 1
+PROFILE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -74,12 +71,19 @@ class CohortProfile:
     with the fields of a :class:`CalibrationFit` in the read-only arrays
     ``beta_hat``, ``q_hat``, ``r2`` (float64), ``n_points`` and
     ``n_excluded`` (int64).  The arrays are taken over, not copied.
+    Its JSON (format version 2) holds ``fits`` as one object of the six
+    arrays, ``author_id`` and these five, each on one line.
 
     :meth:`from_json` accepts only what :func:`calibrate_cohort` can
-    write: each fit has a unique ``author_id``, a finite ``beta_hat``, a
-    positive finite ``q_hat``, ``0 <= r2 <= 1``, ``n_points >= 2`` and
-    ``n_excluded >= 0``, and a stored ``cohort_size`` (it may be left
-    out) is the integer number of fits, of which there is at least one.
+    write: the keys ``beta_bar``, ``cohort_size`` (which may be left out,
+    else the integer number of fits), ``fits``, ``metadata`` (an object)
+    and ``version``, and no other key or fit column; at least one fit,
+    each with a unique ``author_id``, a finite ``beta_hat``, a positive
+    finite ``q_hat``, ``0 <= r2 <= 1``, ``n_points >= 2`` and
+    ``n_excluded >= 0``; and a ``beta_bar`` bit for bit equal to
+    ``float(beta_hat.mean())`` of the fits, as :func:`calibrate_cohort`
+    writes it.  A version-1 profile is not read; ``srm calibrate`` writes
+    it again.
     """
 
     beta_bar: float
@@ -100,15 +104,15 @@ class CohortProfile:
         return len(self.author_id)
 
     def to_json(self) -> bytes:
-        fields = {
-            "version": PROFILE_VERSION,
-            "beta_bar": self.beta_bar,
-            "cohort_size": self.cohort_size,
-            "metadata": self.metadata,
-        }
-        row = {name: json_texts(getattr(self, name).tolist()) for name in _FIT_COLUMNS}
-        row["author_id"] = json_texts(self.author_id)
-        return json_rows(fields, "fits", row)
+        head = json_bytes({"version": PROFILE_VERSION, "beta_bar": self.beta_bar,
+                           "cohort_size": self.cohort_size, "metadata": self.metadata,
+                           "fits": dict.fromkeys(_FIT_TYPES, "\0")}).decode("utf-8")
+        # only numbers come before the fits, so the first six marks "\0" are
+        # its columns in key order; each column is one line of the C encoder
+        parts = iter(head.split('"\\u0000"', len(_FIT_TYPES)))
+        lines = [next(parts) + json.dumps(getattr(self, name), default=np.ndarray.tolist)
+                 for name in sorted(_FIT_TYPES)]
+        return "".join([*lines, next(parts)]).encode("utf-8")
 
     @classmethod
     @reading("profile")
@@ -117,45 +121,42 @@ class CohortProfile:
             doc = json.loads(data)
         except (ValueError, RecursionError) as exc:
             raise ValidationError(f"profile is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict) or doc.get("version") != PROFILE_VERSION:
-            raise ValidationError(f"expected a profile document with version {PROFILE_VERSION}")
-        if type(doc["version"]) is not int:  # true and 1.0 equal 1 as well
-            raise ValidationError(
-                f"malformed profile: version must be the integer {PROFILE_VERSION},"
-                f" not {doc['version']!r}"
-            )
-        fits = doc.get("fits", [])
-        if type(fits) is not list:
-            raise ValidationError(f"malformed profile: fits must be a list, not {fits!r}")
-        ids, *numbers = _fit_columns(fits)
-        size = doc.get("cohort_size", len(fits))
-        if type(size) is not int or size != len(fits):
-            raise ValidationError(
-                f"malformed profile: cohort_size must be the number of fits, {len(fits)},"
-                f" not {size!r}")
-        beta_bar = doc["beta_bar"]
-        if type(beta_bar) not in (int, float):  # float() would take a str or a bool
-            raise ValidationError(f"malformed profile: beta_bar must be a number, not {beta_bar!r}")
-        beta_bar = float(beta_bar)
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version == 1 and type(version) is int:
+            raise ValidationError("profile format version 1 is no longer read; run"
+                                  f" `srm calibrate` again to write version {PROFILE_VERSION}")
+        if version != PROFILE_VERSION or type(version) is not int:  # 2.0 equals 2 as well
+            raise ValidationError(f"malformed profile: version must be {PROFILE_VERSION},"
+                                  f" not {version!r}")
+        extra = sorted(doc.keys() - {"beta_bar", "cohort_size", "fits", "metadata", "version"})
+        if extra:
+            raise ValidationError(f"malformed profile: unknown key {extra[0]!r}")
+        ids, *arrays = _fit_columns(doc.get("fits", dict.fromkeys(_FIT_TYPES, [])))
+        size = doc.get("cohort_size", len(ids))
+        if type(size) is not int or size != len(ids):
+            raise ValidationError(f"malformed profile: cohort_size must be the number of fits,"
+                                  f" {len(ids)}, not {size!r}")
         metadata = doc.get("metadata", {})
         if type(metadata) is not dict:
-            raise ValidationError(
-                f"malformed profile: metadata must be an object, not {metadata!r}")
-        if not fits:  # calibrate_cohort raises rather than write a profile of no fits
+            raise ValidationError(f"malformed profile: metadata must be an object,"
+                                  f" not {metadata!r}")
+        if not ids:  # calibrate_cohort raises rather than write a profile of no fits
             raise ValidationError("malformed profile: fits must hold at least one fit")
-        # an int64 field out of range fails here, after every other check
-        arrays = (np.array(c, dtype=t) for c, t in zip(numbers, _FIT_COLUMNS.values()))
-        return cls(beta_bar, tuple(ids), *arrays, metadata)
+        beta_bar, mean = doc["beta_bar"], float(arrays[0].mean())
+        # float() would take a str or a bool; bit for bit, so not 0.0 for -0.0
+        if type(beta_bar) not in (int, float) or float(beta_bar).hex() != mean.hex():
+            raise ValidationError(f"malformed profile: beta_bar must be the mean of the fits'"
+                                  f" beta_hat, {mean!r}, not {beta_bar!r}")
+        return cls(mean, ids, *arrays, metadata)
 
 
-def _check_fit(fit: dict, seen: set) -> None:
-    """Raise the error of one fit of a profile document, if it has one;
-    ``seen`` holds the ids of the fits before it, and gains this one's."""
-    raw = (fit["author_id"], fit["beta_hat"], fit["q_hat"], fit["r2"], fit["n_points"],
-           fit.get("n_excluded", 0))
+def _check_fit(row: tuple, seen: set) -> None:
+    """Raise the error of one fit of a profile, its fields in
+    :data:`_FIT_TYPES` order, if it has one; ``seen`` holds the ids of
+    the fits before it, and gains this one's."""
     # a null, and an integer field's inf or nan, fail in these conversions
-    converted = (raw[0], *map(float, raw[1:4]), *map(int, raw[4:]))
-    for (name, (types, kind)), value in zip(_FIT_TYPES.items(), raw):
+    converted = (row[0], *map(float, row[1:4]), *map(int, row[4:]))
+    for (name, (types, kind)), value in zip(_FIT_TYPES.items(), row):
         if type(value) not in types:  # not isinstance: a bool is an int
             raise ValidationError(f"malformed profile: {name} must be {kind}, not {value!r}")
     if converted[4] < 2:
@@ -168,46 +169,44 @@ def _check_fit(fit: dict, seen: set) -> None:
         raise ValidationError(f"q_hat must be positive and finite, got {converted[2]!r}")
     if converted[5] < 0:
         raise ValidationError(f"n_excluded must be nonnegative, got {converted[5]!r}")
-    if raw[0] in seen:
-        raise ValidationError(f"duplicate author_id {raw[0]!r}")
-    seen.add(raw[0])
+    if row[0] in seen:
+        raise ValidationError(f"duplicate author_id {row[0]!r}")
+    seen.add(row[0])
+    np.array(converted[4:], dtype=np.int64)  # an integer beyond int64 fails here
 
 
-def _fit_columns(fits: list) -> List[list]:
-    """The fields of a profile's fits as lists, in :data:`_FIT_TYPES`
-    order; the first bad fit's error is raised.
-
-    Each field is screened as one column: its JSON types, ``n_points >=
-    2``, ``0 <= r2 <= 1``, a finite ``beta_hat``, ``0 < q_hat < inf``
-    (all of which a nan fails), ``n_excluded >= 0`` and unique ids.  Only
-    when a screen fails are the fits checked one by one, to find the
-    first bad one.
-    """
-    try:
-        columns = [[fit[name] for fit in fits] for name in list(_FIT_TYPES)[:-1]]
-        columns.append([fit.get("n_excluded", 0) for fit in fits])
-    except (LookupError, TypeError, AttributeError):  # a missing field, or a fit not an object
-        columns = None
-    if columns is None or not _screened(columns):
-        seen = set()
-        for fit in fits:
-            _check_fit(fit, seen)
-    return columns
-
-
-def _screened(columns: List[list]) -> bool:
-    """True if the fit columns pass every check of :func:`_check_fit`."""
-    for column, (types, _) in zip(columns, _FIT_TYPES.values()):
-        if not set(map(type, column)) <= set(types):
-            return False
-    try:
-        beta_hat, q_hat, r2 = (np.array(column, dtype=float) for column in columns[1:4])
-        n_points, n_excluded = (np.array(column, dtype=np.int64) for column in columns[4:])
-    except OverflowError:  # an integer too large for a float or an int64
-        return False
-    return bool((n_points >= 2).all() and ((r2 >= 0.0) & (r2 <= 1.0)).all()
-                and np.isfinite(beta_hat).all() and ((q_hat > 0.0) & (q_hat < math.inf)).all()
-                and (n_excluded >= 0).all() and len(set(columns[0])) == len(columns[0]))
+def _fit_columns(fits: dict) -> list:
+    """A profile's ``fits``, six lists of one length, as the ids tuple and
+    the arrays of :data:`_FIT_COLUMNS`.  Each column is screened whole,
+    its JSON types and the ids by a set, the ranges by numpy (which a nan
+    fails); only when a screen fails are the fits checked one by one, to
+    raise the first bad one's error."""
+    if type(fits) is not dict:
+        raise ValidationError(f"malformed profile: fits must be an object, not {fits!r}")
+    extra = sorted(fits.keys() - _FIT_TYPES.keys())
+    if extra:
+        raise ValidationError(f"malformed profile: unknown fit column {extra[0]!r}")
+    columns = [fits[name] for name in _FIT_TYPES]  # a missing column is a KeyError
+    for name, column in zip(_FIT_TYPES, columns):  # author_id first
+        if type(column) is not list:
+            raise ValidationError(f"malformed profile: fits' {name} must be a list, not {column!r}")
+        if len(column) != len(columns[0]):
+            raise ValidationError(f"malformed profile: fits' {name} holds {len(column)} values,"
+                                  f" its author_id {len(columns[0])}")
+    try:  # the types first, as np.array would take a str or a bool
+        if all(set(map(type, c)) <= set(t) for c, (t, _) in zip(columns, _FIT_TYPES.values())):
+            ids, beta_hat, q_hat, r2, n_points, n_excluded = arrays = [
+                tuple(columns[0]), *map(np.array, columns[1:], _FIT_COLUMNS.values())]
+            if ((n_points >= 2).all() and ((r2 >= 0.0) & (r2 <= 1.0)).all()
+                    and np.isfinite(beta_hat).all() and ((q_hat > 0.0) & (q_hat < math.inf)).all()
+                    and (n_excluded >= 0).all() and len(set(ids)) == len(ids)):
+                return arrays
+    except OverflowError:  # an integer beyond its column's dtype
+        pass
+    seen: set = set()
+    for row in zip(*columns):
+        _check_fit(row, seen)
+    raise AssertionError("a profile's fits failed a screen but passed every fit check")
 
 
 def _fit_segments(

@@ -299,18 +299,33 @@ class TestBatchFits:
         assert fit_row(profile, 0) == fit_author(cohort.curve(0))
 
 
+def columns_of(fits):
+    """The format-2 ``fits`` object of a list of fit dicts."""
+    return {name: [fit[name] for fit in fits] for name in _GOOD_FIT}
+
+
+_GOOD_FIT = {"author_id": "a", "beta_hat": 1.5, "q_hat": 40.0, "r2": 0.9, "n_points": 5,
+             "n_excluded": 0}
+_GOOD_FITS = columns_of([_GOOD_FIT])
+_VERSION_1_MESSAGE = ("profile format version 1 is no longer read;"
+                      " run `srm calibrate` again to write version 2")
+
+
 class TestMalformedProfile:
     @pytest.mark.parametrize("doc", [
-        {"version": 1},
-        {"version": 1, "beta_bar": 1.5, "fits": [{"beta_hat": 1.0}]},
-        {"version": 1, "beta_bar": "steep"},
-        {"version": 1, "beta_bar": "1.5"},
-        {"version": 1, "beta_bar": True},
-        {"version": 1, "beta_bar": None},
-        {"version": True, "beta_bar": 1.5},
-        {"version": 1.0, "beta_bar": 1.5},
-        {"version": 1, "beta_bar": 1.5, "fits": 3},
-        {"version": 1, "beta_bar": 1.5, "metadata": [1, 2]},
+        {"version": 2},
+        {"version": 2, "beta_bar": 1.5, "fits": {"beta_hat": [1.0]}},
+        {"version": 2, "beta_bar": "steep", "fits": _GOOD_FITS},
+        {"version": 2, "beta_bar": "1.5", "fits": _GOOD_FITS},
+        {"version": 2, "beta_bar": True, "fits": _GOOD_FITS},
+        {"version": 2, "beta_bar": None, "fits": _GOOD_FITS},
+        {"version": 2, "fits": _GOOD_FITS},
+        {"version": True, "beta_bar": 1.5, "fits": _GOOD_FITS},
+        {"version": 2.0, "beta_bar": 1.5, "fits": _GOOD_FITS},
+        {"version": 2, "beta_bar": 1.5, "fits": 3},
+        {"version": 2, "beta_bar": 1.5, "fits": _GOOD_FITS, "metadata": [1, 2]},
+        {"version": 2, "beta_bar": 1.5, "fits": _GOOD_FITS, "extra": 1},
+        {"version": 2, "beta_bar": 1.5, "fits": dict(_GOOD_FITS, extra=[1])},
     ])
     def test_malformed_profile_is_a_validation_error(self, doc):
         import json
@@ -319,12 +334,16 @@ class TestMalformedProfile:
             CohortProfile.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("doc, message", [
-        ({"version": 1, "beta_bar": 1.5, "fits": {}}, "fits must be a list, not {}"),
-        ({"version": 1, "beta_bar": 1.5, "fits": ""}, "fits must be a list, not ''"),
-        ({"version": 1, "beta_bar": 1.5, "fits": None}, "fits must be a list, not None"),
-        ({"version": 1, "beta_bar": 1.5, "metadata": [["skipped", ["x"]]]},
+        ({"version": 2, "beta_bar": 1.5, "fits": []}, "fits must be an object, not []"),
+        ({"version": 2, "beta_bar": 1.5, "fits": ""}, "fits must be an object, not ''"),
+        ({"version": 2, "beta_bar": 1.5, "fits": None}, "fits must be an object, not None"),
+        ({"version": 2, "beta_bar": 1.5, "metadata": [["skipped", ["x"]]]},
          "metadata must be an object, not [['skipped', ['x']]]"),
-        ({"version": 1, "beta_bar": 1.5, "metadata": None}, "metadata must be an object, not None"),
+        ({"version": 2, "beta_bar": 1.5, "metadata": None}, "metadata must be an object, not None"),
+        ({"version": 2, "beta_bar": 1.5, "fits": dict(_GOOD_FITS, r2=0.9)},
+         "fits' r2 must be a list, not 0.9"),
+        ({"version": 2, "beta_bar": 1.5, "fits": dict(_GOOD_FITS, author_id={"a": 1})},
+         "fits' author_id must be a list, not {'a': 1}"),
     ])
     def test_containers_must_have_their_json_types(self, doc, message):
         import json
@@ -334,9 +353,9 @@ class TestMalformedProfile:
         assert str(err.value) == f"malformed profile: {message}"
 
     @pytest.mark.parametrize("doc", [
-        {"beta_bar": 1.5, "version": 1},
-        {"beta_bar": 1.5, "version": 1, "fits": []},
-        {"beta_bar": 1.5, "version": 1, "fits": [], "cohort_size": 0, "metadata": {}},
+        {"beta_bar": 1.5, "version": 2},
+        {"beta_bar": 1.5, "version": 2, "fits": columns_of([])},
+        {"beta_bar": 1.5, "version": 2, "fits": columns_of([]), "cohort_size": 0, "metadata": {}},
     ])
     def test_profile_without_fits_is_malformed(self, doc):
         """calibrate_cohort raises rather than write a profile of no fits."""
@@ -348,11 +367,108 @@ class TestMalformedProfile:
 
     def test_non_utf8_profile_is_a_validation_error(self):
         with pytest.raises(ValidationError):
-            CohortProfile.from_json(b'{"version": 1, "beta_bar": "\xff"}')
+            CohortProfile.from_json(b'{"version": 2, "beta_bar": "\xff"}')
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"version": 2, "beta_bar": 1.5, "fits": _GOOD_FITS, "extra": 1, "another": 2},
+         "unknown key 'another'"),
+        ({"version": 2, "beta_bar": 1.5, "fits": dict(_GOOD_FITS, zeta=[1], extra=[2])},
+         "unknown fit column 'extra'"),
+        ({"version": 2, "beta_bar": 1.5, "fits": {k: v for k, v in _GOOD_FITS.items() if k != "r2"}},
+         "KeyError: 'r2'"),
+        ({"version": 2, "beta_bar": 1.5, "fits": dict(_GOOD_FITS, q_hat=[40.0, 41.0])},
+         "fits' q_hat holds 2 values, its author_id 1"),
+        ({"version": 2, "beta_bar": 1.5, "fits": dict(_GOOD_FITS, author_id=[])},
+         "fits' beta_hat holds 1 values, its author_id 0"),
+        ({"version": 2, "beta_bar": 7.5, "fits": _GOOD_FITS},
+         "beta_bar must be the mean of the fits' beta_hat, 1.5, not 7.5"),
+        ({"version": 2, "beta_bar": 1.5000000000000002, "fits": _GOOD_FITS},
+         "beta_bar must be the mean of the fits' beta_hat, 1.5, not 1.5000000000000002"),
+        ({"version": 2, "beta_bar": -0.0, "fits": dict(_GOOD_FITS, beta_hat=[0.0])},
+         "beta_bar must be the mean of the fits' beta_hat, 0.0, not -0.0"),
+        ({"version": 2, "beta_bar": "1.5", "fits": _GOOD_FITS},
+         "beta_bar must be the mean of the fits' beta_hat, 1.5, not '1.5'"),
+        ({"version": 2.0, "beta_bar": 1.5, "fits": _GOOD_FITS}, "version must be 2, not 2.0"),
+        ({"version": 3, "beta_bar": 1.5, "fits": _GOOD_FITS}, "version must be 2, not 3"),
+        ({"beta_bar": 1.5, "fits": _GOOD_FITS}, "version must be 2, not None"),
+    ])
+    def test_the_contract_is_enforced(self, doc, message):
+        import json
+
+        with pytest.raises(ValidationError) as err:
+            CohortProfile.from_json(json.dumps(doc))
+        assert str(err.value) == f"malformed profile: {message}"
+
+    def test_beta_bar_may_be_written_as_an_integer(self):
+        import json
+
+        doc = {"version": 2, "beta_bar": 2, "fits": dict(_GOOD_FITS, beta_hat=[2.0])}
+        beta_bar = CohortProfile.from_json(json.dumps(doc)).beta_bar
+        assert type(beta_bar) is float and beta_bar == 2.0
+
+    @pytest.mark.parametrize("doc", [
+        {"version": 1},
+        {"version": 1, "beta_bar": 1.5, "fits": [dict(_GOOD_FIT, author_id=f"a{k}") for k in range(5)]},
+        {"version": 1, "beta_bar": 1.5, "fits": _GOOD_FITS},
+        {"version": 1, "beta_bar": "steep", "fits": 3, "metadata": [1, 2]},
+    ])
+    def test_version_1_profile_is_refused_with_what_to_do(self, doc, tmp_path, capsys):
+        import json
+
+        from srmkit.cli import run
+
+        with pytest.raises(ValidationError) as err:
+            CohortProfile.from_json(json.dumps(doc))
+        assert str(err.value) == _VERSION_1_MESSAGE
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("author_id,citations\nX1,8;6;4;2\n")
+        assert run(["rank", "--input", str(cohort), "--index", "phi",
+                    "--profile", str(profile)]) == 1
+        assert capsys.readouterr().err == f"srm: error: {_VERSION_1_MESSAGE}\n"
 
 
-_GOOD_FIT = {"author_id": "a", "beta_hat": 1.5, "q_hat": 40.0, "r2": 0.9, "n_points": 5,
-             "n_excluded": 0}
+_ODD_IDS = ['say "hi"', "back\\slash", "\0", '"\\u0000"', "\\u0000", "\0\0", "café", "日本",
+            "\ud800", "\udfff tail", "\U0001f600", "two\nlines", "", " ", "%s", "\x7f"]
+
+
+class TestProfileRoundTrip:
+    def test_random_profiles_come_back_bit_exact(self):
+        """Odd ids (the writer's own mark "\\0" among them) in the fits and in
+        the skipped ids, and floats of every scale: every column and
+        beta_bar read back with the same bits and dtypes."""
+        rng = np.random.default_rng(3101)
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            ids = [f"{_ODD_IDS[j]}{k}" if rng.integers(3) else _ODD_IDS[j] for k, j in
+                   enumerate(rng.integers(len(_ODD_IDS), size=n))]
+            ids = list(dict.fromkeys(ids))  # unique, as calibrate_cohort writes them
+            n = len(ids)
+            scale = 10.0 ** rng.integers(-300, 300, size=n)
+            columns = {
+                "beta_hat": rng.normal(0.0, 3.0, size=n) * rng.choice([1.0, 1e-200, 1e200], n),
+                "q_hat": rng.random(n) * scale + 5e-324,
+                "r2": rng.choice([0.0, 1.0, 0.1 + 0.2, rng.random()], n),
+                "n_points": rng.integers(2, 2**62, size=n),
+                "n_excluded": rng.integers(0, 2**62, size=n),
+            }
+            columns["beta_hat"][rng.random(n) < 0.1] = -0.0
+            skipped = [_ODD_IDS[j] for j in rng.integers(len(_ODD_IDS), size=int(rng.integers(4)))]
+            profile = CohortProfile(float(columns["beta_hat"].mean()), tuple(ids), **columns,
+                                    metadata={"skipped": skipped} if skipped else {})
+            restored = CohortProfile.from_json(profile.to_json())
+            assert restored.beta_bar.hex() == profile.beta_bar.hex()
+            assert restored.author_id == profile.author_id
+            for name, dtype in _FIT_COLUMNS.items():
+                column = getattr(restored, name)
+                assert column.dtype == dtype
+                assert column.tobytes() == getattr(profile, name).tobytes(), (trial, name)
+            assert restored.metadata == profile.metadata
+            assert CohortProfile.from_json(profile.to_json().decode("utf-8")).to_json() == (
+                profile.to_json())
+
+
 _NULL_MESSAGE = ("malformed profile: TypeError: float() argument must be a string or a real "
                  "number, not 'NoneType'")
 
@@ -367,8 +483,8 @@ class TestMalformedFits:
         ([dict(_GOOD_FIT, n_points=1)], "a fit needs at least 2 points"),
         ([dict(_GOOD_FIT, n_points=1, r2=1.5)], "a fit needs at least 2 points"),
         ([dict(_GOOD_FIT, beta_hat=None)], _NULL_MESSAGE),
-        ([_GOOD_FIT, dict(_GOOD_FIT, r2=-0.25),
-          {k: v for k, v in _GOOD_FIT.items() if k != "q_hat"}],
+        ([_GOOD_FIT, dict(_GOOD_FIT, author_id="b", r2=-0.25),
+          dict(_GOOD_FIT, author_id="c", q_hat=None)],
          "r2 must lie in [0, 1], got -0.25"),
         ([dict(_GOOD_FIT, n_points=math.inf)],
          "malformed profile: OverflowError: cannot convert float infinity to integer"),
@@ -388,10 +504,17 @@ class TestMalformedFits:
          "malformed profile: n_points must be an integer, not 2.0"),
         # the bad field of the later fit sits in an earlier column than the first bad fit's
         ([dict(_GOOD_FIT, r2=1.5), dict(_GOOD_FIT, author_id=17)], "r2 must lie in [0, 1], got 1.5"),
-        ([dict(_GOOD_FIT, n_points=1), {k: v for k, v in _GOOD_FIT.items() if k != "author_id"}],
+        ([dict(_GOOD_FIT, n_points=1), dict(_GOOD_FIT, author_id=[1, 2])],
          "a fit needs at least 2 points"),
-        ([_GOOD_FIT, [1, 2]],
-         "malformed profile: TypeError: list indices must be integers or slices, not str"),
+        ([_GOOD_FIT, dict(_GOOD_FIT, author_id=[1, 2])],
+         "malformed profile: author_id must be a string, not [1, 2]"),
+        ([_GOOD_FIT, dict(_GOOD_FIT, author_id="b", q_hat={"x": 1})], "malformed profile: "
+         "TypeError: float() argument must be a string or a real number, not 'dict'"),
+        # the int64 range is a check of its fit, in fit order
+        ([dict(_GOOD_FIT, n_points=2**64), dict(_GOOD_FIT, author_id="b", r2=1.5)],
+         "malformed profile: OverflowError: Python int too large to convert to C long"),
+        ([dict(_GOOD_FIT, n_excluded=-2**64)], "n_excluded must be nonnegative, got "
+         "-18446744073709551616"),
         # values no fit of a cohort can take
         ([dict(_GOOD_FIT, beta_hat=math.nan)], "beta_hat must be finite, got nan"),
         ([dict(_GOOD_FIT, beta_hat=-math.inf)], "beta_hat must be finite, got -inf"),
@@ -409,7 +532,7 @@ class TestMalformedFits:
 
         from srmkit.cli import run
 
-        doc = json.dumps({"version": 1, "beta_bar": 1.5, "fits": fits, "metadata": {}})
+        doc = json.dumps({"version": 2, "beta_bar": 1.5, "fits": columns_of(fits), "metadata": {}})
         with pytest.raises(ValidationError) as err:
             CohortProfile.from_json(doc)
         assert str(err.value) == message
@@ -426,8 +549,8 @@ class TestMalformedFits:
     def test_cohort_size_must_count_the_fits(self, size, fits):
         import json
 
-        doc = {"version": 1, "beta_bar": 1.5, "cohort_size": size, "metadata": {},
-               "fits": [dict(_GOOD_FIT, author_id=f"a{k}") for k in range(fits)]}
+        doc = {"version": 2, "beta_bar": 1.5, "cohort_size": size, "metadata": {},
+               "fits": columns_of([dict(_GOOD_FIT, author_id=f"a{k}") for k in range(fits)])}
         with pytest.raises(ValidationError) as err:
             CohortProfile.from_json(json.dumps(doc))
         assert str(err.value) == ("malformed profile: cohort_size must be the number of fits,"

@@ -19,6 +19,9 @@ from srmkit import cohort as cohort_module
 from srmkit.cli import run
 
 CSV_FIXTURE = "author_id,citations\nX1,8;6;4;2\nX2,4;2;2;2;2\n"
+# the fits of a valid format-2 profile, whose beta_bar is 1.62
+_PROFILE_FITS = {"author_id": ["a"], "beta_hat": [1.62], "q_hat": [40.0], "r2": [0.9],
+                 "n_points": [4], "n_excluded": [0]}
 
 
 @pytest.fixture
@@ -466,13 +469,17 @@ class TestRejectedOptions:
         assert "cannot read config file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
-        {"version": 1, "fits": []},
-        {"version": 1, "beta_bar": 1.5, "fits": [{"beta_hat": 1.5}]},
-        {"version": 1, "beta_bar": "1.5", "fits": []},
-        {"version": 1, "beta_bar": True, "fits": []},
-        {"version": True, "beta_bar": 1.5, "fits": []},
-        {"beta_bar": 1.5, "version": 1},
-        {"beta_bar": 1.5, "version": 1, "fits": []},
+        {"version": 2, "fits": _PROFILE_FITS},
+        {"version": 2, "beta_bar": 1.5, "fits": {"beta_hat": [1.5]}},
+        {"version": 2, "beta_bar": "1.5", "fits": _PROFILE_FITS},
+        {"version": 2, "beta_bar": True, "fits": _PROFILE_FITS},
+        {"version": True, "beta_bar": 1.5, "fits": _PROFILE_FITS},
+        {"beta_bar": 1.5, "version": 2},
+        {"beta_bar": 1.5, "version": 2, "fits": {name: [] for name in _PROFILE_FITS}},
+        {"beta_bar": 1.62, "version": 2, "fits": _PROFILE_FITS, "extra": 1},
+        {"beta_bar": 1.62, "version": 2, "fits": {**_PROFILE_FITS, "extra": [1]}},
+        {"beta_bar": 1.62, "version": 2, "fits": {**_PROFILE_FITS, "r2": [0.9, 0.8]}},
+        {"beta_bar": 7.5, "version": 2, "fits": _PROFILE_FITS},
     ])
     def test_malformed_profile_is_data_error(self, cohort_csv, tmp_path, doc, capsys):
         profile = tmp_path / "profile.json"
@@ -556,9 +563,7 @@ _FUZZ_SUBCOMMANDS = {
     "dual-check": ["--index", "--profile", "--deltas", "--samples", "--seed", "--extent"],
 }
 
-_FUZZ_PROFILE = json.dumps({"version": 1, "beta_bar": 1.62, "fits": [
-    {"author_id": "a", "beta_hat": 1.62, "q_hat": 40.0, "r2": 0.9, "n_points": 4, "n_excluded": 0},
-], "metadata": {}})
+_FUZZ_PROFILE = json.dumps({"version": 2, "beta_bar": 1.62, "fits": _PROFILE_FITS, "metadata": {}})
 
 
 def _mutated(rng, data: bytes) -> bytes:
@@ -756,28 +761,35 @@ _SPECIALS = [math.nan, math.inf, -1.5, 0, 7.5, 1e300, -0.0, 2**70, "1.62"]
 
 def _profile_mutant(rng, profile: bytes) -> bytes:
     """A profile that ``srm calibrate`` wrote, with one seeded mutation:
-    a top-level or fit field of another value or type (NaN and Infinity
-    tokens included), a key dropped or added, a fit duplicated, a byte
-    flip or a truncation.  Some mutants stay valid."""
+    a top-level field or one fit's field of another value or type (NaN
+    and Infinity tokens included), a key or a fit column dropped or
+    added, a fit duplicated, a byte flip, a truncation, or the document
+    in another JSON layout.  Some mutants stay valid."""
     doc = json.loads(profile)
-    fit = _pick(rng, doc["fits"])
-    kind = int(rng.integers(8))
-    if kind <= 1:
-        where = doc if kind == 0 else fit
-        key = _pick(rng, sorted(where))
-        where[key] = _pick(rng, _SPECIALS + _SWAPS)
+    fits = doc["fits"]
+    row = int(rng.integers(len(fits["author_id"])))
+    kind = int(rng.integers(9))
+    if kind == 0:
+        doc[_pick(rng, sorted(doc))] = _pick(rng, _SPECIALS + _SWAPS)
+    elif kind == 1:
+        fits[_pick(rng, sorted(fits))][row] = _pick(rng, _SPECIALS + _SWAPS)
     elif kind == 2:
-        where = _pick(rng, [doc, fit])
+        where = _pick(rng, [doc, fits])
         del where[_pick(rng, sorted(where))]
     elif kind == 3:
-        _pick(rng, [doc, fit])["extra"] = _pick(rng, _SWAPS)
+        _pick(rng, [doc, fits])["extra"] = _pick(rng, _SWAPS)
     elif kind == 4:
-        doc["fits"].append(dict(fit))
+        for column in fits.values():
+            column.append(column[row])
     text = json.dumps(doc).encode()  # NaN and Infinity as Python's json writes them
     if kind == 5:
         return _mutated(rng, text)
     if kind == 6:
         return text[:int(rng.integers(len(text) + 1))]
+    if kind == 7:  # keys in reverse order, other whitespace: the reader takes any layout
+        layout = _pick(rng, [{"indent": None, "separators": (",", ":")}, {"indent": 4}, {}])
+        doc["fits"] = dict(reversed(fits.items()))
+        return json.dumps(dict(reversed(doc.items())), **layout).encode()
     return text
 
 
@@ -991,56 +1003,36 @@ X2,2,3,1.21098828,0.732050808,0.095445115,0.00995049384
 {
   "beta_bar": 0.667505419900654,
   "cohort_size": 2,
-  "fits": [
-    {
-      "author_id": "X1",
-      "beta_hat": 0.9241833528564696,
-      "n_excluded": 0,
-      "n_points": 4,
-      "q_hat": 9.225180436700724,
-      "r2": 0.8541148696970258
-    },
-    {
-      "author_id": "X2",
-      "beta_hat": 0.41082748694483845,
-      "n_excluded": 0,
-      "n_points": 5,
-      "q_hat": 3.4046537882188224,
-      "r2": 0.7093851264991965
-    }
-  ],
+  "fits": {
+    "author_id": ["X1", "X2"],
+    "beta_hat": [0.9241833528564696, 0.41082748694483845],
+    "n_excluded": [0, 0],
+    "n_points": [4, 5],
+    "q_hat": [9.225180436700724, 3.4046537882188224],
+    "r2": [0.8541148696970258, 0.7093851264991965]
+  },
   "metadata": {},
-  "version": 1
+  "version": 2
 }
 """,
     ("calibrate", "skipped"): """\
 {
   "beta_bar": 0.667505419900654,
   "cohort_size": 2,
-  "fits": [
-    {
-      "author_id": "X1",
-      "beta_hat": 0.9241833528564696,
-      "n_excluded": 0,
-      "n_points": 4,
-      "q_hat": 9.225180436700724,
-      "r2": 0.8541148696970258
-    },
-    {
-      "author_id": "X2",
-      "beta_hat": 0.41082748694483845,
-      "n_excluded": 0,
-      "n_points": 5,
-      "q_hat": 3.4046537882188224,
-      "r2": 0.7093851264991965
-    }
-  ],
+  "fits": {
+    "author_id": ["X1", "X2"],
+    "beta_hat": [0.9241833528564696, 0.41082748694483845],
+    "n_excluded": [0, 0],
+    "n_points": [4, 5],
+    "q_hat": [9.225180436700724, 3.4046537882188224],
+    "r2": [0.8541148696970258, 0.7093851264991965]
+  },
   "metadata": {
     "skipped": [
       "X3"
     ]
   },
-  "version": 1
+  "version": 2
 }
 """,
 }
